@@ -23,7 +23,6 @@ from .algebra import (
     Multivector,
     Quaternion,
     basis_vectors,
-    geometric,
     lcontract,
     scalar_product,
     wedge,
@@ -91,7 +90,6 @@ from .gamma import (
     GammaRep,
     chiral_to_standard,
     gamma_rep,
-    standard_to_chiral,
 )
 from .hopf import (
     HopfPoint,
@@ -119,99 +117,3 @@ from .mapping import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BLADE_NAMES",
-    "BilinearInconsistencyError",
-    "BilinearSet",
-    "ConditionReport",
-    "DegenerateProbeError",
-    "E0",
-    "E1",
-    "E2",
-    "E3",
-    "ElkoSpinor",
-    "FlagDipoleFrame",
-    "GRADE_2_PAIRS",
-    "GammaDictionaryError",
-    "GammaRep",
-    "HopfPoint",
-    "LounestoClass",
-    "METRIC_SIGNS",
-    "Multivector",
-    "NullSpinorError",
-    "PSEUDOSCALAR",
-    "QUAT_I",
-    "QUAT_J",
-    "QUAT_K",
-    "Quaternion",
-    "QuaternionPair",
-    "SIMILARITY",
-    "SingularSpinorError",
-    "SpinorC4",
-    "WeylC2",
-    "aggregate",
-    "aggregate_matrix_residual",
-    "annihilator_residuals",
-    "basis_vectors",
-    "bilinears",
-    "charge_conjugation",
-    "chiral_to_standard",
-    "class_limit",
-    "classify",
-    "column_fiber_action",
-    "column_to_even",
-    "column_to_quaternions",
-    "dirac_adjoint_mv",
-    "dirac_from_left",
-    "dirac_with_phase",
-    "direction_class",
-    "direction_element",
-    "doran_h",
-    "elko_boost",
-    "elko_dual",
-    "elko_map_conditions",
-    "elko_mixture_direction",
-    "elko_quartet",
-    "elko_rest",
-    "even_to_column",
-    "even_to_ideal",
-    "even_to_quaternions",
-    "fierz_residuals",
-    "frame_from_bilinears",
-    "gamma_rep",
-    "generalized_fierz_residuals",
-    "geometric",
-    "helicity_eigenspinor",
-    "hopf_from_components",
-    "hopf_map",
-    "hopf_map_unnormalized",
-    "hopf_routes_report",
-    "ideal_projector",
-    "ideal_to_column",
-    "instanton_obstruction",
-    "is_admissible_flag_dipole_direction",
-    "is_boomerang",
-    "is_singular",
-    "lcontract",
-    "majorana_from_weyl",
-    "mappability",
-    "minkowski_square",
-    "penrose_flag",
-    "penrose_pole",
-    "pq_operators",
-    "projection_spinor",
-    "projector_idempotency_residual",
-    "quaternions_to_column",
-    "reconstruct",
-    "scalar_product",
-    "sigma_projector",
-    "sigma_projector_matrix",
-    "standard_to_chiral",
-    "synthetic_frame",
-    "type4_boomerang",
-    "validate_direction",
-    "verify_class_relations",
-    "wedge",
-    "weyl_spinor",
-]

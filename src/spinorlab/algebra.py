@@ -229,10 +229,6 @@ class Multivector:
         return NotImplemented
 
 
-def geometric(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(_product(a.coeffs, b.coeffs, WEDGE_SIGN))
 
@@ -328,22 +324,6 @@ class Quaternion:
         c[BLADE_INDEX[(1, 3)]] = -self.y  # j = e31 = -e13
         c[BLADE_INDEX[(1, 2)]] = self.z
         return Multivector(c)
-
-    @classmethod
-    def from_multivector(cls, mv: Multivector, tol: float = 1e-12) -> "Quaternion":
-        if mv.is_complex:
-            raise ValueError("quaternions embed only the real algebra")
-        keep = {0, BLADE_INDEX[(2, 3)], BLADE_INDEX[(1, 3)], BLADE_INDEX[(1, 2)]}
-        stray = [i for i in range(DIM) if i not in keep and abs(mv.coeffs[i]) > tol]
-        if stray:
-            names = ", ".join(BLADE_NAMES[i] for i in stray)
-            raise ValueError(f"multivector has support outside the quaternion subalgebra: {names}")
-        return cls(
-            mv.coeffs[0],
-            mv.coeffs[BLADE_INDEX[(2, 3)]],
-            -mv.coeffs[BLADE_INDEX[(1, 3)]],
-            mv.coeffs[BLADE_INDEX[(1, 2)]],
-        )
 
 
 QUAT_I = Quaternion(0, 1, 0, 0)

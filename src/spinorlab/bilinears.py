@@ -17,7 +17,7 @@ boomerang test, and spinor reconstruction from Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class BilinearSet:
     K: np.ndarray
     omega: float
     rep: str = "chiral"
-    pair_order: tuple = field(default=GRADE_2_PAIRS, repr=False)
 
     def current_vector(self) -> Multivector:
         return Multivector.vector(self.J)

@@ -12,18 +12,22 @@ Input is JSON-lines (one object per line with a ``components`` field of four
 [re, im] pairs) or CSV with eight real columns, re/im interleaved.  Output is
 deterministic: fixed key order, byte-identical for identical input and seed.
 
-Exit codes: 0 on success, 1 for I/O or parse errors, 2 when a mathematical
-inconsistency is detected (impossible bilinear pattern, failed verify suite).
+Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components
+included), 2 when a classify or hopf record carries an error or a verify suite
+fails.  map-check reports null and singular spinors in a ``note`` and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,10 +63,8 @@ from .flagdipole import (
     projector_idempotency_residual,
     sigma_projector,
     sigma_projector_matrix,
-    type4_boomerang,
 )
 from .hopf import (
-    column_fiber_action,
     column_to_even,
     column_to_quaternions,
     even_to_column,
@@ -94,8 +96,6 @@ class SpinorDocument:
     index: int
     spinor: SpinorC4
     label: str | None = None
-    momentum: list | None = None
-    mass: float | None = None
 
 
 def _parse_complex(text: str) -> complex:
@@ -122,6 +122,19 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
         raise CliInputError(f"cannot parse {what} from {text!r}") from exc
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite(values: list[complex], where: str) -> np.ndarray:
+    if not all(map(cmath.isfinite, values)):
+        raise CliInputError(f"{where}: non-finite component entry")
+    return np.array(values)
+
+
 def _components_from_pairs(pairs, where: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != 4:
         raise CliInputError(f"{where}: 'components' must be a list of four [re, im] pairs")
@@ -133,7 +146,7 @@ def _components_from_pairs(pairs, where: str) -> np.ndarray:
             values.append(complex(float(pair[0]), float(pair[1])))
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{where}: non-numeric component entry") from exc
-    return np.array(values)
+    return _finite(values, where)
 
 
 def read_documents(path: str, default_rep: str) -> list[SpinorDocument]:
@@ -169,15 +182,8 @@ def _read_jsonl(text: str, default_rep: str) -> list[SpinorDocument]:
         rep = obj.get("rep", default_rep)
         if rep not in REP_CHOICES:
             raise CliInputError(f"{where}: unknown representation {rep!r}")
-        mass = obj.get("mass")
         docs.append(
-            SpinorDocument(
-                index=len(docs),
-                spinor=SpinorC4(comp, rep),
-                label=obj.get("label"),
-                momentum=obj.get("momentum"),
-                mass=float(mass) if mass is not None else None,
-            )
+            SpinorDocument(index=len(docs), spinor=SpinorC4(comp, rep), label=obj.get("label"))
         )
     return docs
 
@@ -199,23 +205,10 @@ def _read_csv(text: str, default_rep: str) -> list[SpinorDocument]:
             raise CliInputError(
                 f"row {rowno}: need 8 real columns (re/im interleaved), got {len(values)}"
             )
-        comp = np.array(
-            [complex(values[2 * k], values[2 * k + 1]) for k in range(4)]
-        )
+        pairs = [complex(values[2 * k], values[2 * k + 1]) for k in range(4)]
+        comp = _finite(pairs, f"row {rowno}")
         docs.append(SpinorDocument(index=len(docs), spinor=SpinorC4(comp, default_rep)))
     return docs
-
-
-def _doc_json(doc: SpinorDocument) -> dict:
-    comp = [[float(c.real), float(c.imag)] for c in doc.spinor.components]
-    out: dict = {"components": comp, "rep": doc.spinor.rep}
-    if doc.label is not None:
-        out["label"] = doc.label
-    if doc.momentum is not None:
-        out["momentum"] = [float(x) for x in doc.momentum]
-    if doc.mass is not None:
-        out["mass"] = float(doc.mass)
-    return out
 
 
 def _emit(lines: list[str], output: str | None) -> None:
@@ -229,13 +222,34 @@ def _emit(lines: list[str], output: str | None) -> None:
             fh.write(payload)
 
 
-# ---- classify --------------------------------------------------------------
+# ---- record pipeline: classify, hopf, map-check ----------------------------
+
+
+def _head(doc: SpinorDocument) -> dict:
+    head: dict = {"index": doc.index}
+    if doc.label is not None:
+        head["label"] = doc.label
+    return head
+
+
+def _run_records(args, record_fn, table_row, header=None) -> int:
+    """Read, format one record per document, emit; exit 2 when a record has an error.
+
+    Each record is formatted as soon as it is made, so only the output lines
+    stay in memory.
+    """
+    lines = [header] if args.table and header else []
+    failed = False
+    for doc in read_documents(args.input, args.rep):
+        record = record_fn(doc, args.tol)
+        failed = failed or bool(record.get("error"))
+        lines.append(table_row(record) if args.table else json.dumps(record))
+    _emit(lines, args.output)
+    return 2 if failed else 0
 
 
 def _classification_record(doc: SpinorDocument, tol: float) -> dict:
-    record: dict = {"index": doc.index}
-    if doc.label is not None:
-        record["label"] = doc.label
+    record = _head(doc)
     try:
         b = bilinears(doc.spinor, tol=tol)
         verdict = classify(b, tol=tol)
@@ -272,45 +286,88 @@ def _classification_record(doc: SpinorDocument, tol: float) -> dict:
     return record
 
 
-def cmd_classify(args) -> int:
-    docs = read_documents(args.input, args.rep)
-    records = [_classification_record(doc, args.tol) for doc in docs]
-    if args.table:
-        lines = [
-            f"{'idx':>4} {'class':>5} {'regular':>7} {'marginal':>8} "
-            f"{'sigma':>12} {'omega':>12} {'fierz_max':>10}  note"
-        ]
-        for rec in records:
-            if rec.get("error"):
-                lines.append(f"{rec['index']:>4} {'-':>5} {'-':>7} {'-':>8} "
-                             f"{'-':>12} {'-':>12} {'-':>10}  {rec['error']}")
-                continue
-            b = rec["bilinears"]
-            lines.append(
-                f"{rec['index']:>4} {rec['class']:>5} {str(rec['regular']):>7} "
-                f"{str(rec['marginal']):>8} {b['sigma']:>12.4e} {b['omega']:>12.4e} "
-                f"{max(rec['fierz_residuals']):>10.2e}  {rec.get('label') or ''}"
-            )
-    else:
-        lines = [json.dumps(rec) for rec in records]
-    _emit(lines, args.output)
-    if any(rec.get("error") for rec in records):
-        return 2
-    return 0
+CLASSIFY_HEADER = (
+    f"{'idx':>4} {'class':>5} {'regular':>7} {'marginal':>8} "
+    f"{'sigma':>12} {'omega':>12} {'fierz_max':>10}  note"
+)
+
+
+def _classification_row(rec: dict) -> str:
+    if rec.get("error"):
+        return (f"{rec['index']:>4} {'-':>5} {'-':>7} {'-':>8} "
+                f"{'-':>12} {'-':>12} {'-':>10}  {rec['error']}")
+    b = rec["bilinears"]
+    return (
+        f"{rec['index']:>4} {rec['class']:>5} {str(rec['regular']):>7} "
+        f"{str(rec['marginal']):>8} {b['sigma']:>12.4e} {b['omega']:>12.4e} "
+        f"{max(rec['fierz_residuals']):>10.2e}  {rec.get('label') or ''}"
+    )
+
+
+def _hopf_record(doc: SpinorDocument, tol: float) -> dict:
+    record = _head(doc)
+    try:
+        instanton = instanton_obstruction(doc.spinor)
+    except ValueError as exc:  # the zero column has no image point
+        record.update({"error": str(exc), "error_kind": "null-spinor"})
+        return record
+    record.update(hopf_routes_report(doc.spinor))
+    record["instanton"] = instanton
+    return record
+
+
+def _hopf_row(rec: dict) -> str:
+    if rec.get("error"):
+        return f"{rec['index']:>4} {rec['error']}"
+    q = rec["quaternion_route"]
+    return (
+        f"{rec['index']:>4} sigma_q={q['sigma']:.6g} "
+        f"norm_residual={rec['norm_identity_residual_quaternion']:.2e} "
+        f"route_gap={rec['route_gap']:.2e}"
+    )
+
+
+def _map_check_record(doc: SpinorDocument, tol: float) -> dict:
+    report = elko_map_conditions(doc.spinor)
+    record = _head(doc)
+    record.update(
+        {
+            "shared_residuals": [float(x) for x in report.shared],
+            "extra_class2": float(report.extra_class2),
+            "extra_class3": float(report.extra_class3),
+            "route_disagreement": float(report.route_disagreement()),
+            "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
+        }
+    )
+    try:
+        record["mappability"] = {str(k): v for k, v in mappability(doc.spinor, tol).items()}
+    except (SingularSpinorError, NullSpinorError, BilinearInconsistencyError) as exc:
+        record["mappability"] = None
+        record["note"] = str(exc)
+    return record
+
+
+def _map_check_row(rec: dict) -> str:
+    return (
+        f"{rec['index']:>4} shared_max={max(rec['shared_residuals']):.2e} "
+        f"ad2={rec['extra_class2']:.2e} ad3={rec['extra_class3']:.2e} {rec.get('note') or ''}"
+    )
 
 
 # ---- make ------------------------------------------------------------------
 
 
 def cmd_make(args) -> int:
-    docs: list[SpinorDocument] = []
+    records: list[dict] = []
 
     def add(spinor: SpinorC4, label: str, momentum=None, mass=None) -> None:
-        docs.append(
-            SpinorDocument(
-                index=len(docs), spinor=spinor, label=label, momentum=momentum, mass=mass
-            )
-        )
+        comp = [[float(c.real), float(c.imag)] for c in spinor.components]
+        record: dict = {"components": comp, "rep": spinor.rep, "label": label}
+        if momentum is not None:
+            record["momentum"] = [float(x) for x in momentum]
+        if mass is not None:
+            record["mass"] = float(mass)
+        records.append(record)
 
     if args.family == "elko":
         momentum = _parse_floats(args.p, 3, "--p") if args.p else np.zeros(3)
@@ -343,10 +400,8 @@ def cmd_make(args) -> int:
             if args.xi
             else np.array([1, 0, 0, 0], dtype=complex)
         )
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             plus, minus = majorana_from_weyl(SpinorC4(comp, "chiral"))
         if args.part in ("plus", "both"):
             add(plus, "majorana:+")
@@ -373,8 +428,7 @@ def cmd_make(args) -> int:
         psi = projection_spinor(Multivector.scalar(1.0), u)
         add(psi, "flagdipole")
 
-    lines = [json.dumps(_doc_json(doc)) for doc in docs]
-    _emit(lines, args.output)
+    _emit([json.dumps(record) for record in records], args.output)
     return 0
 
 
@@ -578,71 +632,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r[2] for r in results) else 2
 
 
-# ---- hopf / map-check ------------------------------------------------------
-
-
-def cmd_hopf(args) -> int:
-    docs = read_documents(args.input, args.rep)
-    lines = []
-    for doc in docs:
-        report = hopf_routes_report(doc.spinor)
-        report_out = {"index": doc.index}
-        if doc.label is not None:
-            report_out["label"] = doc.label
-        report_out.update(report)
-        report_out["instanton"] = instanton_obstruction(doc.spinor)
-        if args.table:
-            q = report["quaternion_route"]
-            lines.append(
-                f"{doc.index:>4} sigma_q={q['sigma']:.6g} "
-                f"norm_residual={report['norm_identity_residual_quaternion']:.2e} "
-                f"route_gap={report['route_gap']:.2e}"
-            )
-        else:
-            lines.append(json.dumps(report_out))
-    _emit(lines, args.output)
-    return 0
-
-
-def cmd_map_check(args) -> int:
-    docs = read_documents(args.input, args.rep)
-    lines = []
-    for doc in docs:
-        report = elko_map_conditions(doc.spinor)
-        rec: dict = {"index": doc.index}
-        if doc.label is not None:
-            rec["label"] = doc.label
-        rec.update(
-            {
-                "shared_residuals": [float(x) for x in report.shared],
-                "extra_class2": float(report.extra_class2),
-                "extra_class3": float(report.extra_class3),
-                "route_disagreement": float(report.route_disagreement()),
-                "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
-            }
-        )
-        try:
-            rec["mappability"] = {
-                str(k): v for k, v in mappability(doc.spinor, args.tol).items()
-            }
-        except SingularSpinorError as exc:
-            rec["mappability"] = None
-            rec["note"] = str(exc)
-        except (NullSpinorError, BilinearInconsistencyError) as exc:
-            rec["mappability"] = None
-            rec["note"] = str(exc)
-        if args.table:
-            worst = max(rec["shared_residuals"])
-            lines.append(
-                f"{doc.index:>4} shared_max={worst:.2e} ad2={rec['extra_class2']:.2e} "
-                f"ad3={rec['extra_class3']:.2e} {rec.get('note') or ''}"
-            )
-        else:
-            lines.append(json.dumps(rec))
-    _emit(lines, args.output)
-    return 0
-
-
 # ---- entry -----------------------------------------------------------------
 
 
@@ -651,23 +640,24 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"spinorlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
+    def common(p: argparse.ArgumentParser, records: bool = True, table: bool = False) -> None:
+        if records:
             p.add_argument("input", help="input file (JSON-lines or CSV), or - for stdin")
-        p.add_argument("--rep", choices=REP_CHOICES, default="chiral",
-                       help="representation for inputs that do not declare one")
+            p.add_argument("--rep", choices=REP_CHOICES, default="chiral",
+                           help="representation for inputs that do not declare one")
         p.add_argument("--tol", type=float, default=1e-10, help="zero-test tolerance")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false",
-                         help="JSON-lines output (default)")
+                         help="JSON-lines output" + ("" if table else " (default)"))
         fmt.add_argument("--table", dest="table", action="store_true",
-                         help="human-readable table output")
-        p.set_defaults(table=False)
+                         help="human-readable table output" + (" (default)" if table else ""))
+        p.set_defaults(table=table)
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("classify", help="Lounesto-classify each input spinor")
     common(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=partial(_run_records, record_fn=_classification_record,
+                                table_row=_classification_row, header=CLASSIFY_HEADER))
 
     p = sub.add_parser("make", help="construct a named spinor family")
     p.add_argument("family", choices=("elko", "majorana", "weyl", "dirac", "flagdipole"))
@@ -691,23 +681,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a randomized identity suite")
     p.add_argument("suite", choices=("fierz", "hopf", "projectors", "mapping"))
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="table", action="store_false")
-    fmt.add_argument("--table", dest="table", action="store_true")
-    p.set_defaults(table=True)
-    p.add_argument("--output", default=None)
+    common(p, records=False, table=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hopf", help="compare fibration routes per input spinor")
     common(p)
-    p.set_defaults(func=cmd_hopf)
+    p.set_defaults(func=partial(_run_records, record_fn=_hopf_record, table_row=_hopf_row))
 
     p = sub.add_parser("map-check", help="evaluate ELKO mapping conditions per input")
     common(p)
-    p.set_defaults(func=cmd_map_check)
+    p.set_defaults(func=partial(_run_records, record_fn=_map_check_record,
+                                table_row=_map_check_row))
 
     return parser
 

@@ -107,7 +107,3 @@ SIMILARITY = _block(_I2, _I2, _I2, -_I2) / np.sqrt(2.0)
 
 def chiral_to_standard(matrix: np.ndarray) -> np.ndarray:
     return SIMILARITY @ matrix @ SIMILARITY
-
-
-def standard_to_chiral(matrix: np.ndarray) -> np.ndarray:
-    return SIMILARITY @ matrix @ SIMILARITY

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -248,3 +249,110 @@ def test_output_flag_writes_the_file_verbatim(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_nonzero(capsys):
     assert cli.main(["frobnicate"]) != 0
+
+
+def test_hopf_reports_a_zero_spinor_without_aborting_the_batch(tmp_path, capsys):
+    path = tmp_path / "zero_then_unit.jsonl"
+    write_jsonl(path, [spinor_record([0, 0, 0, 0], label="zero"), spinor_record([1, 0, 0, 0])])
+    code, out, _ = run(["hopf", str(path), "--json"], capsys)
+    assert code == 2
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert list(first) == ["index", "label", "error", "error_kind"]
+    assert first["error_kind"] == "null-spinor"
+    assert second["index"] == 1 and "error" not in second
+    assert second["instanton"]["on_unit_sphere"] is True
+
+
+def test_map_check_notes_a_null_spinor_and_exits_zero(tmp_path, capsys):
+    path = tmp_path / "zero.jsonl"
+    write_jsonl(path, [spinor_record([0, 0, 0, 0])])
+    code, out, _ = run(["map-check", str(path), "--json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["mappability"] is None
+    assert "zero spinor" in rec["note"]
+
+
+def test_hopf_table_output(tmp_path, capsys):
+    path = tmp_path / "zero_then_unit.jsonl"
+    write_jsonl(path, [spinor_record([0, 0, 0, 0]), spinor_record([1, 0, 0, 0])])
+    code, out, _ = run(["hopf", str(path), "--table"], capsys)
+    assert code == 2
+    assert out.splitlines() == [
+        "   0 the zero column has no image point",
+        "   1 sigma_q=1 norm_residual=0.00e+00 route_gap=1.00e+00",
+    ]
+
+
+def test_map_check_table_output(tmp_path, capsys):
+    path = tmp_path / "mixed.jsonl"
+    write_jsonl(
+        path,
+        [
+            spinor_record([1, 0, 0, 0], rep="standard", label="mappable"),
+            spinor_record([0, 1j, 1, 0], rep="chiral", label="flagpole"),
+        ],
+    )
+    code, out, _ = run(["map-check", str(path), "--table"], capsys)
+    assert code == 0
+    first, second = out.splitlines()
+    assert first == "   0 shared_max=0.00e+00 ad2=0.00e+00 ad3=0.00e+00 "
+    assert second.startswith("   1 shared_max=") and "class 5" in second
+
+
+def test_non_numeric_mass_and_momentum_are_ignored(tmp_path, capsys):
+    path = tmp_path / "extra.jsonl"
+    write_jsonl(path, [spinor_record([1, 0, 0, 0], rep="standard", mass="heavy", momentum="x")])
+    for command in ("classify", "hopf", "map-check"):
+        code, out, _ = run([command, str(path), "--json"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert "mass" not in rec and "momentum" not in rec
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_components_are_malformed_input(tmp_path, capsys, entry):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"components": [[1, 0], [0, %s], [0, 0], [0, 0]]}\n' % entry)
+    for command in ("classify", "hopf", "map-check"):
+        code, out, err = run([command, str(path), "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert "line 1: non-finite component" in err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_non_finite_csv_components_are_malformed_input(tmp_path, capsys, entry):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,0,0,0,0,0,0,0\n1,0,{entry},0,0,0,0,0\n")
+    for command in ("classify", "hopf", "map-check"):
+        code, out, err = run([command, str(path), "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert "row 2: non-finite component" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_sample(capsys, samples):
+    code, out, err = run(["verify", "fierz", "--samples", samples], capsys)
+    assert (code, out) == (1, "")
+    assert "--samples" in err
+
+
+RECORD_OPTIONS = {"-h", "--help", "--rep", "--tol", "--json", "--table", "--output"}
+HELP_OPTIONS = {
+    "classify": RECORD_OPTIONS,
+    "hopf": RECORD_OPTIONS,
+    "map-check": RECORD_OPTIONS,
+    "verify": {"-h", "--help", "--samples", "--seed", "--tol", "--json", "--table", "--output"},
+    "make": {
+        "-h", "--help", "--alpha", "--beta", "--conjugacy", "--helicity", "--xi", "--part",
+        "--phi", "--chirality", "--p", "--m", "--epsilon", "--delta", "--u", "--output",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_each_subcommands_options(command, capsys):
+    code, out, _ = run([command, "--help"], capsys)
+    assert code == 0
+    options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+    assert options == HELP_OPTIONS[command]

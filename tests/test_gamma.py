@@ -11,7 +11,6 @@ from spinorlab import (
     SpinorC4,
     chiral_to_standard,
     gamma_rep,
-    standard_to_chiral,
 )
 from spinorlab.algebra import DIM, PRODUCT_INDEX, PRODUCT_SIGN
 
@@ -88,8 +87,9 @@ def test_similarity_takes_chiral_matrices_to_standard_ones():
         np.testing.assert_allclose(
             chiral_to_standard(chiral.upper[mu]), standard.upper[mu], atol=1e-15
         )
+        # SIMILARITY is an involution, so the same conjugation maps back
         np.testing.assert_allclose(
-            standard_to_chiral(standard.upper[mu]), chiral.upper[mu], atol=1e-15
+            chiral_to_standard(standard.upper[mu]), chiral.upper[mu], atol=1e-15
         )
 
 
