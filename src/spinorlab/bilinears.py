@@ -1,18 +1,19 @@
 """Dirac spinors and their sixteen real bilinear covariants.
 
-The covariant set (sigma, J, S, K, omega) is computed with Hermitian operator
-matrices so every component comes out real up to rounding; a residual above
-tolerance means the gamma dictionary itself is broken and raises.  Components
-are stored with upper spacetime indices (J^mu etc.), and the bivector S keeps
-one value per ordered pair mu < nu in the order 01, 02, 03, 12, 13, 23.
+Covariant n is psibar G_n psi, with the sixteen operators written once, in
+``BilinearSet.as_array`` order (sigma, J^mu, S^{mu nu}, K^mu, omega):
 
-The aggregate multivector
+    G_n = 1,  e^mu,  (i/2) e^mu e^nu for mu < nu,  i e0123 e^mu,  -e0123
 
-    Z = sigma + J + i S_bold + i K e0123 + omega e0123
+Components carry upper spacetime indices; S keeps one value per pair mu < nu,
+ordered 01, 02, 03, 12, 13, 23.  Each representation's Hermitian forms
+gamma0 G_n and generalized Fierz operators are built from the list at import,
+and Fierz completeness gives the aggregate
 
-(with S_bold carrying both index orders, i.e. twice the stored components)
-reproduces 4 psi psibar as a matrix, which powers the Fierz checks, the
-boomerang test, and spinor reconstruction from Z.
+    Z = sum_n (psibar G_n psi) G_n^-1 = sigma + J + i S_bold + i K e0123 + omega e0123
+
+with S_bold twice the stored S (both index orders).  Z reproduces 4 psi psibar
+as a matrix; the Fierz checks, the boomerang test and reconstruction use it.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    BLADE_INDEX,
     DIM,
     GRADE_2_PAIRS,
+    METRIC_SIGNS,
     PSEUDOSCALAR,
     Multivector,
     lcontract,
     wedge,
 )
-from .gamma import SIMILARITY, GammaRep, gamma_rep
+from .gamma import SIMILARITY, gamma_rep
 
 REP_TAGS = ("chiral", "standard")
 
@@ -63,8 +64,6 @@ class SpinorC4:
 
     def in_rep(self, rep: str) -> "SpinorC4":
         """Convert between the chiral and standard representations."""
-        if rep not in REP_TAGS:
-            raise ValueError(f"unknown representation tag {rep!r}")
         if rep == self.rep:
             return self
         # the similarity matrix is involutive, so one formula serves both ways
@@ -94,28 +93,37 @@ class BilinearSet:
     def spin_bivector(self) -> Multivector:
         """Bivector with both index orders summed: coefficients 2 S^{mu nu}."""
         c = np.zeros(DIM)
-        for value, pair in zip(self.S, GRADE_2_PAIRS):
-            c[BLADE_INDEX[pair]] = 2.0 * value
+        c[5:11] = 2.0 * self.S  # the grade-2 blades, in GRADE_2_PAIRS order
         return Multivector(c)
 
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.sigma], self.J, self.S, self.K, [self.omega]))
 
 
-def _hermitian_forms(rep: GammaRep) -> list[np.ndarray]:
-    """Operator matrices for (sigma, J^mu, S^{mu nu}, K^mu, omega), 16 total."""
-    g0 = rep.lower[0]
-    up = rep.upper
-    ps = rep.pseudoscalar
-    ops = [g0]
-    ops += [g0 @ up[mu] for mu in range(4)]
-    ops += [0.5j * g0 @ up[mu] @ up[nu] for mu, nu in GRADE_2_PAIRS]
-    ops += [1j * g0 @ ps @ up[mu] for mu in range(4)]
-    ops += [-g0 @ ps]
-    return ops
+# e^mu = g^{mu mu} e_mu: the algebra's basis vectors carry lower indices
+_UPPER = [Multivector.blade(mu, coeff=float(METRIC_SIGNS[mu])) for mu in range(4)]
+_OPERATORS = (
+    [Multivector.scalar(1.0)]
+    + _UPPER
+    + [0.5j * _UPPER[mu] * _UPPER[nu] for mu, nu in GRADE_2_PAIRS]
+    + [1j * PSEUDOSCALAR * e for e in _UPPER]
+    + [-PSEUDOSCALAR]
+)
+# each G_n is a multiple of one blade, so G_n G_n is a scalar
+_INVERSES = np.array([(g / (g * g).scalar_part()).coeffs for g in _OPERATORS])
+# the families sigma, J, S, K, omega, and the factor f_n of each Fierz operator f_n G_n
+_FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16))
+_FACTORS = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])
 
 
-_FORM_CACHE: dict[str, list[np.ndarray]] = {}
+def _rep_matrices(tag: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The sixteen Hermitian forms gamma0 G_n and Fierz operators f_n G_n of one rep."""
+    rep = gamma_rep(tag)
+    ops = np.array([rep.mv_to_matrix(g) for g in _OPERATORS])
+    return list(rep.lower[0] @ ops), list(_FACTORS[:, None, None] * ops)
+
+
+_MATRICES = {tag: _rep_matrices(tag) for tag in REP_TAGS}
 
 
 def bilinears(psi: SpinorC4, tol: float = 1e-10) -> BilinearSet:
@@ -125,14 +133,10 @@ def bilinears(psi: SpinorC4, tol: float = 1e-10) -> BilinearSet:
     residue above ``tol`` times the spinor's squared scale; the operator
     matrices are Hermitian, so that can only happen on an internal fault.
     """
-    rep = gamma_rep(psi.rep)
-    if psi.rep not in _FORM_CACHE:
-        _FORM_CACHE[psi.rep] = _hermitian_forms(rep)
-    ops = _FORM_CACHE[psi.rep]
     v = psi.components
     scale = max(1.0, float(np.vdot(v, v).real))
     values = np.empty(16)
-    for n, op in enumerate(ops):
+    for n, op in enumerate(_MATRICES[psi.rep][0]):
         z = complex(np.vdot(v, op @ v))
         if abs(z.imag) > tol * scale:
             raise GammaDictionaryError(
@@ -172,15 +176,8 @@ def fierz_residuals(b: BilinearSet) -> np.ndarray:
 
 
 def aggregate(b: BilinearSet) -> Multivector:
-    """The complex multivector Z built from the bilinear set."""
-    z = (
-        Multivector.scalar(b.sigma)
-        + b.current_vector()
-        + b.spin_bivector() * 1j
-        + (b.axial_vector() * PSEUDOSCALAR) * 1j
-        + PSEUDOSCALAR * b.omega
-    )
-    return z
+    """The complex multivector Z = sum_n (psibar G_n psi) G_n^-1 of the bilinear set."""
+    return Multivector(b.as_array() @ _INVERSES)
 
 
 def dirac_adjoint_mv(z: Multivector) -> Multivector:
@@ -212,24 +209,11 @@ def generalized_fierz_residuals(z: Multivector, b: BilinearSet, rep: str = "chir
     e0123, the coefficient c(M) is sigma, J^mu, 2 S^{mu nu}, K^mu and -omega.
     Returns the five worst-case Frobenius residuals in that order.
     """
-    g = gamma_rep(rep)
-    zm = g.mv_to_matrix(z)
-    ps = g.pseudoscalar
-    out = np.empty(5)
-    out[0] = np.linalg.norm(zm @ zm - 4.0 * b.sigma * zm)
-    out[1] = max(
-        np.linalg.norm(zm @ g.upper[mu] @ zm - 4.0 * b.J[mu] * zm) for mu in range(4)
-    )
-    out[2] = max(
-        np.linalg.norm(zm @ (1j * g.upper[mu] @ g.upper[nu]) @ zm - 8.0 * b.S[n] * zm)
-        for n, (mu, nu) in enumerate(GRADE_2_PAIRS)
-    )
-    out[3] = max(
-        np.linalg.norm(zm @ (1j * ps @ g.upper[mu]) @ zm - 4.0 * b.K[mu] * zm)
-        for mu in range(4)
-    )
-    out[4] = np.linalg.norm(zm @ ps @ zm + 4.0 * b.omega * zm)
-    return out
+    zm = gamma_rep(rep).mv_to_matrix(z)
+    coeffs = _FACTORS * b.as_array()
+    ops = _MATRICES[rep][1]
+    norms = [np.linalg.norm(zm @ m @ zm - 4.0 * c * zm) for m, c in zip(ops, coeffs)]
+    return np.array([max(norms[s]) for s in _FAMILIES])
 
 
 def reconstruct(z: Multivector, probe: SpinorC4, tol: float = 1e-10) -> SpinorC4:
@@ -258,7 +242,6 @@ def reconstruct(z: Multivector, probe: SpinorC4, tol: float = 1e-10) -> SpinorC4
 
 
 def pq_operators(b: BilinearSet) -> tuple[Multivector, Multivector]:
-    """The real multivectors P = sigma + J + e0123 omega and Q = S_bold + K e0123."""
-    p = Multivector.scalar(b.sigma) + b.current_vector() + PSEUDOSCALAR * b.omega
-    q = b.spin_bivector() + b.axial_vector() * PSEUDOSCALAR
-    return p, q
+    """The real multivectors P = sigma + J + e0123 omega and Q = S_bold + K e0123, Z = P + i Q."""
+    z = aggregate(b)
+    return z.real, z.imag

@@ -259,7 +259,7 @@ def instanton_obstruction(psi: SpinorC4) -> dict:
     ELKO columns sit off the unit S^7 (sigma = 0 for their bilinear radius),
     which is reported, not asserted against.
     """
-    if np.allclose(psi.components, 0):
+    if not np.any(psi.components):
         raise ValueError("the zero column has no image point")
     psi_std = psi.in_rep("standard")
     sigma_c, point_c = hopf_from_components(psi_std)

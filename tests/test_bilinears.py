@@ -74,6 +74,30 @@ def test_covariants_scale_quadratically_and_ignore_global_phase():
     np.testing.assert_allclose(scaled, 9.0 * b, rtol=1e-12)
 
 
+def _gamma_product_forms(rep):
+    """The sixteen Hermitian forms gamma0 G_n, written out as gamma products."""
+    g0, up, ps = rep.lower[0], rep.upper, rep.pseudoscalar
+    ops = [g0]
+    ops += [g0 @ up[mu] for mu in range(4)]
+    ops += [0.5j * g0 @ up[mu] @ up[nu] for mu, nu in GRADE_2_PAIRS]
+    ops += [1j * g0 @ ps @ up[mu] for mu in range(4)]
+    ops += [-g0 @ ps]
+    return ops
+
+
+@pytest.mark.parametrize("rep", ["chiral", "standard"])
+def test_all_sixteen_covariants_match_the_gamma_product_forms(rep):
+    rng = np.random.default_rng(63)
+    forms = _gamma_product_forms(gamma_rep(rep))
+    spinors = [SpinorC4(np.eye(4)[k], rep) for k in range(4)]
+    spinors += [random_spinor(rng, rep) for _ in range(10)]
+    for psi in spinors:
+        v = psi.components
+        expected = [np.vdot(v, op @ v).real for op in forms]
+        got = bilinears(psi).as_array()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * psi.norm() ** 2)
+
+
 def test_minkowski_square_uses_the_mostly_minus_metric():
     v = Multivector.vector([2.0, 1.0, -1.0, 0.5])
     assert minkowski_square(v) == pytest.approx(4.0 - 1.0 - 1.0 - 0.25)

@@ -1,5 +1,6 @@
 """Command line interface: record formats, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import re
@@ -356,3 +357,83 @@ def test_help_lists_each_subcommands_options(command, capsys):
     assert code == 0
     options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
     assert options == HELP_OPTIONS[command]
+
+
+MAX_NORM = np.finfo(float).max ** 0.125  # about 3.4e38
+GENERIC = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+
+
+@pytest.mark.parametrize("norm", [1e40, 1e77, 1e154, 1e200])
+def test_spinor_norms_above_the_bound_are_malformed_input(tmp_path, capsys, norm):
+    for components in ([norm, 0, 0, 0], GENERIC * (norm / np.linalg.norm(GENERIC))):
+        path = tmp_path / "huge.jsonl"
+        write_jsonl(path, [spinor_record([1, 0, 0, 0]), spinor_record(components)])
+        for command in ("classify", "map-check", "hopf"):
+            code, out, err = run([command, str(path), "--json"], capsys)
+            assert (code, out) == (1, "")
+            assert "line 2: spinor norm above 3.4e+38 is out of range" in err
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite number {token} in the output")
+
+
+def test_spinor_norms_just_below_the_bound_give_finite_records(tmp_path, capsys):
+    rng = np.random.default_rng(64)
+    records = [spinor_record([0.999 * MAX_NORM, 0, 0, 0])]
+    for n in range(6):
+        comp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        comp *= 0.999 * MAX_NORM / np.linalg.norm(comp)
+        records.append(spinor_record(comp, rep=("chiral", "standard")[n % 2]))
+    path = tmp_path / "large.jsonl"
+    write_jsonl(path, records)
+    for command in ("classify", "map-check", "hopf"):
+        code, out, _ = run([command, str(path), "--json"], capsys)
+        assert code == 0
+        lines = [json.loads(line, parse_constant=_reject_non_finite) for line in out.splitlines()]
+        assert len(lines) == len(records)
+        if command == "classify":
+            assert all(rec["boomerang"] is True for rec in lines)
+
+
+def test_hopf_gives_a_tiny_column_its_image_point(tmp_path, capsys):
+    # the exact zero column is still an error: see the zero-spinor batch test above
+    path = tmp_path / "tiny.jsonl"
+    write_jsonl(path, [spinor_record([1e-9, 0, 0, 0])])
+    code, out, _ = run(["hopf", str(path), "--json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert "error" not in rec
+    assert rec["instanton"]["sigma_component_route"] == pytest.approx(1e-18)
+
+
+def test_boomerang_fails_when_the_covariants_miss_four_psi_psibar(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "generic.jsonl"
+    write_jsonl(path, [spinor_record(GENERIC)])
+    code, out, _ = run(["classify", str(path), "--json"], capsys)
+    assert (code, json.loads(out)["boomerang"]) == (0, True)
+
+    exact = cli.bilinears
+
+    def shifted(psi, tol=1e-10):
+        b = exact(psi, tol=tol)
+        return dataclasses.replace(b, sigma=b.sigma + 1e-6 * b.J[0])
+
+    monkeypatch.setattr(cli, "bilinears", shifted)
+    code, out, _ = run(["classify", str(path), "--json"], capsys)
+    rec = json.loads(out)
+    assert (code, rec["class"], rec["error"]) == (0, 1, None)
+    assert rec["boomerang"] is False
+
+
+def test_verify_fierz_prints_four_passing_checks(capsys):
+    code, out, _ = run(["verify", "fierz", "--samples", "50", "--seed", "3", "--json"], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["check"] for rec in records] == [
+        "quadratic_identities",
+        "aggregate_equals_4_psi_psibar",
+        "generalized_identities",
+        "reconstruction_roundtrip",
+    ]
+    assert all(rec["pass"] is True for rec in records)
