@@ -14,6 +14,11 @@ and Fierz completeness gives the aggregate
 
 with S_bold twice the stored S (both index orders).  Z reproduces 4 psi psibar
 as a matrix; the Fierz checks, the boomerang test and reconstruction use it.
+
+The array kernels ``covariant_array``, ``fierz_array`` and
+``aggregate_residual_array`` take an (N, 4) block of components in one
+representation; ``bilinears``, ``fierz_residuals`` and
+``aggregate_matrix_residual`` are their one-row calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from .algebra import (
     DIM,
     GRADE_2_PAIRS,
     METRIC_SIGNS,
+    PRODUCT_INDEX,
+    PRODUCT_SIGN,
     PSEUDOSCALAR,
     Multivector,
-    lcontract,
-    wedge,
 )
 from .gamma import SIMILARITY, gamma_rep
 
@@ -116,33 +121,49 @@ _FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16
 _FACTORS = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])
 
 
-def _rep_matrices(tag: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The sixteen Hermitian forms gamma0 G_n and Fierz operators f_n G_n of one rep."""
+def _rep_matrices(tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sixteen Hermitian forms gamma0 G_n and Fierz operators f_n G_n of one rep, stacked."""
     rep = gamma_rep(tag)
     ops = np.array([rep.mv_to_matrix(g) for g in _OPERATORS])
-    return list(rep.lower[0] @ ops), list(_FACTORS[:, None, None] * ops)
+    return rep.lower[0] @ ops, _FACTORS[:, None, None] * ops
 
 
 _MATRICES = {tag: _rep_matrices(tag) for tag in REP_TAGS}
+# e0123 e_ab = s e_cd, with cd the pair complementary to ab: slot and sign from the product table
+_DUAL = PRODUCT_INDEX[-1, 5:11] - 5
+_DUAL_SIGN = PRODUCT_SIGN[-1, 5:11]
+_PAIRS = np.array(GRADE_2_PAIRS).T
+
+
+def covariant_array(components, rep: str = "chiral", tol: float = 1e-10) -> np.ndarray:
+    """The sixteen covariants of each row of an (N, 4) component array, as (N, 16).
+
+    Row n holds the covariants of spinor n in ``BilinearSet.as_array`` order.
+    Raises GammaDictionaryError, for the first offending row and form, if a
+    quadratic form returns an imaginary residue above ``tol`` times
+    max(1, psi^dagger psi); the forms are Hermitian, so that can only happen
+    on an internal fault.
+    """
+    v = np.asarray(components, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) component array, got shape {v.shape}")
+    # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
+    # so each value is bit for bit the one-form-at-a-time result (einsum is not)
+    z = np.vecdot(v[:, None, :], (_MATRICES[rep][0] @ v[:, None, :, None])[..., 0])
+    scale = np.maximum(1.0, np.vecdot(v, v).real)
+    bad = np.argwhere(np.abs(z.imag) > tol * scale[:, None])
+    if len(bad):
+        row, n = bad[0]
+        raise GammaDictionaryError(
+            f"bilinear {n} has imaginary residue {float(z[row, n].imag):g}; gamma dictionary broken"
+        )
+    # unit-stride rows, so row norms run the same BLAS dot as np.linalg.norm on a copy
+    return np.ascontiguousarray(z.real)
 
 
 def bilinears(psi: SpinorC4, tol: float = 1e-10) -> BilinearSet:
-    """Compute all sixteen bilinear components of ``psi``.
-
-    Raises GammaDictionaryError if any quadratic form returns an imaginary
-    residue above ``tol`` times the spinor's squared scale; the operator
-    matrices are Hermitian, so that can only happen on an internal fault.
-    """
-    v = psi.components
-    scale = max(1.0, float(np.vdot(v, v).real))
-    values = np.empty(16)
-    for n, op in enumerate(_MATRICES[psi.rep][0]):
-        z = complex(np.vdot(v, op @ v))
-        if abs(z.imag) > tol * scale:
-            raise GammaDictionaryError(
-                f"bilinear {n} has imaginary residue {z.imag:g}; gamma dictionary broken"
-            )
-        values[n] = z.real
+    """Compute all sixteen bilinear components of ``psi`` (``covariant_array`` for one row)."""
+    values = covariant_array(psi.components[None], psi.rep, tol)[0]
     return BilinearSet(
         sigma=float(values[0]),
         J=values[1:5].copy(),
@@ -158,21 +179,40 @@ def minkowski_square(v: Multivector) -> float:
     return float((v * v).scalar_part().real)
 
 
-def fierz_residuals(b: BilinearSet) -> np.ndarray:
-    """Absolute residuals of the four quadratic covariant identities.
+def _minkowski(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x0 y0 - x1 y1 - x2 y2 - x3 y3, summed in the product table's order."""
+    return ((x[:, 0] * y[:, 0] - x[:, 1] * y[:, 1]) - x[:, 2] * y[:, 2]) - x[:, 3] * y[:, 3]
+
+
+def fierz_array(covariants) -> np.ndarray:
+    """Absolute residuals of the four quadratic covariant identities, as (N, 4).
 
     Order: J^2 - omega^2 - sigma^2;  K^2 + J^2;  J . K;
            J ^ K + (omega + sigma e0123) S_bold.
+    Closed forms in sigma, J, S, K and omega that round like the Multivector
+    products they replace: sums in the product table's order, scalar squares
+    through pow (as Python's ``**``), and the last norm over the sixteen blade
+    slots, the bivector in slots 5-10.
     """
-    jmv = b.current_vector()
-    kmv = b.axial_vector()
-    smv = b.spin_bivector()
-    r1 = abs(minkowski_square(jmv) - b.omega**2 - b.sigma**2)
-    r2 = abs(minkowski_square(kmv) + minkowski_square(jmv))
-    r3 = lcontract(jmv, kmv).norm()
-    lhs = wedge(jmv, kmv) + (Multivector.scalar(b.omega) + PSEUDOSCALAR * b.sigma) * smv
-    r4 = lhs.norm()
-    return np.array([r1, r2, r3, r4])
+    c = np.asarray(covariants, dtype=float)
+    sigma, J, S, K, omega = c[:, 0], c[:, 1:5], c[:, 5:11], c[:, 11:15], c[:, 15]
+    jj, jk = _minkowski(J, J), _minkowski(J, K)
+    r1 = np.abs(jj - np.float_power(omega, 2) - np.float_power(sigma, 2))
+    r2 = np.abs(_minkowski(K, K) + jj)
+    r3 = np.sqrt(jk * jk)
+    a, b = _PAIRS
+    s_bold = 2.0 * S
+    spin = omega[:, None] * s_bold
+    spin[:, _DUAL] += sigma[:, None] * s_bold * _DUAL_SIGN
+    lhs = np.zeros((len(c), DIM))
+    lhs[:, 5:11] = (J[:, a] * K[:, b] - J[:, b] * K[:, a]) + spin
+    r4 = np.sqrt(np.vecdot(lhs, lhs))
+    return np.stack([r1, r2, r3, r4], axis=1)
+
+
+def fierz_residuals(b: BilinearSet) -> np.ndarray:
+    """The four ``fierz_array`` residuals of one bilinear set."""
+    return fierz_array(b.as_array()[None])[0]
 
 
 def aggregate(b: BilinearSet) -> Multivector:
@@ -191,15 +231,26 @@ def is_boomerang(z: Multivector, tol: float = 1e-10) -> bool:
     return diff <= tol * max(1.0, z.norm())
 
 
+def aggregate_residual_array(components, covariants, rep: str = "chiral") -> np.ndarray:
+    """Frobenius distance between each row's aggregate Z and 4 psi psibar, as (N,).
+
+    ``components`` is (N, 4) in representation ``rep`` and ``covariants`` the
+    matching (N, 16) array; Z is built by stacked vector-matrix products.
+    """
+    v = np.asarray(components, dtype=np.complex128)
+    g = gamma_rep(rep)
+    z = (np.asarray(covariants, dtype=float)[:, None, :] @ _INVERSES) @ g.blades.reshape(DIM, 16)
+    psibar = v.conj()[:, None, :] @ g.lower[0]
+    diff = z.reshape(-1, 4, 4) - 4.0 * (v[:, :, None] * psibar)
+    diff = diff.reshape(-1, 16)
+    return np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
+
+
 def aggregate_matrix_residual(psi: SpinorC4, b: BilinearSet | None = None) -> float:
     """Frobenius distance between the Z of ``psi`` and 4 psi psibar."""
     if b is None:
         b = bilinears(psi)
-    rep = gamma_rep(psi.rep)
-    zm = rep.mv_to_matrix(aggregate(b))
-    v = psi.components
-    target = 4.0 * np.outer(v, v.conj() @ rep.lower[0])
-    return float(np.linalg.norm(zm - target))
+    return float(aggregate_residual_array(psi.components[None], b.as_array()[None], psi.rep)[0])
 
 
 def generalized_fierz_residuals(z: Multivector, b: BilinearSet, rep: str = "chiral") -> np.ndarray:

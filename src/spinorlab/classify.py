@@ -38,26 +38,43 @@ class LounestoClass:
         return self.label
 
 
-def _magnitudes(b: BilinearSet) -> dict:
-    return {
-        "sigma": abs(b.sigma),
-        "omega": abs(b.omega),
-        "K": float(np.linalg.norm(b.K)),
-        "S": float(np.linalg.norm(b.S)),
-    }
+_FIELDS = ("sigma", "omega", "K", "S")
 
 
-def classify(b: BilinearSet, tol: float = 1e-10) -> LounestoClass:
-    """Assign the Lounesto class of a bilinear set.
+def magnitude_array(covariants) -> np.ndarray:
+    """The decision rule's inputs for each (N, 16) covariant row, as (N, 6).
 
-    Zero tests compare against ``tol * max(1, J^0)``; quantities landing
-    within a factor 10 of that threshold (either side) set the marginal flag.
+    Columns: |J^0|, |J|, |sigma|, |omega|, |K|, |S|, with Euclidean norms over
+    the stored components (the BLAS dot of ``np.linalg.norm``, row by row).
+    Each row is first scaled by the power of two that brings J^0 into
+    [0.5, 1).  That scaling is exact, so every comparison against
+    ``tol * J^0`` comes out as for the unscaled row, but the squares inside
+    the norms stay normal doubles however small psi is.
     """
-    mags = _magnitudes(b)
-    jnorm = float(np.linalg.norm(b.J))
-    threshold = tol * max(1.0, abs(b.J[0]))
+    c = np.asarray(covariants, dtype=float)
+    c = np.ldexp(c, -np.frexp(c[:, 1:2])[1])
+    norm = lambda x: np.sqrt(np.vecdot(x, x))
+    columns = (np.abs(c[:, 1]), norm(c[:, 1:5]), np.abs(c[:, 0]), np.abs(c[:, 15]),
+               norm(c[:, 11:15]), norm(c[:, 5:11]))
+    return np.stack(columns, axis=1)
 
-    if jnorm <= threshold and all(v <= threshold for v in mags.values()):
+
+def lounesto_class(magnitudes, tol: float = 1e-10) -> LounestoClass:
+    """Decide the class from one row of ``magnitude_array``.
+
+    Zero tests compare against ``tol * J^0``, so the verdict does not change
+    when psi is rescaled, as long as ``tol * J^0`` is a normal double; in the
+    range the CLI accepts, 1.2e-77 <= |psi| <= 3.4e38, that holds for any
+    tol above 1e-150.  J^0 = psi^dagger psi is positive for every
+    nonzero psi, and only the zero spinor (J^0 = 0) leaves nothing above it.
+    Quantities landing within a factor 10 of the threshold (either side) set
+    the marginal flag.
+    """
+    j0, jnorm, *values = magnitudes
+    mags = dict(zip(_FIELDS, values))
+    threshold = tol * j0
+
+    if jnorm <= threshold and all(v <= threshold for v in values):
         raise NullSpinorError("all bilinear covariants vanish; cannot classify the zero spinor")
 
     nz = {k: v > threshold for k, v in mags.items()}
@@ -95,9 +112,14 @@ def classify(b: BilinearSet, tol: float = 1e-10) -> LounestoClass:
     )
 
 
+def classify(b: BilinearSet, tol: float = 1e-10) -> LounestoClass:
+    """Assign the Lounesto class of a bilinear set (``lounesto_class`` of its magnitudes)."""
+    return lounesto_class(magnitude_array(b.as_array()[None])[0].tolist(), tol)
+
+
 def is_singular(b: BilinearSet, tol: float = 1e-10) -> bool:
-    """True when both sigma and omega vanish (classes 4-6)."""
-    threshold = tol * max(1.0, abs(b.J[0]))
+    """True when both sigma and omega vanish (classes 4-6), against ``tol * |J^0|``."""
+    threshold = tol * abs(b.J[0])
     return abs(b.sigma) <= threshold and abs(b.omega) <= threshold
 
 

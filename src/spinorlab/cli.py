@@ -38,12 +38,21 @@ from .bilinears import (
     SpinorC4,
     aggregate,
     aggregate_matrix_residual,
+    aggregate_residual_array,
     bilinears,
+    covariant_array,
+    fierz_array,
     fierz_residuals,
     generalized_fierz_residuals,
     reconstruct,
 )
-from .classify import BilinearInconsistencyError, NullSpinorError, classify
+from .classify import (
+    BilinearInconsistencyError,
+    NullSpinorError,
+    classify,
+    lounesto_class,
+    magnitude_array,
+)
 from .elko import (
     WeylC2,
     dirac_from_left,
@@ -80,6 +89,12 @@ from .mapping import SingularSpinorError, elko_map_conditions, mappability
 REP_CHOICES = ("chiral", "standard")
 # largest accepted |psi|: the record code goes up to its eighth power
 _MAX_NORM = np.finfo(float).max ** 0.125
+# smallest accepted nonzero |psi|: its fourth power, the size of the Fierz terms,
+# stays a normal double, and the covariants (|psi|^2) keep 154 decades below them
+_MIN_NORM = np.finfo(float).tiny ** 0.25
+# documents per record-function call: classify's array intermediates take about
+# 1 kB per record, so a fixed chunk keeps peak memory flat for any input length
+_CHUNK = 256
 
 
 class CliInputError(Exception):
@@ -134,8 +149,11 @@ def positive_int(text: str) -> int:
 def _finite(values: list[complex], where: str) -> np.ndarray:
     if not all(map(cmath.isfinite, values)):
         raise CliInputError(f"{where}: non-finite component entry")
-    if math.hypot(*[x for z in values for x in (z.real, z.imag)]) > _MAX_NORM:  # hypot: no overflow
+    norm = math.hypot(*[x for z in values for x in (z.real, z.imag)])  # no over- or underflow
+    if norm > _MAX_NORM:
         raise CliInputError(f"{where}: spinor norm above {_MAX_NORM:.3g} is out of range")
+    if 0.0 < norm < _MIN_NORM:
+        raise CliInputError(f"{where}: nonzero spinor norm below {_MIN_NORM:.3g} is out of range")
     return np.array(values)
 
 
@@ -239,57 +257,67 @@ def _head(doc: SpinorDocument) -> dict:
 def _run_records(args, record_fn, table_row, header=None) -> int:
     """Read, format one record per document, emit; exit 2 when a record has an error.
 
-    Each record is formatted as soon as it is made, so only the output lines
-    stay in memory.
+    ``record_fn(docs, tol)`` turns a chunk of up to ``_CHUNK`` documents into
+    their records, in order.  Each record is formatted as soon as its chunk is
+    made, so only the output lines stay in memory.
     """
     lines = [header] if args.table and header else []
     failed = False
-    for doc in read_documents(args.input, args.rep):
-        record = record_fn(doc, args.tol)
-        failed = failed or bool(record.get("error"))
-        lines.append(table_row(record) if args.table else json.dumps(record))
+    docs = read_documents(args.input, args.rep)
+    for start in range(0, len(docs), _CHUNK):
+        for record in record_fn(docs[start:start + _CHUNK], args.tol):
+            failed = failed or bool(record.get("error"))
+            lines.append(table_row(record) if args.table else json.dumps(record))
     _emit(lines, args.output)
     return 2 if failed else 0
 
 
-def _classification_record(doc: SpinorDocument, tol: float) -> dict:
-    record = _head(doc)
+def _each(record_fn):
+    """Lift a one-document record function to a chunk of documents."""
+    return lambda docs, tol: [record_fn(doc, tol) for doc in docs]
+
+
+def _classification_records(docs: list[SpinorDocument], tol: float) -> list[dict]:
+    """Classify a chunk: the array kernels run once per representation present."""
+    records = [_head(doc) for doc in docs]
+    for rep in REP_CHOICES:
+        rows = [i for i, doc in enumerate(docs) if doc.spinor.rep == rep]
+        if not rows:
+            continue
+        components = np.array([docs[i].spinor.components for i in rows])
+        cov = covariant_array(components, rep, tol)
+        # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
+        residual = aggregate_residual_array(components, cov, rep)
+        boomerang = residual <= max(tol, 1e-12) * 4 * cov[:, 1]
+        columns = zip(cov.tolist(), magnitude_array(cov).tolist(),
+                      fierz_array(cov).tolist(), boomerang.tolist())
+        for i, (c, mags, residuals, boom) in zip(rows, columns):
+            records[i].update(_classification_fields(c, mags, residuals, boom, tol))
+    return records
+
+
+def _classification_fields(c: list, mags: list, residuals: list, boomerang: bool,
+                           tol: float) -> dict:
     try:
-        b = bilinears(doc.spinor, tol=tol)
-        verdict = classify(b, tol=tol)
+        verdict = lounesto_class(mags, tol)
     except (NullSpinorError, BilinearInconsistencyError) as exc:
-        record.update(
-            {
-                "class": None,
-                "error": str(exc),
-                "error_kind": "null-spinor" if isinstance(exc, NullSpinorError) else "inconsistency",
-            }
-        )
-        return record
-    residuals = fierz_residuals(b)
-    # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
-    boomerang = aggregate_matrix_residual(doc.spinor, b) <= max(tol, 1e-12) * 4 * b.J[0]
-    record.update(
-        {
-            "class": verdict.label,
-            "regular": verdict.regular,
-            "singular": not verdict.regular,
-            "marginal": verdict.marginal,
-            "marginal_fields": list(verdict.marginal_fields),
-            "witness": {k: bool(v) for k, v in verdict.witness.items()},
-            "bilinears": {
-                "sigma": float(b.sigma),
-                "J": [float(x) for x in b.J],
-                "S": [float(x) for x in b.S],
-                "K": [float(x) for x in b.K],
-                "omega": float(b.omega),
-            },
-            "fierz_residuals": [float(r) for r in residuals],
-            "boomerang": bool(boomerang),
-            "error": None,
+        return {
+            "class": None,
+            "error": str(exc),
+            "error_kind": "null-spinor" if isinstance(exc, NullSpinorError) else "inconsistency",
         }
-    )
-    return record
+    return {
+        "class": verdict.label,
+        "regular": verdict.regular,
+        "singular": not verdict.regular,
+        "marginal": verdict.marginal,
+        "marginal_fields": list(verdict.marginal_fields),
+        "witness": verdict.witness,
+        "bilinears": {"sigma": c[0], "J": c[1:5], "S": c[5:11], "K": c[11:15], "omega": c[15]},
+        "fierz_residuals": residuals,
+        "boomerang": boomerang,
+        "error": None,
+    }
 
 
 CLASSIFY_HEADER = (
@@ -658,7 +686,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="Lounesto-classify each input spinor")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_classification_record,
+    p.set_defaults(func=partial(_run_records, record_fn=_classification_records,
                                 table_row=_classification_row, header=CLASSIFY_HEADER))
 
     p = sub.add_parser("make", help="construct a named spinor family")
@@ -690,11 +718,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hopf", help="compare fibration routes per input spinor")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_hopf_record, table_row=_hopf_row))
+    p.set_defaults(func=partial(_run_records, record_fn=_each(_hopf_record), table_row=_hopf_row))
 
     p = sub.add_parser("map-check", help="evaluate ELKO mapping conditions per input")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_map_check_record,
+    p.set_defaults(func=partial(_run_records, record_fn=_each(_map_check_record),
                                 table_row=_map_check_row))
 
     return parser

@@ -89,7 +89,11 @@ class ConditionReport:
         return max(gaps)
 
     def satisfied(self, label: int, tol: float = 1e-10) -> bool:
-        """Whether the condition set selecting ``label`` holds at tolerance."""
+        """Whether the condition set selecting ``label`` holds at tolerance.
+
+        The residuals are quadratic in psi, so they are compared against
+        ``tol * |psi|^2`` and the verdict does not change when psi is rescaled.
+        """
         threshold = tol * self.scale
         shared_ok = bool(np.all(self.shared <= threshold))
         if label == 2:
@@ -139,7 +143,7 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
         extra_class3_components=abs(extra3_comp),
         table_rows=table_rows,
         line3_vs_class3_gap=abs(2.0 * _im(c[2], c[3])),
-        scale=max(1.0, float(np.vdot(c, c).real)),
+        scale=float(np.vdot(c, c).real),
     )
 
 

@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from spinorlab import Multivector, SpinorC4
+from spinorlab import (
+    Multivector,
+    SpinorC4,
+    WeylC2,
+    dirac_with_phase,
+    direction_element,
+    elko_rest,
+    projection_spinor,
+    weyl_spinor,
+)
 
 
 def random_spinor(rng, rep="chiral", scale=1.0):
@@ -36,3 +45,37 @@ def phase_align(candidate, reference):
     if abs(inner) == 0.0:
         return candidate
     return candidate * (inner / abs(inner))
+
+
+def class_spinor(rng, label):
+    """A spinor of Lounesto class ``label`` from the library's builders, random parameters."""
+    phi = WeylC2(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    if label in (1, 2, 3):
+        delta = {1: rng.uniform(0.2, 1.3), 2: 0.0, 3: np.pi / 2}[label]
+        return dirac_with_phase(phi, rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 2.0), delta)
+    if label == 4:
+        while True:  # admissible directions keep clear of the class-5 and class-6 axes
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            if 0.05 < abs(u[2]) < 0.95:
+                return projection_spinor(Multivector.scalar(1.0), direction_element(u))
+    if label == 5:
+        return elko_rest(phi, ("self", "anti")[rng.integers(2)]).spinor
+    return weyl_spinor(phi, ("left", "right")[rng.integers(2)])
+
+
+def mixed_spinors(rng, count):
+    """``count`` (label, spinor) pairs cycling through classes 1-6.
+
+    Each spinor is rescaled by 0.1-10, given a random global phase and, half
+    the time, moved to the other representation.
+    """
+    out = []
+    for k in range(count):
+        label = k % 6 + 1
+        factor = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        psi = class_spinor(rng, label).scaled(factor)
+        if rng.integers(2):
+            psi = psi.in_rep("standard" if psi.rep == "chiral" else "chiral")
+        out.append((label, psi))
+    return out

@@ -1,11 +1,16 @@
 """Bilinear covariants, Fierz identities, and the aggregate multivector."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from conftest import phase_align, random_spinor
+from conftest import mixed_spinors, phase_align, random_spinor
 from spinorlab import (
+    PSEUDOSCALAR,
+    BilinearSet,
     DegenerateProbeError,
+    GammaDictionaryError,
     Multivector,
     SpinorC4,
     WeylC2,
@@ -18,11 +23,14 @@ from spinorlab import (
     gamma_rep,
     generalized_fierz_residuals,
     is_boomerang,
+    lcontract,
     minkowski_square,
     reconstruct,
+    wedge,
     weyl_spinor,
 )
 from spinorlab.algebra import GRADE_2_PAIRS
+from spinorlab.bilinears import aggregate_residual_array, covariant_array, fierz_array
 
 
 def test_spinor_constructor_validates_input():
@@ -222,3 +230,99 @@ def test_reconstruction_fixes_the_leading_phase():
     lead = recovered.components[0]
     assert lead.imag == pytest.approx(0.0, abs=1e-12)
     assert lead.real > 0
+
+
+# ---- bitwise oracles: the per-record bodies the array kernels replaced ------
+
+
+def _vdot_covariants(psi):
+    """One np.vdot per Hermitian form, as ``bilinears`` computed them one at a time."""
+    v = psi.components
+    return np.array([np.vdot(v, op @ v).real for op in _gamma_product_forms(gamma_rep(psi.rep))])
+
+
+def _multivector_fierz(b):
+    """The four Fierz residuals through Multivector products."""
+    jmv, kmv, smv = b.current_vector(), b.axial_vector(), b.spin_bivector()
+    r1 = abs(minkowski_square(jmv) - b.omega**2 - b.sigma**2)
+    r2 = abs(minkowski_square(kmv) + minkowski_square(jmv))
+    r3 = lcontract(jmv, kmv).norm()
+    lhs = wedge(jmv, kmv) + (Multivector.scalar(b.omega) + PSEUDOSCALAR * b.sigma) * smv
+    return np.array([r1, r2, r3, lhs.norm()])
+
+
+def _matrix_aggregate_residual(psi, b):
+    """Frobenius distance from the matrix of Z to 4 psi psibar, one spinor at a time."""
+    rep = gamma_rep(psi.rep)
+    zm = rep.mv_to_matrix(aggregate(b))
+    v = psi.components
+    return float(np.linalg.norm(zm - 4.0 * np.outer(v, v.conj() @ rep.lower[0])))
+
+
+def _set(values, rep):
+    return BilinearSet(sigma=float(values[0]), J=values[1:5], S=values[5:11],
+                       K=values[11:15], omega=float(values[15]), rep=rep)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module", params=["chiral", "standard"])
+def batch(request):
+    """All six classes at scales 0.1-10 in one representation, with their kernel outputs."""
+    rep = request.param
+    spinors = [psi for _, psi in mixed_spinors(np.random.default_rng(64), 360) if psi.rep == rep]
+    v = np.array([psi.components for psi in spinors])
+    cov = covariant_array(v, rep)
+    return spinors, cov, fierz_array(cov), aggregate_residual_array(v, cov, rep)
+
+
+def test_array_kernels_equal_the_per_record_oracles_bit_for_bit(batch):
+    spinors, cov, fierz, residual = batch
+    assert cov.shape == (len(spinors), 16) and fierz.shape == (len(spinors), 4)
+    for k, psi in enumerate(spinors):
+        values = _vdot_covariants(psi)
+        b = _set(values, psi.rep)
+        assert np.array_equal(_bits(cov[k]), _bits(values))
+        assert np.array_equal(_bits(fierz[k]), _bits(_multivector_fierz(b)))
+        assert _bits(residual[k]) == _bits(_matrix_aggregate_residual(psi, b))
+
+
+def test_one_row_wrappers_return_their_row_of_the_batch(batch):
+    spinors, cov, fierz, residual = batch
+    for k, psi in enumerate(spinors):
+        b = bilinears(psi)
+        assert np.array_equal(_bits(b.as_array()), _bits(cov[k]))
+        assert np.array_equal(_bits(fierz_residuals(b)), _bits(fierz[k]))
+        assert _bits(aggregate_matrix_residual(psi, b)) == _bits(residual[k])
+
+
+def test_covariant_array_names_the_first_bad_record_like_bilinears(monkeypatch):
+    module = importlib.import_module("spinorlab.bilinears")
+    forms, fierz_ops = module._MATRICES["chiral"]
+    broken = forms.copy()
+    broken[5, 2, 2] += 1j  # form 5 gains the imaginary residue |psi_2|^2
+    monkeypatch.setitem(module._MATRICES, "chiral", (broken, fierz_ops))
+    rows = np.array([[1, 1j, 0, 0], [0, 1, 3e-5, 0], [0, 0, 2, 0]], dtype=complex)
+    with pytest.raises(GammaDictionaryError) as batch_error:
+        covariant_array(rows, "chiral")
+    with pytest.raises(GammaDictionaryError) as one_error:
+        bilinears(SpinorC4(rows[1], "chiral"))
+    assert str(batch_error.value) == str(one_error.value)
+    assert str(one_error.value).startswith("bilinear 5 has imaginary residue 9e-10;")
+
+
+def test_covariant_array_rejects_a_block_that_is_not_n_by_4():
+    with pytest.raises(ValueError, match=r"\(N, 4\)"):
+        covariant_array(np.ones(4), "chiral")
+
+
+def test_fierz_array_rounds_like_the_multivector_products_on_arbitrary_rows():
+    # raw 16-tuples, not covariants of a spinor: about 1 in 600 squares x*x
+    # rounds differently from Python's x**2, which the kernel must follow
+    rng = np.random.default_rng(65)
+    rows = rng.standard_normal((3000, 16)) * 10.0 ** rng.uniform(-3.0, 3.0, (3000, 1))
+    got = fierz_array(rows)
+    for row, residuals in zip(rows, got):
+        assert np.array_equal(_bits(residuals), _bits(_multivector_fierz(_set(row, "chiral"))))

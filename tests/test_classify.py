@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_spinor
+from conftest import mixed_spinors, random_spinor
 from spinorlab import (
     BilinearInconsistencyError,
     BilinearSet,
@@ -26,6 +26,8 @@ from spinorlab import (
     verify_class_relations,
     weyl_spinor,
 )
+from spinorlab.bilinears import covariant_array
+from spinorlab.classify import lounesto_class, magnitude_array
 
 PHI = helicity_eigenspinor((0.0, 0.0, 1.0), +1)
 MOMENTUM = np.array([0.3, -0.2, 0.5])
@@ -56,8 +58,10 @@ def test_each_class_has_a_constructed_witness(label):
 
 @pytest.mark.parametrize("label", [1, 2, 3, 4, 5, 6])
 def test_classification_survives_scale_and_phase(label):
-    psi = witness(label).scaled(3.2e3 * np.exp(1.9j))
-    assert classify(bilinears(psi)).label == label
+    for scale in (1e-120, 1e-80, 1e-60, 1e-5, 3.2e3, 1e38):
+        psi = witness(label).scaled(scale * np.exp(1.9j))
+        assert classify(bilinears(psi)).label == label
+        assert is_singular(bilinears(psi)) == (label > 3)
 
 
 def test_witness_pattern_reports_which_covariants_vanish():
@@ -180,3 +184,64 @@ def test_phase_sweep_walks_through_the_regular_classes():
         for d in (0.0, np.pi / 2, 0.7)
     ]
     assert labels == [2, 3, 1]
+
+
+# ---- bitwise oracle: the per-record classification body --------------------
+
+
+def _norm_rule(b, tol):
+    """Magnitudes by np.linalg.norm and the decision tree, one bilinear set at a time.
+
+    Returns (label, witness, marginal fields), or the exception class raised.
+    """
+    mags = {
+        "sigma": abs(b.sigma),
+        "omega": abs(b.omega),
+        "K": float(np.linalg.norm(b.K)),
+        "S": float(np.linalg.norm(b.S)),
+    }
+    threshold = tol * abs(b.J[0])
+    if float(np.linalg.norm(b.J)) <= threshold and all(v <= threshold for v in mags.values()):
+        return NullSpinorError
+    nz = {k: v > threshold for k, v in mags.items()}
+    marginal = tuple(k for k, v in mags.items() if threshold / 10.0 < v < threshold * 10.0)
+    if nz["sigma"] or nz["omega"]:
+        label = 1 if nz["sigma"] and nz["omega"] else 2 if nz["sigma"] else 3
+    elif nz["K"] or nz["S"]:
+        label = 4 if nz["K"] and nz["S"] else 5 if nz["S"] else 6
+    else:
+        return BilinearInconsistencyError
+    return label, nz, marginal
+
+
+def test_batched_magnitudes_and_rule_match_the_per_record_body():
+    # the larger tolerances push covariants across the threshold, so the rows
+    # meet every label, marginal fields, and with the two synthetic rows
+    # (zero, and J alone) both errors
+    spinors = [psi for _, psi in mixed_spinors(np.random.default_rng(73), 240)]
+    synthetic = np.zeros((2, 16))
+    synthetic[1, 1] = 1.0
+    seen = set()
+    for tol in (1e-10, 1e-3, 0.05, 0.3):
+        for rep in ("chiral", "standard"):
+            block = np.array([psi.components for psi in spinors if psi.rep == rep])
+            cov = np.vstack([covariant_array(block, rep, tol), synthetic])
+            for values, row in zip(cov, magnitude_array(cov).tolist()):
+                b = BilinearSet(sigma=float(values[0]), J=values[1:5], S=values[5:11],
+                                K=values[11:15], omega=float(values[15]), rep=rep)
+                direct = [abs(b.J[0]), np.linalg.norm(b.J), abs(b.sigma), abs(b.omega),
+                          np.linalg.norm(b.K), np.linalg.norm(b.S)]
+                direct = np.ldexp(direct, -np.frexp(b.J[0])[1])  # rows are scaled by 2^-e
+                assert np.array_equal(np.array(row).view(np.int64), direct.view(np.int64))
+                expected = _norm_rule(b, tol)
+                for decide in (lambda: lounesto_class(row, tol), lambda: classify(b, tol)):
+                    if isinstance(expected, type):
+                        with pytest.raises(expected):
+                            decide()
+                        seen.add(expected)
+                        continue
+                    got = decide()
+                    assert (got.label, got.witness, got.marginal_fields) == expected
+                    assert got.marginal == bool(expected[2]) and got.regular == (got.label < 4)
+                    seen.update([got.label, "marginal"] if got.marginal else [got.label])
+    assert seen == {1, 2, 3, 4, 5, 6, "marginal", NullSpinorError, BilinearInconsistencyError}

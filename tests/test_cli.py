@@ -1,6 +1,5 @@
 """Command line interface: record formats, exit codes, determinism."""
 
-import dataclasses
 import io
 import json
 import re
@@ -8,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from spinorlab import cli
+from conftest import class_spinor, mixed_spinors
+from spinorlab import SpinorC4, cli
 
 
 def run(argv, capsys):
@@ -374,6 +374,51 @@ def test_spinor_norms_above_the_bound_are_malformed_input(tmp_path, capsys, norm
             assert "line 2: spinor norm above 3.4e+38 is out of range" in err
 
 
+MIN_NORM = np.finfo(float).tiny ** 0.25  # about 1.2e-77
+
+
+@pytest.mark.parametrize("norm", [1e-78, 1e-80, 1e-160, 1e-300])
+def test_nonzero_spinor_norms_below_the_floor_are_malformed_input(tmp_path, capsys, norm):
+    for components in ([norm, 0, 0, 0], GENERIC * (norm / np.linalg.norm(GENERIC))):
+        path = tmp_path / "tiny.jsonl"
+        write_jsonl(path, [spinor_record([1, 0, 0, 0]), spinor_record(components)])
+        for command in ("classify", "map-check", "hopf"):
+            code, out, err = run([command, str(path), "--json"], capsys)
+            assert (code, out) == (1, "")
+            assert "line 2: nonzero spinor norm below 1.22e-77 is out of range" in err
+
+
+def test_records_keep_their_verdicts_down_to_the_norm_floor(tmp_path, capsys):
+    # all six classes in both representations, a flag-dipole whose K is a few
+    # percent of S, and regular spinors that meet the mapping conditions
+    spinors = [psi for _, psi in mixed_spinors(np.random.default_rng(66), 24)]
+    spinors.append(class_spinor(np.random.default_rng(2), 4))
+    spinors += [SpinorC4(comp, "standard") for comp in
+                (GENERIC, [2, 0, 1j, 0], [1 + 0.4j, 0.5 + 0.2j, 0, 0], [0.8j, 1.04j, 1, 1.3])]
+    verdicts = []
+    for norm in (1.0, 1e-6, 1.001 * MIN_NORM):
+        records = [
+            spinor_record(psi.components * (norm / np.linalg.norm(psi.components)), rep=psi.rep)
+            for psi in spinors
+        ]
+        path = tmp_path / "scaled.jsonl"
+        write_jsonl(path, records)
+        outputs = {}
+        for command in ("classify", "map-check", "hopf"):
+            code, out, _ = run([command, str(path), "--json"], capsys)
+            assert code == 0
+            outputs[command] = [json.loads(line) for line in out.splitlines()]
+        verdicts.append(
+            (
+                [(r["class"], r["witness"], r["marginal_fields"]) for r in outputs["classify"]],
+                [r["mappability"] for r in outputs["map-check"]],
+            )
+        )
+    assert {4, 5, 6} <= {label for label, _, _ in verdicts[0][0]}
+    assert {"1": True, "2": True, "3": True, "class": 1} in verdicts[0][1]
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+
+
 def _reject_non_finite(token):
     raise AssertionError(f"non-finite number {token} in the output")
 
@@ -413,13 +458,14 @@ def test_boomerang_fails_when_the_covariants_miss_four_psi_psibar(tmp_path, caps
     code, out, _ = run(["classify", str(path), "--json"], capsys)
     assert (code, json.loads(out)["boomerang"]) == (0, True)
 
-    exact = cli.bilinears
+    exact = cli.covariant_array
 
-    def shifted(psi, tol=1e-10):
-        b = exact(psi, tol=tol)
-        return dataclasses.replace(b, sigma=b.sigma + 1e-6 * b.J[0])
+    def shifted(components, rep, tol=1e-10):
+        cov = exact(components, rep, tol)
+        cov[:, 0] += 1e-6 * cov[:, 1]  # sigma moved by 1e-6 J^0
+        return cov
 
-    monkeypatch.setattr(cli, "bilinears", shifted)
+    monkeypatch.setattr(cli, "covariant_array", shifted)
     code, out, _ = run(["classify", str(path), "--json"], capsys)
     rec = json.loads(out)
     assert (code, rec["class"], rec["error"]) == (0, 1, None)
@@ -437,3 +483,42 @@ def test_verify_fierz_prints_four_passing_checks(capsys):
         "reconstruction_roundtrip",
     ]
     assert all(rec["pass"] is True for rec in records)
+
+
+def test_classify_gives_a_tiny_spinor_its_class(tmp_path, capsys):
+    # thresholds scale with J^0, so [1e-9, 0, 0, 0] is the Weyl spinor [1, 0, 0, 0] rescaled
+    path = tmp_path / "tiny.jsonl"
+    write_jsonl(path, [spinor_record([1e-9, 0, 0, 0])])
+    code, out, _ = run(["classify", str(path), "--json"], capsys)
+    rec = json.loads(out)
+    assert (code, rec["class"], rec["error"], rec["boomerang"]) == (0, 6, None, True)
+
+
+def classify_stdin(records, capsys, monkeypatch, *options):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(r) + "\n" for r in records)))
+    code, out, _ = run(["classify", "-", "--json", *options], capsys)
+    return code, out.splitlines()
+
+
+@pytest.fixture(scope="module")
+def across_chunks():
+    """2 chunks + 3 records of all six classes in both reps, zero spinors either side of a seam."""
+    zeros = (cli._CHUNK - 1, cli._CHUNK)
+    pairs = mixed_spinors(np.random.default_rng(81), 2 * cli._CHUNK + 3)
+    spinors = [psi.scaled(0.0) if k in zeros else psi for k, (_, psi) in enumerate(pairs)]
+    return zeros, [spinor_record(psi.components, rep=psi.rep) for psi in spinors]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.05])
+def test_classify_chunks_give_the_records_of_one_spinor_at_a_time(across_chunks, capsys,
+                                                                  monkeypatch, tol):
+    zeros, records = across_chunks
+    options = ("--tol", str(tol))
+    code, lines = classify_stdin(records, capsys, monkeypatch, *options)
+    assert code == 2 and len(lines) == len(records)
+    for k, (line, record) in enumerate(zip(lines, records)):
+        rec = json.loads(line)
+        assert rec["index"] == k
+        assert (rec.get("error_kind") == "null-spinor") == (k in zeros)
+        _, alone = classify_stdin([record], capsys, monkeypatch, *options)
+        assert line.split(", ", 1)[1] == alone[0].split(", ", 1)[1]

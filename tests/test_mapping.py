@@ -48,6 +48,14 @@ def test_conditions_are_scale_and_phase_invariant():
     psi = SpinorC4(np.array([2.0, 0, 1j, 0]), "standard")
     scaled = psi.scaled(57.0 * np.exp(0.3j))
     assert elko_map_conditions(scaled).satisfied(1)
+    # thresholds are tol * |psi|^2, so a small spinor gets the verdicts of its unit-norm copy
+    rng = np.random.default_rng(95)
+    spinors = [psi, SpinorC4(np.array([0.8j, 1.04j, 1.0, 1.3]), "standard")]
+    spinors += [random_spinor(rng, "standard") for _ in range(20)]
+    for psi in spinors:
+        expected = mappability(psi)
+        for scale in (1e-60, 1e-6, 57.0):
+            assert mappability(psi.scaled(scale * np.exp(0.3j))) == expected
 
 
 def test_class_three_only_witness_fails_the_class_two_extra_condition():
