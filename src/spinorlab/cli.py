@@ -11,24 +11,34 @@ map-check  evaluate the ELKO mapping conditions for each input spinor
 Input is JSON-lines (one object per line with a ``components`` field of four
 [re, im] pairs) or CSV with eight real columns, re/im interleaved.  Output is
 deterministic: fixed key order, byte-identical for identical input and seed.
+The record subcommands stream: they read, compute and write one chunk of
+``_CHUNK`` records at a time, so the first records leave after one chunk and
+peak memory does not grow with the input.
 
-Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components and
-|psi| above ~3.4e38 included), 2 when a classify or hopf record carries an error
-or a verify suite fails.  map-check notes null and singular spinors and exits 0.
+Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
+|psi| outside ~1.2e-77..3.4e38, a ``--tol`` that is not a finite number above 0
+and ``make`` parameters its builders refuse included), 2 when a classify or
+hopf record carries an error or a verify suite fails.  map-check notes null and
+singular spinors and exits 0.  A malformed record exits 1 after the records of
+the chunks before it have been written.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
+import os
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from typing import TextIO
 
 import numpy as np
 
@@ -92,8 +102,9 @@ _MAX_NORM = np.finfo(float).max ** 0.125
 # smallest accepted nonzero |psi|: its fourth power, the size of the Fierz terms,
 # stays a normal double, and the covariants (|psi|^2) keep 154 decades below them
 _MIN_NORM = np.finfo(float).tiny ** 0.25
-# documents per record-function call: classify's array intermediates take about
-# 1 kB per record, so a fixed chunk keeps peak memory flat for any input length
+# documents read, turned into records and written per round: classify's array
+# intermediates take about 1 kB per record, so a fixed chunk keeps peak memory
+# flat for any input length and lets the first records out after one chunk
 _CHUNK = 256
 
 
@@ -115,18 +126,21 @@ class SpinorDocument:
     label: str | None = None
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, what: str) -> complex:
     try:
-        return complex(text.strip().replace(" ", ""))
+        value = complex(text.strip().replace(" ", ""))
     except ValueError as exc:
         raise CliInputError(f"cannot parse complex number from {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise CliInputError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _parse_complex_list(text: str, count: int, what: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != count:
         raise CliInputError(f"{what} needs {count} comma-separated values, got {len(parts)}")
-    return np.array([_parse_complex(p) for p in parts])
+    return np.array([_parse_complex(p, what) for p in parts])
 
 
 def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
@@ -134,15 +148,25 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
     if len(parts) != count:
         raise CliInputError(f"{what} needs {count} comma-separated values, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise CliInputError(f"cannot parse {what} from {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise CliInputError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -171,26 +195,44 @@ def _components_from_pairs(pairs, where: str) -> np.ndarray:
     return _finite(values, where)
 
 
-def read_documents(path: str, default_rep: str) -> list[SpinorDocument]:
+def _input_lines(path: str):
+    """The input as a context manager over its lines; ``-`` is stdin, left open."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliInputError(f"cannot read {path}: {exc}") from exc
-    stripped = text.strip()
-    if not stripped:
-        return []
-    if stripped.lstrip()[0] == "{":
-        return _read_jsonl(text, default_rep)
-    return _read_csv(text, default_rep)
+        return contextlib.nullcontext(sys.stdin)
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_jsonl(text: str, default_rep: str) -> list[SpinorDocument]:
-    docs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _documents(path: str, default_rep: str) -> Iterator[SpinorDocument]:
+    """Parse the input lazily, one document at a time.
+
+    The first non-blank line picks the format: JSON-lines when it starts with
+    ``{``, CSV otherwise.  A blank input has no documents.
+    """
+    with _input_lines(path) as lines:
+        head = []
+        for line in lines:
+            head.append(line)
+            if line.strip():
+                break
+        else:
+            return
+        read = _read_jsonl if head[-1].lstrip()[0] == "{" else _read_csv
+        for index, (spinor, label) in enumerate(read(itertools.chain(head, lines), default_rep)):
+            yield SpinorDocument(index=index, spinor=spinor, label=label)
+
+
+def read_documents(documents: Iterator[SpinorDocument]) -> list[SpinorDocument]:
+    """Parse the next chunk: up to ``_CHUNK`` documents, reading no line past them."""
+    return list(itertools.islice(documents, _CHUNK))
+
+
+def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[SpinorC4, str | None]]:
+    # a file splits only on newlines; splitlines also breaks at \v, \f, U+2028 and the like
+    texts = (text for line in lines for text in line.splitlines())
+    for lineno, line in enumerate(texts, start=1):
         if not line.strip():
             continue
         where = f"line {lineno}"
@@ -204,16 +246,11 @@ def _read_jsonl(text: str, default_rep: str) -> list[SpinorDocument]:
         rep = obj.get("rep", default_rep)
         if rep not in REP_CHOICES:
             raise CliInputError(f"{where}: unknown representation {rep!r}")
-        docs.append(
-            SpinorDocument(index=len(docs), spinor=SpinorC4(comp, rep), label=obj.get("label"))
-        )
-    return docs
+        yield SpinorC4(comp, rep), obj.get("label")
 
 
-def _read_csv(text: str, default_rep: str) -> list[SpinorDocument]:
-    docs = []
-    rows = list(csv.reader(io.StringIO(text)))
-    for rowno, row in enumerate(rows, start=1):
+def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[SpinorC4, None]]:
+    for rowno, row in enumerate(csv.reader(lines), start=1):
         cells = [c.strip() for c in row if c.strip() != ""]
         if not cells:
             continue
@@ -229,19 +266,25 @@ def _read_csv(text: str, default_rep: str) -> list[SpinorDocument]:
             )
         pairs = [complex(values[2 * k], values[2 * k + 1]) for k in range(4)]
         comp = _finite(pairs, f"row {rowno}")
-        docs.append(SpinorDocument(index=len(docs), spinor=SpinorC4(comp, default_rep)))
-    return docs
+        yield SpinorC4(comp, default_rep), None
 
 
-def _emit(lines: list[str], output: str | None) -> None:
-    payload = "\n".join(lines)
-    if lines:
-        payload += "\n"
-    if output is None or output == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+def _output(path: str | None, source: str = "-"):
+    """Where output lines go: stdout, or the file ``path`` opened for writing."""
+    if path is None or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    if source != "-" and os.path.exists(path) and os.path.samefile(source, path):
+        raise CliInputError(f"cannot write {path}: it is the input, which is still being read")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(lines: list[str], out: TextIO) -> None:
+    """Write ``lines``, each ending in a newline, and flush them."""
+    out.write("".join(line + "\n" for line in lines))
+    out.flush()
 
 
 # ---- record pipeline: classify, hopf, map-check ----------------------------
@@ -255,21 +298,30 @@ def _head(doc: SpinorDocument) -> dict:
 
 
 def _run_records(args, record_fn, table_row, header=None) -> int:
-    """Read, format one record per document, emit; exit 2 when a record has an error.
+    """Stream the input through ``record_fn``; exit 2 when a record has an error.
 
-    ``record_fn(docs, tol)`` turns a chunk of up to ``_CHUNK`` documents into
-    their records, in order.  Each record is formatted as soon as its chunk is
-    made, so only the output lines stay in memory.
+    Each round reads up to ``_CHUNK`` documents, turns them into their records,
+    in order, with ``record_fn(docs, tol)``, and writes and flushes their lines,
+    so one chunk is held at a time and the first records leave before the input
+    ends.  The output opens with the first chunk: input that fails there leaves
+    no file, and a malformed record later exits 1 after the earlier chunks.
     """
     lines = [header] if args.table and header else []
     failed = False
-    docs = read_documents(args.input, args.rep)
-    for start in range(0, len(docs), _CHUNK):
-        for record in record_fn(docs[start:start + _CHUNK], args.tol):
-            failed = failed or bool(record.get("error"))
-            lines.append(table_row(record) if args.table else json.dumps(record))
-    _emit(lines, args.output)
-    return 2 if failed else 0
+    out = None
+    with contextlib.ExitStack() as stack:
+        documents = stack.enter_context(contextlib.closing(_documents(args.input, args.rep)))
+        while True:
+            docs = read_documents(documents)
+            for record in record_fn(docs, args.tol):
+                failed = failed or bool(record.get("error"))
+                lines.append(table_row(record) if args.table else json.dumps(record))
+            if out is None:
+                out = stack.enter_context(_output(args.output, args.input))
+            _emit(lines, out)
+            if len(docs) < _CHUNK:
+                return 2 if failed else 0
+            lines = []
 
 
 def _each(record_fn):
@@ -392,9 +444,26 @@ def _map_check_row(rec: dict) -> str:
 
 
 def cmd_make(args) -> int:
+    for name in ("m", "delta"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise CliInputError(f"--{name} must be finite, got {value}")
+    try:
+        with np.errstate(all="ignore"):  # an overflow shows as non-finite components
+            records = _make_records(args)
+    except ValueError as exc:  # a builder's own check of its parameters
+        raise CliInputError(str(exc)) from exc
+    with _output(args.output) as out:
+        _emit([json.dumps(record) for record in records], out)
+    return 0
+
+
+def _make_records(args) -> list[dict]:
     records: list[dict] = []
 
     def add(spinor: SpinorC4, label: str, momentum=None, mass=None) -> None:
+        if not all(map(cmath.isfinite, spinor.components)):
+            raise CliInputError(f"{label}: the parameters give non-finite components")
         comp = [[float(c.real), float(c.imag)] for c in spinor.components]
         record: dict = {"components": comp, "rep": spinor.rep, "label": label}
         if momentum is not None:
@@ -423,8 +492,8 @@ def cmd_make(args) -> int:
                 mass=args.m,
             )
         else:
-            alpha = _parse_complex(args.alpha) if args.alpha is not None else 1 + 0j
-            beta = _parse_complex(args.beta) if args.beta is not None else 0j
+            alpha = _parse_complex(args.alpha, "--alpha") if args.alpha is not None else 1 + 0j
+            beta = _parse_complex(args.beta, "--beta") if args.beta is not None else 0j
             phi = WeylC2(np.array([alpha, beta]))
             lam = elko_rest(phi, args.conjugacy)
             add(lam.spinor, f"elko:{args.conjugacy}:rest")
@@ -461,9 +530,7 @@ def cmd_make(args) -> int:
         u = direction_element(_parse_floats(args.u, 3, "--u"))
         psi = projection_spinor(Multivector.scalar(1.0), u)
         add(psi, "flagdipole")
-
-    _emit([json.dumps(record) for record in records], args.output)
-    return 0
+    return records
 
 
 # ---- verify ----------------------------------------------------------------
@@ -658,7 +725,8 @@ def cmd_verify(args) -> int:
     else:
         for name, value, ok in results:
             lines.append(json.dumps({"check": name, "worst": float(value), "pass": bool(ok)}))
-    _emit(lines, args.output)
+    with _output(args.output) as out:
+        _emit(lines, out)
     return 0 if all(r[2] for r in results) else 2
 
 
@@ -675,7 +743,7 @@ def build_parser() -> _Parser:
             p.add_argument("input", help="input file (JSON-lines or CSV), or - for stdin")
             p.add_argument("--rep", choices=REP_CHOICES, default="chiral",
                            help="representation for inputs that do not declare one")
-        p.add_argument("--tol", type=float, default=1e-10, help="zero-test tolerance")
+        p.add_argument("--tol", type=positive_float, default=1e-10, help="zero-test tolerance")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false",
                          help="JSON-lines output" + ("" if table else " (default)"))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mixed_spinors, random_spinor
+from conftest import class_spinor, mixed_spinors, random_spinor
 from spinorlab import (
     BilinearInconsistencyError,
     BilinearSet,
@@ -27,6 +29,7 @@ from spinorlab import (
     weyl_spinor,
 )
 from spinorlab.bilinears import covariant_array
+from spinorlab.gamma import gamma_rep
 from spinorlab.classify import lounesto_class, magnitude_array
 
 PHI = helicity_eigenspinor((0.0, 0.0, 1.0), +1)
@@ -62,6 +65,50 @@ def test_classification_survives_scale_and_phase(label):
         psi = witness(label).scaled(scale * np.exp(1.9j))
         assert classify(bilinears(psi)).label == label
         assert is_singular(bilinears(psi)) == (label > 3)
+
+
+# one Lorentz generator: a gamma pair (mu, nu) and an amount in [-1, 1]
+GENERATOR = st.tuples(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+                      st.floats(-1.0, 1.0))
+
+
+def spin_matrix(rep, generators):
+    """A proper orthochronous Lorentz spin matrix, a product of closed-form exponentials.
+
+    (g^0 g^i)^2 = 1 gives the boost cosh(eta/2) + sinh(eta/2) g^0 g^i, |eta| <= 2;
+    (g^i g^j)^2 = -1 gives the rotation cos(theta/2) + sin(theta/2) g^i g^j.
+    """
+    g = gamma_rep(rep).upper
+    spin = np.eye(4, dtype=complex)
+    for (mu, nu), amount in generators:
+        if mu == 0:
+            half = amount  # eta / 2
+            factor = np.cosh(half) * np.eye(4) + np.sinh(half) * (g[0] @ g[nu])
+        else:
+            half = amount * np.pi / 2  # theta / 2
+            factor = np.cos(half) * np.eye(4) + np.sin(half) * (g[mu] @ g[nu])
+        spin = factor @ spin
+    return spin
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 2 * np.pi),
+       st.lists(GENERATOR, min_size=1, max_size=4))
+def test_class_is_invariant_under_phase_representation_and_lorentz_transformations(
+        label, seed, phase, generators):
+    psi = class_spinor(np.random.default_rng(seed), label)
+    other = "standard" if psi.rep == "chiral" else "chiral"
+    b = bilinears(psi)
+    assert classify(b).label == label
+    assert classify(bilinears(psi.scaled(np.exp(1j * phase)))).label == label
+    assert classify(bilinears(psi.in_rep(other).in_rep(psi.rep))).label == label
+    for rep in ("chiral", "standard"):
+        moved = SpinorC4(spin_matrix(rep, generators) @ psi.in_rep(rep).components, rep)
+        b_moved = bilinears(moved)
+        assert classify(b_moved).label == label
+        # sigma and omega are Lorentz scalars: a matrix outside Spin+(1,3) would move them
+        scale = 1e-9 * float(b.J[0] + b_moved.J[0])
+        assert abs(b_moved.sigma - b.sigma) <= scale and abs(b_moved.omega - b.omega) <= scale
 
 
 def test_witness_pattern_reports_which_covariants_vanish():

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
 import re
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,3 +527,160 @@ def test_classify_chunks_give_the_records_of_one_spinor_at_a_time(across_chunks,
         assert (rec.get("error_kind") == "null-spinor") == (k in zeros)
         _, alone = classify_stdin([record], capsys, monkeypatch, *options)
         assert line.split(", ", 1)[1] == alone[0].split(", ", 1)[1]
+
+
+# ---- malformed parameters --------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["classify", "-"], ["hopf", "-"], ["map-check", "-"],
+                                     ["verify", "mapping"]])
+def test_an_unusable_tol_is_malformed_input(capsys, monkeypatch, command, tol):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spinor_record(GENERIC)) + "\n"))
+    code, out, err = run([*command, "--tol", tol], capsys)
+    assert (code, out) == (1, "")
+    assert f"argument --tol: must be a finite number above 0, got {tol}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["elko", "--p", "nan,0,0", "--m", "1"], "--p must be finite"),
+    (["elko", "--p", "0,0,1", "--m", "nan"], "--m must be finite"),
+    (["elko", "--alpha", "inf"], "--alpha must be finite"),
+    (["elko", "--beta", "nan+1j"], "--beta must be finite"),
+    (["majorana", "--xi", "1,0,inf,0"], "--xi must be finite"),
+    (["weyl", "--phi", "1,nan"], "--phi must be finite"),
+    (["flagdipole", "--u", "0.3,inf,0.8"], "--u must be finite"),
+    (["dirac", "--delta", "inf"], "--delta must be finite"),
+    (["elko", "--p", "0,0,1", "--m", "0"], "mass must be positive"),
+    (["dirac", "--m", "-1"], "mass must be positive"),
+    (["flagdipole", "--u", "0,0,0"], "the zero vector is not a direction"),
+    (["weyl", "--phi", "0,0"], "cannot build a Weyl spinor on the zero 2-spinor"),
+    (["elko", "--p", "1e200,0,0", "--m", "1"], "the parameters give non-finite components"),
+])
+def test_make_rejects_bad_parameters_as_malformed_input(capsys, argv, message):
+    code, out, err = run(["make", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("spinorlab: ") and err.count("\n") == 1
+    assert message in err
+
+
+# ---- streaming: one chunk read, computed and written at a time ---------------
+
+
+def corpus_records(count, seed=5):
+    spinors = [psi for _, psi in mixed_spinors(np.random.default_rng(seed), count)]
+    return [spinor_record(psi.components, rep=psi.rep) for psi in spinors]
+
+
+def run_text(argv, text, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(argv, capsys)
+
+
+def test_records_leave_before_the_input_ends():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    chunk = "".join(json.dumps(r) + "\n" for r in corpus_records(cli._CHUNK)).encode()
+    with subprocess.Popen([sys.executable, "-m", "spinorlab.cli", "map-check", "-"], env=env,
+                          bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        try:
+            proc.stdin.write(chunk)  # stdin stays open, so the child has not seen the end
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            first = proc.stdout.readline() if ready else b""  # unbuffered: reads no further
+            rest, err = proc.communicate(timeout=60)  # closes stdin, drains both pipes
+        finally:
+            proc.kill()
+    assert first, "no output line while the input was still open"
+    assert json.loads(first)["index"] == 0
+    assert (proc.returncode, err) == (0, b"")
+    assert len(rest.splitlines()) == cli._CHUNK - 1
+
+
+def test_a_malformed_record_in_the_third_chunk_exits_after_two_chunks(tmp_path, capsys):
+    bad = 2 * cli._CHUNK + 5  # 1-based line number
+    records = corpus_records(bad + 4)
+    lines = [json.dumps(r) for r in records]
+    lines[bad - 1] = '{"components": [[1, 0], [0, 0]]}'
+    path, prefix = tmp_path / "bad.jsonl", tmp_path / "prefix.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    write_jsonl(prefix, records[:2 * cli._CHUNK])
+    for command in ("classify", "map-check"):
+        code, out, err = run([command, str(path)], capsys)
+        assert code == 1
+        assert f"spinorlab: line {bad}: 'components' must be a list" in err
+        assert run([command, str(prefix)], capsys)[:2] == (0, out)
+        assert len(out.splitlines()) == 2 * cli._CHUNK
+
+
+def test_output_opens_with_the_first_chunk(tmp_path, capsys):
+    records = corpus_records(2 * cli._CHUNK + 3)
+    path, target = tmp_path / "in.jsonl", tmp_path / "out.txt"
+    write_jsonl(path, records[:2] + [{"components": "none"}] + records[3:])
+    code, out, _ = run(["map-check", str(path), "--output", str(target)], capsys)
+    assert (code, out, target.exists()) == (1, "", False)
+    write_jsonl(path, records)
+    for options in (["--json"], ["--table"]):
+        code, out, _ = run(["classify", str(path), *options], capsys)
+        assert code == 0 and len(out.splitlines()) == len(records) + (options == ["--table"])
+        assert run(["classify", str(path), *options, "--output", str(target)], capsys)[:2] == (0, "")
+        assert target.read_text() == out
+
+
+def test_output_may_not_overwrite_the_input_it_is_reading(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, corpus_records(cli._CHUNK + 1))
+    before = path.read_text()
+    code, out, err = run(["classify", str(path), "--output", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert "it is the input" in err
+    assert path.read_text() == before
+
+
+def test_csv_rows_across_a_chunk_boundary_read_as_in_one_chunk(tmp_path, capsys, monkeypatch):
+    rows = [",".join(repr(x) for c in r["components"] for x in c)
+            for r in corpus_records(2 * cli._CHUNK + 3)]
+    seam = cli._CHUNK  # rows[seam - 1] ends the first chunk, rows[seam] starts the second
+    lines = ["re0,im0,re1,im1,re2,im2,re3,im3", "", *rows[:seam], "", " ,", *rows[seam:]]
+    lines[seam + 1] = '"' + lines[seam + 1].replace(",", '\n",', 1)  # a quoted cell spans lines
+    path = tmp_path / "batch.csv"
+    path.write_text("\n".join(lines) + "\n")
+    outputs = [run(["classify", str(path)], capsys)[:2]]
+    monkeypatch.setattr(cli, "_CHUNK", len(rows) + 1)
+    outputs.append(run(["classify", str(path)], capsys)[:2])
+    monkeypatch.undo()
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and len(outputs[0][1].splitlines()) == len(rows)
+    # rows count csv records, not lines: the quoted cell above spans two lines
+    path.write_text("\n".join(lines[:seam + 5] + ["1,2,3"] + lines[seam + 5:]) + "\n")
+    code, out, err = run(["classify", str(path)], capsys)
+    assert (code, len(out.splitlines())) == (1, seam)
+    assert f"row {seam + 6}: need 8 real columns" in err
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_json_lines_split_where_str_splitlines_splits(tmp_path, capsys, monkeypatch, sep):
+    lines = [json.dumps(r) for r in corpus_records(cli._CHUNK + 2)]
+    lines.insert(3, "")
+    expected = run_text(["classify", "-"], "\n".join(lines) + "\n", capsys, monkeypatch)[:2]
+    assert expected[0] == 0
+    text = sep.join(lines) + sep
+    path = tmp_path / "sep.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert run_text(["classify", "-"], text, capsys, monkeypatch)[:2] == expected
+    assert run(["classify", str(path)], capsys)[:2] == expected
+    lines[cli._CHUNK + 1] = "{"  # line CHUNK + 2, after a full chunk of records
+    code, out, err = run_text(["classify", "-"], sep.join(lines) + sep, capsys, monkeypatch)
+    assert (code, len(out.splitlines())) == (1, cli._CHUNK)
+    assert f"line {cli._CHUNK + 2}: invalid JSON" in err
+
+
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [spinor_record(GENERIC)])
+    target = tmp_path / "missing" / "out.jsonl"
+    for argv in (["classify", str(path)], ["make", "elko"], ["verify", "hopf", "--samples", "1"]):
+        code, out, err = run([*argv, "--output", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spinorlab: cannot write {target}: ") and err.count("\n") == 1
