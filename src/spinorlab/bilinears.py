@@ -15,10 +15,18 @@ and Fierz completeness gives the aggregate
 with S_bold twice the stored S (both index orders).  Z reproduces 4 psi psibar
 as a matrix; the Fierz checks, the boomerang test and reconstruction use it.
 
-The array kernels ``covariant_array``, ``fierz_array`` and
-``aggregate_residual_array`` take an (N, 4) block of components in one
-representation; ``bilinears``, ``fierz_residuals`` and
-``aggregate_matrix_residual`` are their one-row calls, bit for bit.
+The array kernels work on blocks of N spinors in one representation:
+``covariant_array``, ``fierz_array`` and ``aggregate_residual_array`` on (N, 4)
+components and their (N, 16) covariants; ``aggregate_array``,
+``generalized_fierz_array`` and ``reconstruct_array`` on covariants, (N, 16)
+Z coefficients and (N, 4) probes.  ``bilinears``, ``fierz_residuals``,
+``aggregate_matrix_residual``, ``aggregate``, ``generalized_fierz_residuals``
+and ``reconstruct`` are their one-row calls, bit for bit.  Matching the scalar
+arithmetic bit for bit takes two rules: a power written as Python's ``x ** p``
+is ``np.float_power`` (libm pow; ``x * x`` and ``np.square`` round differently),
+and the modulus of a complex128, which the scalar ``abs`` takes through libm
+hypot, is ``np.hypot`` of its parts on arrays (the SIMD ``np.abs`` rounds
+differently).
 """
 
 from __future__ import annotations
@@ -117,7 +125,7 @@ _OPERATORS = (
 # each G_n is a multiple of one blade, so G_n G_n is a scalar
 _INVERSES = np.array([(g / (g * g).scalar_part()).coeffs for g in _OPERATORS])
 # the families sigma, J, S, K, omega, and the factor f_n of each Fierz operator f_n G_n
-_FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16))
+_FAMILY_STARTS = [0, 1, 5, 11, 15]
 _FACTORS = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])
 
 
@@ -215,9 +223,14 @@ def fierz_residuals(b: BilinearSet) -> np.ndarray:
     return fierz_array(b.as_array()[None])[0]
 
 
+def aggregate_array(covariants) -> np.ndarray:
+    """The (N, 16) complex blade coefficients of Z for each row of an (N, 16) covariant array."""
+    return (np.asarray(covariants, dtype=float)[:, None, :] @ _INVERSES)[:, 0]
+
+
 def aggregate(b: BilinearSet) -> Multivector:
     """The complex multivector Z = sum_n (psibar G_n psi) G_n^-1 of the bilinear set."""
-    return Multivector(b.as_array() @ _INVERSES)
+    return Multivector(aggregate_array(b.as_array()[None])[0])
 
 
 def dirac_adjoint_mv(z: Multivector) -> Multivector:
@@ -231,6 +244,22 @@ def is_boomerang(z: Multivector, tol: float = 1e-10) -> bool:
     return diff <= tol * max(1.0, z.norm())
 
 
+def _z_matrices(z, rep: str) -> np.ndarray:
+    """The (N, 4, 4) matrices of an (N, 16) block of Z coefficients, each as ``mv_to_matrix``."""
+    z = np.asarray(z, dtype=np.complex128)
+    return (z[:, None, :] @ gamma_rep(rep).blades.reshape(DIM, 16)).reshape(-1, 4, 4)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a complex array, summed as ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _moduli(x: np.ndarray) -> np.ndarray:
+    """|x| entrywise as the scalar ``abs`` of a complex128 rounds it (libm hypot, not ``np.abs``)."""
+    return np.hypot(x.real, x.imag)
+
+
 def aggregate_residual_array(components, covariants, rep: str = "chiral") -> np.ndarray:
     """Frobenius distance between each row's aggregate Z and 4 psi psibar, as (N,).
 
@@ -238,12 +267,9 @@ def aggregate_residual_array(components, covariants, rep: str = "chiral") -> np.
     matching (N, 16) array; Z is built by stacked vector-matrix products.
     """
     v = np.asarray(components, dtype=np.complex128)
-    g = gamma_rep(rep)
-    z = (np.asarray(covariants, dtype=float)[:, None, :] @ _INVERSES) @ g.blades.reshape(DIM, 16)
-    psibar = v.conj()[:, None, :] @ g.lower[0]
-    diff = z.reshape(-1, 4, 4) - 4.0 * (v[:, :, None] * psibar)
-    diff = diff.reshape(-1, 16)
-    return np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
+    psibar = v.conj()[:, None, :] @ gamma_rep(rep).lower[0]
+    diff = _z_matrices(aggregate_array(covariants), rep) - 4.0 * (v[:, :, None] * psibar)
+    return _norms(diff.reshape(-1, 16))
 
 
 def aggregate_matrix_residual(psi: SpinorC4, b: BilinearSet | None = None) -> float:
@@ -253,43 +279,61 @@ def aggregate_matrix_residual(psi: SpinorC4, b: BilinearSet | None = None) -> fl
     return float(aggregate_residual_array(psi.components[None], b.as_array()[None], psi.rep)[0])
 
 
-def generalized_fierz_residuals(z: Multivector, b: BilinearSet, rep: str = "chiral") -> np.ndarray:
-    """Residuals of Z M Z = 4 c(M) Z over the five covariant operator families.
+def generalized_fierz_array(z, covariants, rep: str = "chiral") -> np.ndarray:
+    """Residuals of Z M Z = 4 c(M) Z over the five covariant operator families, as (N, 5).
 
-    For M running over 1, gamma^mu, i gamma^mu gamma^nu, i e0123 gamma^mu and
-    e0123, the coefficient c(M) is sigma, J^mu, 2 S^{mu nu}, K^mu and -omega.
-    Returns the five worst-case Frobenius residuals in that order.
+    ``z`` is the (N, 16) array of Z coefficients and ``covariants`` the
+    matching (N, 16) covariants.  For M running over 1, gamma^mu,
+    i gamma^mu gamma^nu, i e0123 gamma^mu and e0123, the coefficient c(M) is
+    sigma, J^mu, 2 S^{mu nu}, K^mu and -omega.  Row n holds the five
+    worst-case Frobenius residuals of spinor n in that order.
     """
-    zm = gamma_rep(rep).mv_to_matrix(z)
-    coeffs = _FACTORS * b.as_array()
-    ops = _MATRICES[rep][1]
-    norms = [np.linalg.norm(zm @ m @ zm - 4.0 * c * zm) for m, c in zip(ops, coeffs)]
-    return np.array([max(norms[s]) for s in _FAMILIES])
+    zm = _z_matrices(z, rep)[:, None]
+    coeffs = 4.0 * (_FACTORS * np.asarray(covariants, dtype=float))
+    residuals = zm @ _MATRICES[rep][1] @ zm - coeffs[:, :, None, None] * zm
+    return np.maximum.reduceat(_norms(residuals.reshape(-1, 16, 16)), _FAMILY_STARTS, axis=1)
+
+
+def generalized_fierz_residuals(z: Multivector, b: BilinearSet, rep: str = "chiral") -> np.ndarray:
+    """The five ``generalized_fierz_array`` residuals of one aggregate and its bilinear set."""
+    return generalized_fierz_array(z.coeffs[None], b.as_array()[None], rep)[0]
+
+
+def reconstruct_array(z, probes, rep: str = "chiral", tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Recover spinors from an (N, 16) block of Z coefficients with (N, 4) probe spinors.
+
+    Returns the (N, 4) recovered components and an (N,) mask, false where the
+    probe is (numerically) annihilated by Z.  Each recovered row is the unique
+    spinor with that aggregate whose first above-tolerance component is real
+    and positive; masked rows hold no meaningful value.
+    """
+    g = gamma_rep(rep)
+    zm = _z_matrices(z, rep)
+    xi = np.asarray(probes, dtype=np.complex128)
+    w = (zm @ xi[:, :, None])[..., 0]
+    n2 = np.vecdot(xi, (g.lower[0] @ w[:, :, None])[..., 0])
+    bound = tol * np.maximum(1.0, _norms(zm.reshape(-1, 16)) * np.vecdot(xi, xi).real)
+    ok = ~((n2.real <= bound) | (np.abs(n2.imag) > bound))
+    with np.errstate(invalid="ignore", divide="ignore"):  # the masked rows
+        psi = w / (2.0 * np.sqrt(np.where(ok, n2.real, 1.0)))[:, None]
+        # canonical phase: rotate the first significant component to the positive axis
+        mags = np.abs(psi)
+        lead = np.argmax(mags > tol * np.maximum(1.0, mags.max(axis=1))[:, None], axis=1)
+        top = psi[np.arange(len(psi)), lead]
+        phase = top / _moduli(top)
+    return psi * phase.conj()[:, None], ok
 
 
 def reconstruct(z: Multivector, probe: SpinorC4, tol: float = 1e-10) -> SpinorC4:
     """Recover a spinor from its aggregate Z using an arbitrary probe spinor.
 
-    Returns the unique spinor with aggregate Z whose first above-tolerance
-    component is real and positive.  Raises DegenerateProbeError when the
-    probe is (numerically) annihilated by Z.
+    The one-row call of ``reconstruct_array``.  Raises DegenerateProbeError
+    when the probe is (numerically) annihilated by Z.
     """
-    rep = gamma_rep(probe.rep)
-    zm = rep.mv_to_matrix(z)
-    xi = probe.components
-    w = zm @ xi
-    n2 = complex(np.vdot(xi, rep.lower[0] @ w))
-    scale = float(np.linalg.norm(zm)) * float(np.vdot(xi, xi).real)
-    if n2.real <= tol * max(1.0, scale) or abs(n2.imag) > tol * max(1.0, scale):
-        raise DegenerateProbeError(
-            f"probe yields normalization {n2:g}; pick a probe not annihilated by Z"
-        )
-    psi = w / (2.0 * np.sqrt(n2.real))
-    # canonical phase: rotate the first significant component to the positive axis
-    mags = np.abs(psi)
-    lead = int(np.argmax(mags > tol * max(1.0, mags.max())))
-    phase = psi[lead] / abs(psi[lead])
-    return SpinorC4(psi * phase.conjugate(), probe.rep)
+    psi, ok = reconstruct_array(z.coeffs[None], probe.components[None], probe.rep, tol)
+    if not ok[0]:
+        raise DegenerateProbeError("probe is annihilated by Z; pick another probe")
+    return SpinorC4(psi[0], probe.rep)
 
 
 def pq_operators(b: BilinearSet) -> tuple[Multivector, Multivector]:

@@ -81,17 +81,19 @@ def _require_even(mv: Multivector, tol: float) -> None:
         raise ValueError(f"multivector has odd-grade support (norm {odd:g})")
 
 
+_ONE = Multivector.scalar(1.0 + 0.0j)
+_IDEAL_PROJECTOR = (_ONE + E0) * (_ONE + Multivector.blade(1, 2) * 1j) * 0.25
+
+
 def ideal_projector() -> Multivector:
-    """The primitive idempotent f = (1 + e0)(1 + i e12)/4 (complex)."""
-    one = Multivector.scalar(1.0 + 0.0j)
-    e12 = Multivector.blade(1, 2)
-    return (one + E0) * (one + e12 * 1j) * 0.25
+    """The primitive idempotent f = (1 + e0)(1 + i e12)/4 (complex), as a fresh copy."""
+    return Multivector(_IDEAL_PROJECTOR.coeffs)
 
 
 def even_to_ideal(psi_even: Multivector, tol: float = 1e-10) -> Multivector:
     """Right-multiply an even element by the idempotent f (complexifies)."""
     _require_even(psi_even, tol)
-    return psi_even * ideal_projector()
+    return psi_even * _IDEAL_PROJECTOR
 
 
 def ideal_to_column(xi: Multivector, tol: float = 1e-10) -> SpinorC4:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_spinors, phase_align, random_spinor
+from oracles import loop_generalized_fierz, scalar_reconstruct, vector_aggregate
 from spinorlab import (
     PSEUDOSCALAR,
     BilinearSet,
@@ -30,7 +31,14 @@ from spinorlab import (
     weyl_spinor,
 )
 from spinorlab.algebra import GRADE_2_PAIRS
-from spinorlab.bilinears import aggregate_residual_array, covariant_array, fierz_array
+from spinorlab.bilinears import (
+    aggregate_array,
+    aggregate_residual_array,
+    covariant_array,
+    fierz_array,
+    generalized_fierz_array,
+    reconstruct_array,
+)
 
 
 def test_spinor_constructor_validates_input():
@@ -326,3 +334,62 @@ def test_fierz_array_rounds_like_the_multivector_products_on_arbitrary_rows():
     got = fierz_array(rows)
     for row, residuals in zip(rows, got):
         assert np.array_equal(_bits(residuals), _bits(_multivector_fierz(_set(row, "chiral"))))
+
+
+def _probes(rng, spinors):
+    """Random probes, every fifth one zero and every fifth one in the kernel of Z = 4 psi psibar."""
+    probes = []
+    for k, psi in enumerate(spinors):
+        xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        if k % 5 == 1:
+            xi = np.zeros(4, dtype=complex)
+        elif k % 5 == 3:  # orthogonal to gamma0 psi, so psibar xi = 0
+            g0psi = gamma_rep(psi.rep).lower[0] @ psi.components
+            xi = xi - np.vdot(g0psi, xi) / np.vdot(g0psi, g0psi) * g0psi
+        probes.append(xi)
+    return np.array(probes)
+
+
+@pytest.fixture(scope="module")
+def fierz_batch(batch):
+    """The batch's aggregates, generalized residuals and reconstructions from seeded probes."""
+    spinors, cov, _, _ = batch
+    rep = spinors[0].rep
+    probes = _probes(np.random.default_rng(66), spinors)
+    z = aggregate_array(cov)
+    return spinors, cov, z, generalized_fierz_array(z, cov, rep), probes, reconstruct_array(z, probes, rep)
+
+
+def test_fierz_kernels_equal_the_per_sample_oracles_bit_for_bit(fierz_batch):
+    spinors, cov, z, gen, probes, (back, ok) = fierz_batch
+    assert z.shape == (len(spinors), 16) and gen.shape == (len(spinors), 5)
+    assert back.shape == (len(spinors), 4) and ok.shape == (len(spinors),)
+    assert 0 < ok.sum() < len(spinors)
+    for k, psi in enumerate(spinors):
+        b = _set(cov[k], psi.rep)
+        mv = vector_aggregate(b)
+        assert np.array_equal(_bits(z[k].view(float)), _bits(mv.coeffs.view(float)))
+        assert np.array_equal(_bits(gen[k]), _bits(loop_generalized_fierz(mv, b, psi.rep)))
+        try:
+            recovered = scalar_reconstruct(mv, SpinorC4(probes[k], psi.rep)).components
+        except DegenerateProbeError:
+            assert not ok[k]
+            continue
+        assert ok[k]
+        assert np.array_equal(_bits(back[k].view(float)), _bits(recovered.view(float)))
+
+
+def test_fierz_one_row_wrappers_return_their_row_of_the_batch(fierz_batch):
+    spinors, cov, z, gen, probes, (back, ok) = fierz_batch
+    for k, psi in enumerate(spinors):
+        b = bilinears(psi)
+        mv = aggregate(b)
+        assert np.array_equal(_bits(mv.coeffs.view(float)), _bits(z[k].view(float)))
+        assert np.array_equal(_bits(generalized_fierz_residuals(mv, b, psi.rep)), _bits(gen[k]))
+        probe = SpinorC4(probes[k], psi.rep)
+        if ok[k]:
+            assert np.array_equal(_bits(reconstruct(mv, probe).components.view(float)),
+                                  _bits(back[k].view(float)))
+        else:
+            with pytest.raises(DegenerateProbeError):
+                reconstruct(mv, probe)

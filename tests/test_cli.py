@@ -1,5 +1,6 @@
 """Command line interface: record formats, exit codes, determinism."""
 
+import importlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import class_spinor, mixed_spinors
+from oracles import per_sample_suite_fierz
 from spinorlab import SpinorC4, cli
 
 
@@ -488,6 +490,85 @@ def test_verify_fierz_prints_four_passing_checks(capsys):
         "reconstruction_roundtrip",
     ]
     assert all(rec["pass"] is True for rec in records)
+
+
+@pytest.mark.parametrize("seed, tol", [(1, None), (4, None), (4, "1e-6")])
+def test_blocked_verify_fierz_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
+    block = cli._FIERZ_BLOCK
+    for samples in (1, 2, block - 1, block, block + 1, 2 * block + 3, 1000):
+        argv = ["verify", "fierz", "--samples", str(samples), "--seed", str(seed)]
+        argv += ["--tol", tol] if tol else []
+        got = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
+        results = per_sample_suite_fierz(np.random.default_rng(seed), samples, float(tol or 1e-10))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_suite_fierz", lambda rng, n, t: results)
+            want = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
+        assert got == want, samples
+
+
+def test_verify_fierz_fails_reconstruction_when_every_probe_is_degenerate(capsys, monkeypatch):
+    def nothing_recovered(z, probes, rep):
+        return np.zeros((len(z), 4), dtype=complex), np.zeros(len(z), dtype=bool)
+
+    monkeypatch.setattr(cli, "reconstruct_array", nothing_recovered)
+    code, out, _ = run(["verify", "fierz", "--samples", "50", "--seed", "3", "--json"], capsys)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert [rec["pass"] for rec in records] == [True, True, True, False]
+    assert records[3] == {"check": "reconstruction_roundtrip", "worst": 0.0, "pass": False}
+
+
+def _flip_omega_in_z(mp):  # omega e0123 enters Z with the wrong sign
+    module = importlib.import_module("spinorlab.bilinears")
+    inverses = module._INVERSES.copy()
+    inverses[15] *= -1
+    mp.setattr(module, "_INVERSES", inverses)
+
+
+def _halve_the_spin_coefficient(mp):  # c(M) = S^{mu nu} instead of 2 S^{mu nu}
+    module = importlib.import_module("spinorlab.bilinears")
+    mp.setattr(module, "_FACTORS", np.where(module._FACTORS == 2.0, 1.0, module._FACTORS))
+
+
+def _flip_the_dual_sign(mp):  # J ^ K + (omega - sigma e0123) S_bold
+    module = importlib.import_module("spinorlab.bilinears")
+    mp.setattr(module, "_DUAL_SIGN", -module._DUAL_SIGN)
+
+
+def _stretch_the_recovered_spinor(mp):  # recovered psi 1e-6 too long
+    real = cli.reconstruct_array
+
+    def stretched(z, probes, rep):
+        back, ok = real(z, probes, rep)
+        return back * (1 + 1e-6), ok
+
+    mp.setattr(cli, "reconstruct_array", stretched)
+
+
+def _stretch_the_ideal_projector(mp):  # f = (1 + e0)(1 + i e12)/4 off by 1e-9
+    module = importlib.import_module("spinorlab.hopf")
+    mp.setattr(module, "_IDEAL_PROJECTOR", module._IDEAL_PROJECTOR * (1 + 1e-9))
+
+
+# one small fault per check, in the kernel, table or function that the check covers
+CHECK_FAULTS = {
+    ("fierz", "quadratic_identities"): _flip_the_dual_sign,
+    ("fierz", "aggregate_equals_4_psi_psibar"): _flip_omega_in_z,
+    ("fierz", "generalized_identities"): _halve_the_spin_coefficient,
+    ("fierz", "reconstruction_roundtrip"): _stretch_the_recovered_spinor,
+    ("hopf", "representation_roundtrips"): _stretch_the_ideal_projector,
+}
+
+
+@pytest.mark.parametrize("suite, check", list(CHECK_FAULTS))
+def test_each_verify_check_fails_on_a_fault_in_what_it_covers(suite, check, capsys, monkeypatch):
+    def verdict():
+        code, out, _ = run(["verify", suite, "--samples", "40", "--seed", "3", "--json"], capsys)
+        return code, {rec["check"]: rec["pass"] for rec in map(json.loads, out.splitlines())}[check]
+
+    assert verdict() == (0, True)
+    CHECK_FAULTS[suite, check](monkeypatch)
+    assert verdict() == (2, False)
 
 
 def test_classify_gives_a_tiny_spinor_its_class(tmp_path, capsys):

@@ -101,6 +101,13 @@ def test_ideal_projector_is_the_corner_idempotent():
     np.testing.assert_allclose(matrix, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
 
+def test_ideal_projector_hands_out_copies_of_one_constant():
+    f = ideal_projector()
+    f.coeffs[:] = 0.0
+    assert ideal_projector().coeffs[0] == 0.25
+    assert ideal_projector() is not ideal_projector()
+
+
 def test_right_multiplication_by_e12_acts_as_minus_i_on_the_ideal():
     rng = np.random.default_rng(103)
     xi = even_to_ideal(column_to_even(random_unit_spinor(rng)))
