@@ -258,6 +258,20 @@ PSEUDOSCALAR = Multivector.blade(0, 1, 2, 3)
 # quaternions (ij = k).
 
 
+def hamilton_product(a, b) -> tuple:
+    """Hamilton product of two quaternions given as (w, x, y, z), of floats or of arrays.
+
+    Written once for ``Quaternion`` and for the elementwise products of blocks
+    in ``spinorlab.hopf``, so both round alike.
+    """
+    return (
+        a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+        a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+        a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+        a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
+    )
+
+
 class Quaternion:
     """Hamilton quaternion w + x i + y j + z k."""
 
@@ -305,12 +319,7 @@ class Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
         a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        return Quaternion(*hamilton_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):

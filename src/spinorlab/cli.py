@@ -5,8 +5,8 @@ Subcommands
 classify   read spinor documents, emit classification reports
 make       construct a named spinor family (elko, majorana, weyl, dirac, flagdipole)
 verify     run a randomized identity suite (fierz, hopf, projectors, mapping);
-           fierz runs its samples in fixed blocks through the array kernels
-hopf       compare the fibration routes for each input spinor
+           fierz and hopf run their samples in fixed blocks through the array kernels
+hopf       compare the fibration routes for each input spinor, a chunk at a time
 map-check  evaluate the ELKO mapping conditions for each input spinor
 
 Input is JSON-lines (one object per line with a ``components`` field of four
@@ -44,7 +44,7 @@ from typing import TextIO
 import numpy as np
 
 from . import __version__
-from .algebra import Multivector, Quaternion
+from .algebra import Multivector
 from .bilinears import (
     SpinorC4,
     _moduli,
@@ -85,15 +85,17 @@ from .flagdipole import (
     sigma_projector_matrix,
 )
 from .hopf import (
-    column_to_even,
-    column_to_quaternions,
-    even_to_column,
-    even_to_ideal,
-    hopf_map_unnormalized,
-    hopf_routes_report,
-    ideal_to_column,
-    instanton_obstruction,
-    quaternions_to_column,
+    _NULL_COLUMN,
+    column_to_even_array,
+    column_to_quaternions_array,
+    even_to_column_array,
+    even_to_ideal_array,
+    fiber_action_array,
+    hopf_map_array,
+    hopf_report_array,
+    ideal_to_column_array,
+    norm_identity_residual_array,
+    quaternions_to_column_array,
 )
 from .mapping import SingularSpinorError, elko_map_conditions, mappability
 
@@ -330,14 +332,18 @@ def _each(record_fn):
     return lambda docs, tol: [record_fn(doc, tol) for doc in docs]
 
 
+def _rep_blocks(docs: list[SpinorDocument]) -> Iterator[tuple[str, list[int], np.ndarray]]:
+    """Each representation present in a chunk, its rows and their (N, 4) components."""
+    for rep in REP_CHOICES:
+        rows = [i for i, doc in enumerate(docs) if doc.spinor.rep == rep]
+        if rows:
+            yield rep, rows, np.array([docs[i].spinor.components for i in rows])
+
+
 def _classification_records(docs: list[SpinorDocument], tol: float) -> list[dict]:
     """Classify a chunk: the array kernels run once per representation present."""
     records = [_head(doc) for doc in docs]
-    for rep in REP_CHOICES:
-        rows = [i for i, doc in enumerate(docs) if doc.spinor.rep == rep]
-        if not rows:
-            continue
-        components = np.array([docs[i].spinor.components for i in rows])
+    for rep, rows, components in _rep_blocks(docs):
         cov = covariant_array(components, rep, tol)
         # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
         residual = aggregate_residual_array(components, cov, rep)
@@ -391,16 +397,15 @@ def _classification_row(rec: dict) -> str:
     )
 
 
-def _hopf_record(doc: SpinorDocument, tol: float) -> dict:
-    record = _head(doc)
-    try:
-        instanton = instanton_obstruction(doc.spinor)
-    except ValueError as exc:  # the zero column has no image point
-        record.update({"error": str(exc), "error_kind": "null-spinor"})
-        return record
-    record.update(hopf_routes_report(doc.spinor))
-    record["instanton"] = instanton
-    return record
+def _hopf_records(docs: list[SpinorDocument], tol: float) -> list[dict]:
+    """Route reports of a chunk: ``hopf_report_array`` runs once per representation present."""
+    records = [_head(doc) for doc in docs]
+    null = {"error": _NULL_COLUMN, "error_kind": "null-spinor"}
+    for rep, rows, components in _rep_blocks(docs):
+        reports = hopf_report_array(components, rep)
+        for i, nonzero, report in zip(rows, components.any(axis=1), reports):
+            records[i].update(report if nonzero else null)
+    return records
 
 
 def _hopf_row(rec: dict) -> str:
@@ -551,18 +556,18 @@ def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _norms(a * phase[:, None] - b)
 
 
-# samples per verify fierz block: the peak memory of 1,000 samples at once
-# would exceed the other suites'
-_FIERZ_BLOCK = 64
+# samples per verify fierz and verify hopf block: the peak memory of 1,000
+# fierz samples at once would exceed the other suites'
+_VERIFY_BLOCK = 64
 
 
 def _suite_fierz(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
     # worst quadratic, aggregate, generalized and reconstruction residuals
     worst = [0.0] * 4
     recovered = 0
-    for start in range(0, samples, _FIERZ_BLOCK):
+    for start in range(0, samples, _VERIFY_BLOCK):
         # per sample: psi re, psi im, probe re, probe im, the order of one draw at a time
-        draw = rng.standard_normal((min(_FIERZ_BLOCK, samples - start), 4, 4))
+        draw = rng.standard_normal((min(_VERIFY_BLOCK, samples - start), 4, 4))
         psi, probe = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
         # even sample numbers are chiral, odd ones standard (the block starts even)
         for parity, rep in enumerate(("chiral", "standard")):
@@ -593,31 +598,32 @@ def _suite_fierz(rng: np.random.Generator, samples: int, tol: float) -> list[tup
 
 
 def _suite_hopf(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
-    worst_norm = worst_fiber = worst_round = 0.0
-    for _ in range(samples):
-        comp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        comp /= np.linalg.norm(comp)
-        psi = SpinorC4(comp, "standard")
-        pair = column_to_quaternions(psi)
-        sigma, point = hopf_map_unnormalized(pair)
-        worst_norm = max(worst_norm, abs(point.norm() ** 2 - sigma**2))
-        angles = rng.standard_normal(4)
-        u = Quaternion(*(angles / np.linalg.norm(angles)))
-        moved = pair.right_multiplied(u)
-        sigma_m, point_m = hopf_map_unnormalized(moved)
-        worst_fiber = max(
-            worst_fiber,
-            float(np.max(np.abs(point_m.as_array() - point.as_array()))),
-            abs(sigma_m - sigma),
+    # worst norm-identity, fiber and round-trip residuals
+    worst = [0.0] * 3
+    for start in range(0, samples, _VERIFY_BLOCK):
+        # per sample: column re, column im, fiber angles, the order of one draw at a time
+        draw = rng.standard_normal((min(_VERIFY_BLOCK, samples - start), 3, 4))
+        comp = draw[:, 0] + 1j * draw[:, 1]
+        psi = comp / _norms(comp)[:, None]
+        q1, q2 = column_to_quaternions_array(psi)
+        sigma, point = hopf_map_array(q1, q2)
+        angles = draw[:, 2]
+        u = tuple((angles / np.sqrt(np.vecdot(angles, angles))[:, None]).T)
+        sigma_m, point_m = hopf_map_array(*fiber_action_array(q1, q2, u))
+        even = column_to_even_array(psi)
+        backs = (
+            quaternions_to_column_array(q1, q2),
+            even_to_column_array(even),
+            ideal_to_column_array(even_to_ideal_array(even)),
         )
-        back = quaternions_to_column(pair)
-        worst_round = max(worst_round, float(np.linalg.norm(back.components - psi.components)))
-        even = column_to_even(psi)
-        back2 = even_to_column(even)
-        worst_round = max(worst_round, float(np.linalg.norm(back2.components - psi.components)))
-        ideal = even_to_ideal(even)
-        back3 = ideal_to_column(ideal)
-        worst_round = max(worst_round, float(np.linalg.norm(back3.components - psi.components)))
+        values = (
+            norm_identity_residual_array(sigma, point),
+            np.concatenate([np.max(np.abs(point_m - point), axis=1), np.abs(sigma_m - sigma)]),
+            np.concatenate([_norms(back - psi) for back in backs]),
+        )
+        # fmax: a NaN sample leaves the worst value as it was
+        worst = [float(np.fmax.reduce(x, initial=w)) for w, x in zip(worst, values)]
+    worst_norm, worst_fiber, worst_round = worst
     return [
         ("norm_identity", worst_norm, worst_norm < tol),
         ("fiber_invariance", worst_fiber, worst_fiber < tol),
@@ -801,7 +807,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hopf", help="compare fibration routes per input spinor")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_each(_hopf_record), table_row=_hopf_row))
+    p.set_defaults(func=partial(_run_records, record_fn=_hopf_records, table_row=_hopf_row))
 
     p = sub.add_parser("map-check", help="evaluate ELKO mapping conditions per input")
     common(p)

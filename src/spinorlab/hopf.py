@@ -14,6 +14,31 @@ action as fiber.  A second, component-level formula set for the same five
 quantities is provided verbatim; the two differ by a fixed rotation of the
 fiber coordinates and both satisfy the norm identity, which is surfaced by
 the comparison report rather than reconciled.
+
+The array kernels work on blocks of N standard-representation columns.  A
+quaternion is a (w, x, y, z) tuple of (N,) arrays, multiplied elementwise by
+``algebra.hamilton_product``.  ``column_to_quaternions_array``,
+``quaternions_to_column_array``, ``column_to_even_array``,
+``even_to_column_array``, ``even_to_ideal_array`` and ``ideal_to_column_array``
+are the dictionary on (N, 4) columns and (N, 16) coefficients, with the checks
+and errors of the one-column functions.  ``hopf_map_array`` is the quaternion
+route of ``hopf_map_unnormalized`` and ``fiber_action_array`` its right action;
+``hopf_from_components_array`` is the component route, and
+``hopf_from_components`` its one-row call; ``norm_identity_residual_array``
+measures either route against the norm identity.  ``hopf_report_array``
+builds the route report of each row of a block in either representation, and
+``hopf_routes_report`` and ``instanton_obstruction`` are its one-row calls.
+
+Every kernel row equals the one-column result bit for bit, by the rules of
+``spinorlab.bilinears``: Python's ``x ** 2`` is ``np.float_power``, the norm of
+a real row is ``np.sqrt(np.vecdot(x, x))`` and of a complex row
+``bilinears._norms``, the scalar ``abs`` of a complex128 is
+``bilinears._moduli``, and a matrix applied to each row is a stacked matmul
+(``x[:, None, :] @ m`` or ``m @ x[:, :, None]``; for ``mv_to_matrix`` the flat
+(N, 16) @ (16, 16) product rounds differently once N >= 7).  The complex
+product of two arrays runs a SIMD loop that rounds differently from the
+scalar product, so the component route multiplies real and imaginary parts
+out, as the scalar product does.
 """
 
 from __future__ import annotations
@@ -27,14 +52,17 @@ from .algebra import (
     BLADE_INDEX,
     DIM,
     E0,
+    PRODUCT_INDEX,
+    PRODUCT_SIGN,
     Multivector,
     Quaternion,
     QUAT_I,
     QUAT_J,
     QUAT_K,
+    hamilton_product,
 )
-from .bilinears import SpinorC4, bilinears
-from .gamma import gamma_rep
+from .bilinears import SpinorC4, _moduli, _norms, _z_matrices, covariant_array
+from .gamma import SIMILARITY, gamma_rep
 
 _EVEN_MASK = (BLADE_GRADES % 2) == 0
 
@@ -201,16 +229,11 @@ def hopf_from_components(psi: SpinorC4) -> tuple[float, HopfPoint]:
     (|q_a|^2 - |q_b|^2, -2 Q.z, -2 Q.y, 2 Q.x, 2 Q.w).  The quaternion route
     uses a different pairing of the same column, so the two images share J0
     and the norm of the remaining block but differ inside that block by a
-    spinor-dependent rotation; see :func:`hopf_routes_report`.
+    spinor-dependent rotation; see :func:`hopf_routes_report`.  The one-row
+    call of ``hopf_from_components_array``.
     """
-    p = psi.components
-    sigma = float(np.vdot(p, p).real)
-    j0 = float(abs(p[0]) ** 2 + abs(p[1]) ** 2 - abs(p[2]) ** 2 - abs(p[3]) ** 2)
-    j1 = 2.0 * float((p[0] * np.conj(p[3])).imag) + 2.0 * float((p[1] * np.conj(p[2])).imag)
-    j2 = 2.0 * float((p[1] * np.conj(p[2])).real) - 2.0 * float((p[0] * np.conj(p[3])).real)
-    j3 = 2.0 * float((p[2] * np.conj(p[0])).imag) + 2.0 * float((p[1] * np.conj(p[3])).imag)
-    omega = 2.0 * float((p[0] * np.conj(p[2])).real) + 2.0 * float((p[1] * np.conj(p[3])).real)
-    return sigma, HopfPoint(j0, j1, j2, j3, omega)
+    sigma, point = hopf_from_components_array(psi.components[None])
+    return float(sigma[0]), HopfPoint(*point[0].tolist())
 
 
 def column_fiber_action(psi: SpinorC4, u: Quaternion) -> SpinorC4:
@@ -224,33 +247,15 @@ def hopf_routes_report(psi: SpinorC4) -> dict:
     The quaternion and component routes each satisfy the norm identity
     J0^2 + J1^2 + J2^2 + J3^2 + omega^2 = sigma^2.  Relative to the direct
     bilinear evaluation, both routes swap the roles of sigma and J^0; the
-    report states all three verbatim and their pairwise gaps.
+    report states all three verbatim and their pairwise gaps.  The one-row
+    call of ``hopf_report_array``, without its ``instanton`` entry.
     """
-    psi_std = psi.in_rep("standard")
-    sigma_q, point_q = hopf_map_unnormalized(column_to_quaternions(psi_std))
-    sigma_c, point_c = hopf_from_components(psi_std)
-    b = bilinears(psi_std)
-    direct = {
-        "sigma": b.sigma,
-        "J": b.J.tolist(),
-        "omega": b.omega,
-    }
-    norm_q = point_q.norm()
-    norm_c = point_c.norm()
-    return {
-        "quaternion_route": {"sigma": sigma_q, "point": list(point_q)},
-        "component_route": {"sigma": sigma_c, "point": list(point_c)},
-        "direct_bilinears": direct,
-        "norm_identity_residual_quaternion": abs(norm_q**2 - sigma_q**2),
-        "norm_identity_residual_component": abs(norm_c**2 - sigma_c**2),
-        "route_gap": float(
-            np.max(np.abs(point_q.as_array() - point_c.as_array()))
-        ),
-        "sigma_swap_gap": {
-            "quaternion_sigma_vs_direct_J0": abs(sigma_q - b.J[0]),
-            "quaternion_J0_vs_direct_sigma": abs(point_q.J0 - b.sigma),
-        },
-    }
+    report = hopf_report_array(psi.components[None], psi.rep)[0]
+    del report["instanton"]
+    return report
+
+
+_NULL_COLUMN = "the zero column has no image point"
 
 
 def instanton_obstruction(psi: SpinorC4) -> dict:
@@ -259,18 +264,207 @@ def instanton_obstruction(psi: SpinorC4) -> dict:
     For any nonzero column the Euclidean norm of (J0..J3) from the component
     route is bounded below by sigma > 0 projected away from the omega axis;
     ELKO columns sit off the unit S^7 (sigma = 0 for their bilinear radius),
-    which is reported, not asserted against.
+    which is reported, not asserted against.  The ``instanton`` entry of the
+    one-row ``hopf_report_array``.
     """
     if not np.any(psi.components):
-        raise ValueError("the zero column has no image point")
-    psi_std = psi.in_rep("standard")
-    sigma_c, point_c = hopf_from_components(psi_std)
-    b = bilinears(psi_std)
-    first_four = float(np.linalg.norm(point_c.as_array()[:4]))
-    return {
-        "J_norm": first_four,
-        "sigma_component_route": sigma_c,
-        "sigma_bilinear": b.sigma,
-        "omega_bilinear": b.omega,
-        "on_unit_sphere": bool(abs(sigma_c - 1.0) <= 1e-9),
-    }
+        raise ValueError(_NULL_COLUMN)
+    return hopf_report_array(psi.components[None], psi.rep)[0]["instanton"]
+
+
+# ---- array kernels ---------------------------------------------------------
+
+
+def _components(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) component array, got shape {v.shape}")
+    return v
+
+
+def column_to_quaternions_array(components) -> tuple[tuple, tuple]:
+    """The quaternion pairs (q1, q2) of an (N, 4) block of standard-representation columns."""
+    v = _components(components)
+    re, im = v.real.T, v.imag.T
+    return (re[0], -im[1], re[1], -im[0]), (im[2], re[3], im[3], re[2])
+
+
+def quaternions_to_column_array(q1, q2) -> np.ndarray:
+    """Inverse of ``column_to_quaternions_array``: the (N, 4) columns."""
+    return np.stack(
+        [q1[0] - 1j * q1[3], q1[2] - 1j * q1[1], q2[3] + 1j * q2[0], q2[1] + 1j * q2[2]], axis=1
+    )
+
+
+def _norm_squared(q) -> np.ndarray:
+    """``Quaternion.norm_squared`` of each element: w**2 + x**2 + y**2 + z**2."""
+    w, x, y, z = (np.float_power(c, 2) for c in q)
+    return w + x + y + z
+
+
+_UNITS = [(q.w, q.x, q.y, q.z) for q in (QUAT_I, QUAT_J, QUAT_K)]
+
+
+def hopf_map_array(q1, q2) -> tuple[np.ndarray, np.ndarray]:
+    """The (N,) radii sigma and (N, 5) image points of quaternion pairs: the quaternion route.
+
+    Row n is ``hopf_map_unnormalized`` of pair n, (J0, J1, J2, J3, omega) with
+    J0 = |q1|^2 - |q2|^2, J_k = 2 Re(q1* u_k q2) for u = i, j, k and
+    omega = 2 Re(q1* q2).
+    """
+    n1, n2 = _norm_squared(q1), _norm_squared(q2)
+    q1c = (q1[0], -q1[1], -q1[2], -q1[3])
+    block = [2.0 * hamilton_product(hamilton_product(q1c, u), q2)[0] for u in _UNITS]
+    omega = 2.0 * hamilton_product(q1c, q2)[0]
+    return n1 + n2, np.stack([n1 - n2, *block, omega], axis=1)
+
+
+def norm_identity_residual_array(sigma, points) -> np.ndarray:
+    """|J0^2 + J1^2 + J2^2 + J3^2 + omega^2 - sigma^2| for each radius and (N, 5) image point."""
+    return np.abs(np.float_power(np.sqrt(np.vecdot(points, points)), 2) - np.float_power(sigma, 2))
+
+
+def fiber_action_array(q1, q2, u) -> tuple[tuple, tuple]:
+    """The fiber action on quaternion pairs: both multiplied on the right by the unit quaternion u."""
+    return hamilton_product(q1, u), hamilton_product(q2, u)
+
+
+def hopf_from_components_array(components) -> tuple[np.ndarray, np.ndarray]:
+    """The (N,) squared norms and (N, 5) image points of the component route, row by row.
+
+    ``hopf_from_components``' formulas on an (N, 4) block of standard columns.
+    Each product p_j conj(p_k) is multiplied out in real arithmetic: its real
+    part is a_j a_k + b_j b_k and its imaginary part b_j a_k - a_j b_k.
+    """
+    v = _components(components)
+    a, b = v.real.T, v.imag.T
+    re = lambda j, k: a[j] * a[k] + b[j] * b[k]
+    im = lambda j, k: b[j] * a[k] - a[j] * b[k]
+    sigma = np.vecdot(v, v).real
+    m = np.float_power(_moduli(v), 2).T
+    point = np.stack(
+        [
+            m[0] + m[1] - m[2] - m[3],
+            2.0 * im(0, 3) + 2.0 * im(1, 2),
+            2.0 * re(1, 2) - 2.0 * re(0, 3),
+            2.0 * im(2, 0) + 2.0 * im(1, 3),
+            2.0 * re(0, 2) + 2.0 * re(1, 3),
+        ],
+        axis=1,
+    )
+    return sigma, point
+
+
+_EVEN_SLOTS = [0, _IDX_12, _IDX_13, _IDX_23, _IDX_03, _IDX_PS, _IDX_01, _IDX_02]
+
+
+def column_to_even_array(components) -> np.ndarray:
+    """The (N, 16) even operator spinors of an (N, 4) block of standard columns."""
+    v = _components(components)
+    a, b = v.real.T, v.imag.T
+    c = np.zeros((len(v), DIM))
+    c[:, _EVEN_SLOTS] = np.stack([a[0], -b[0], -a[1], -b[1], -a[2], b[2], -a[3], -b[3]], axis=1)
+    return c
+
+
+def _require_even_array(c: np.ndarray, tol: float) -> None:
+    odd = _norms(np.where(_EVEN_MASK, 0, c))
+    bad = np.flatnonzero(odd > tol * np.maximum(1.0, _norms(c)))
+    if len(bad):
+        raise ValueError(f"multivector has odd-grade support (norm {odd[bad[0]]:g})")
+
+
+def even_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
+    """The (N, 4) standard columns of an (N, 16) block of even operator spinors.
+
+    Raises ValueError, as ``even_to_column``, for the first row with odd-grade support.
+    """
+    c = np.asarray(coeffs)
+    _require_even_array(c, tol)
+    c = c.T
+    return np.stack(
+        [
+            c[0] - 1j * c[_IDX_12],
+            -c[_IDX_13] - 1j * c[_IDX_23],
+            -c[_IDX_03] + 1j * c[_IDX_PS],
+            -c[_IDX_01] - 1j * c[_IDX_02],
+        ],
+        axis=1,
+    )
+
+
+def even_to_ideal_array(coeffs, tol: float = 1e-10) -> np.ndarray:
+    """Right-multiply each row of an (N, 16) block of even elements by the idempotent f.
+
+    Sums the products blade by blade in ``Multivector``'s order, so each row is
+    ``even_to_ideal`` of that row bit for bit; raises as it does.
+    """
+    x = np.asarray(coeffs)
+    _require_even_array(x, tol)
+    terms = (x[:, :, None] * _IDEAL_PROJECTOR.coeffs[None, None, :]) * PRODUCT_SIGN
+    out = np.zeros((len(x), DIM), dtype=terms.dtype)
+    # Multivector's np.add.at adds term (i, j) to slot PRODUCT_INDEX[i, j] in ravel
+    # order, so each slot sums over i in turn; each row of PRODUCT_INDEX is a permutation
+    for i in range(DIM):
+        out[:, PRODUCT_INDEX[i]] += terms[:, i]
+    return out
+
+
+def ideal_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
+    """The (N, 4) columns of an (N, 16) block of minimal-left-ideal elements.
+
+    Raises ValueError, as ``ideal_to_column``, when a row is not in the ideal.
+    """
+    m = _z_matrices(coeffs, "standard")
+    rest = _norms(m[:, :, 1:].reshape(-1, 12))
+    if np.any(rest > tol * np.maximum(1.0, _norms(m.reshape(-1, 16)))):
+        raise ValueError("element is not in the minimal left ideal of f")
+    return m[:, :, 0]
+
+
+def hopf_report_array(components, rep: str = "chiral") -> list[dict]:
+    """``hopf_routes_report`` of each row of an (N, 4) block, with ``instanton_obstruction``.
+
+    Row n is the report of spinor n in representation ``rep``, and its
+    ``instanton`` entry the obstruction report; an all-zero row gets the
+    zeros of its routes rather than an error.  The change to the standard
+    representation, the component route and the covariants run once for
+    the block.
+    """
+    v = _components(components)
+    if rep != "standard":  # SpinorC4.in_rep, row by row
+        v = (SIMILARITY @ v[:, :, None])[..., 0]
+    sigma_q, point_q = hopf_map_array(*column_to_quaternions_array(v))
+    sigma_c, point_c = hopf_from_components_array(v)
+    cov = covariant_array(v, "standard")
+    head = point_c[:, :4]
+    columns = zip(
+        sigma_q.tolist(), point_q.tolist(), sigma_c.tolist(), point_c.tolist(), cov.tolist(),
+        norm_identity_residual_array(sigma_q, point_q).tolist(),
+        norm_identity_residual_array(sigma_c, point_c).tolist(),
+        np.max(np.abs(point_q - point_c), axis=1).tolist(),
+        np.abs(sigma_q - cov[:, 1]).tolist(), np.abs(point_q[:, 0] - cov[:, 0]).tolist(),
+        np.sqrt(np.vecdot(head, head)).tolist(), (np.abs(sigma_c - 1.0) <= 1e-9).tolist(),
+    )
+    return [
+        {
+            "quaternion_route": {"sigma": sq, "point": pq},
+            "component_route": {"sigma": sc, "point": pc},
+            "direct_bilinears": {"sigma": c[0], "J": c[1:5], "omega": c[15]},
+            "norm_identity_residual_quaternion": rq,
+            "norm_identity_residual_component": rc,
+            "route_gap": gap,
+            "sigma_swap_gap": {
+                "quaternion_sigma_vs_direct_J0": swap_j0,
+                "quaternion_J0_vs_direct_sigma": swap_sigma,
+            },
+            "instanton": {
+                "J_norm": j_norm,
+                "sigma_component_route": sc,
+                "sigma_bilinear": c[0],
+                "omega_bilinear": c[15],
+                "on_unit_sphere": unit,
+            },
+        }
+        for sq, pq, sc, pc, c, rq, rc, gap, swap_j0, swap_sigma, j_norm, unit in columns
+    ]

@@ -20,6 +20,7 @@ spinors satisfying it in classes 1 or 2 exist only with standard
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +76,21 @@ class ConditionReport:
     shared_components: np.ndarray
     extra_class2_components: float
     extra_class3_components: float
-    table_rows: dict
     line3_vs_class3_gap: float
     scale: float
+    components: np.ndarray
+
+    @cached_property
+    def table_rows(self) -> dict:
+        """Per-class residual rows in the split-component form, built on first use."""
+        a, b = self.components.real, self.components.imag
+        row_a = a[1] * (a[2] - b[2]) + b[1] * (a[2] + b[2])  # Re - Im of psi_2* psi_3
+        row_b = a[2] * b[3] - b[2] * a[3]  # Im of psi_3* psi_4
+        return {
+            1: (abs(row_a), abs(row_b)),
+            2: (abs(row_b), self.shared_components[2]),
+            3: (abs(row_a), self.shared_components[3]),
+        }
 
     def route_disagreement(self) -> float:
         """Largest gap between the complex and component arithmetic routes."""
@@ -125,15 +138,6 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
     extra2_comp = re(0, 3) + im(1, 2)
     extra3_comp = im(0, 3) - im(1, 2) - 2.0 * im(0, 1)
 
-    # per-class residual rows in the split-component form
-    row_a = a[1] * (a[2] - b[2]) + b[1] * (a[2] + b[2])  # Re - Im of psi_2* psi_3
-    row_b = a[2] * b[3] - b[2] * a[3]  # Im of psi_3* psi_4
-    table_rows = {
-        1: (abs(row_a), abs(row_b)),
-        2: (abs(row_b), abs(shared_comp[2])),
-        3: (abs(row_a), abs(shared_comp[3])),
-    }
-
     return ConditionReport(
         shared=np.abs(shared),
         extra_class2=abs(extra2),
@@ -141,9 +145,9 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
         shared_components=np.abs(shared_comp),
         extra_class2_components=abs(extra2_comp),
         extra_class3_components=abs(extra3_comp),
-        table_rows=table_rows,
         line3_vs_class3_gap=abs(2.0 * _im(c[2], c[3])),
         scale=float(np.vdot(c, c).real),
+        components=c,
     )
 
 

@@ -1,16 +1,26 @@
 """Bitwise oracles: the per-sample bodies that the array kernels and the blocked
-``verify fierz`` replaced.  The tests compare the kernels against them bit for bit."""
+``verify fierz`` and ``verify hopf`` replaced.  The tests compare the kernels
+against them bit for bit."""
 
 import numpy as np
 
 from spinorlab import (
     DegenerateProbeError,
+    HopfPoint,
     Multivector,
+    Quaternion,
     SpinorC4,
     aggregate_matrix_residual,
     bilinears,
+    column_to_even,
+    column_to_quaternions,
+    even_to_column,
+    even_to_ideal,
     fierz_residuals,
     gamma_rep,
+    hopf_map_unnormalized,
+    ideal_to_column,
+    quaternions_to_column,
 )
 from spinorlab.bilinears import _INVERSES, _MATRICES
 
@@ -84,4 +94,96 @@ def per_sample_suite_fierz(rng, samples, tol):
         ("aggregate_equals_4_psi_psibar", worst_matrix, worst_matrix < tol),
         ("generalized_identities", worst_general, worst_general < max(tol, 1e-9)),
         ("reconstruction_roundtrip", worst_recon, worst_recon < 1e-8),
+    ]
+
+
+def scalar_hopf_from_components(psi):
+    """The component route of one standard column, with numpy scalar arithmetic."""
+    p = psi.components
+    sigma = float(np.vdot(p, p).real)
+    j0 = float(abs(p[0]) ** 2 + abs(p[1]) ** 2 - abs(p[2]) ** 2 - abs(p[3]) ** 2)
+    j1 = 2.0 * float((p[0] * np.conj(p[3])).imag) + 2.0 * float((p[1] * np.conj(p[2])).imag)
+    j2 = 2.0 * float((p[1] * np.conj(p[2])).real) - 2.0 * float((p[0] * np.conj(p[3])).real)
+    j3 = 2.0 * float((p[2] * np.conj(p[0])).imag) + 2.0 * float((p[1] * np.conj(p[3])).imag)
+    omega = 2.0 * float((p[0] * np.conj(p[2])).real) + 2.0 * float((p[1] * np.conj(p[3])).real)
+    return sigma, HopfPoint(j0, j1, j2, j3, omega)
+
+
+def scalar_hopf_routes_report(psi):
+    """The route report of one spinor, through the one-column dictionary."""
+    psi_std = psi.in_rep("standard")
+    sigma_q, point_q = hopf_map_unnormalized(column_to_quaternions(psi_std))
+    sigma_c, point_c = scalar_hopf_from_components(psi_std)
+    b = bilinears(psi_std)
+    direct = {
+        "sigma": b.sigma,
+        "J": b.J.tolist(),
+        "omega": b.omega,
+    }
+    norm_q = point_q.norm()
+    norm_c = point_c.norm()
+    return {
+        "quaternion_route": {"sigma": sigma_q, "point": list(point_q)},
+        "component_route": {"sigma": sigma_c, "point": list(point_c)},
+        "direct_bilinears": direct,
+        "norm_identity_residual_quaternion": abs(norm_q**2 - sigma_q**2),
+        "norm_identity_residual_component": abs(norm_c**2 - sigma_c**2),
+        "route_gap": float(
+            np.max(np.abs(point_q.as_array() - point_c.as_array()))
+        ),
+        "sigma_swap_gap": {
+            "quaternion_sigma_vs_direct_J0": abs(sigma_q - b.J[0]),
+            "quaternion_J0_vs_direct_sigma": abs(point_q.J0 - b.sigma),
+        },
+    }
+
+
+def scalar_instanton_obstruction(psi):
+    """The obstruction report of one nonzero spinor."""
+    if not np.any(psi.components):
+        raise ValueError("the zero column has no image point")
+    psi_std = psi.in_rep("standard")
+    sigma_c, point_c = scalar_hopf_from_components(psi_std)
+    b = bilinears(psi_std)
+    first_four = float(np.linalg.norm(point_c.as_array()[:4]))
+    return {
+        "J_norm": first_four,
+        "sigma_component_route": sigma_c,
+        "sigma_bilinear": b.sigma,
+        "omega_bilinear": b.omega,
+        "on_unit_sphere": bool(abs(sigma_c - 1.0) <= 1e-9),
+    }
+
+
+def per_sample_suite_hopf(rng, samples, tol):
+    """``verify hopf`` one sample at a time, as it ran before the blocked suite."""
+    worst_norm = worst_fiber = worst_round = 0.0
+    for _ in range(samples):
+        comp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        comp /= np.linalg.norm(comp)
+        psi = SpinorC4(comp, "standard")
+        pair = column_to_quaternions(psi)
+        sigma, point = hopf_map_unnormalized(pair)
+        worst_norm = max(worst_norm, abs(point.norm() ** 2 - sigma**2))
+        angles = rng.standard_normal(4)
+        u = Quaternion(*(angles / np.linalg.norm(angles)))
+        moved = pair.right_multiplied(u)
+        sigma_m, point_m = hopf_map_unnormalized(moved)
+        worst_fiber = max(
+            worst_fiber,
+            float(np.max(np.abs(point_m.as_array() - point.as_array()))),
+            abs(sigma_m - sigma),
+        )
+        back = quaternions_to_column(pair)
+        worst_round = max(worst_round, float(np.linalg.norm(back.components - psi.components)))
+        even = column_to_even(psi)
+        back2 = even_to_column(even)
+        worst_round = max(worst_round, float(np.linalg.norm(back2.components - psi.components)))
+        ideal = even_to_ideal(even)
+        back3 = ideal_to_column(ideal)
+        worst_round = max(worst_round, float(np.linalg.norm(back3.components - psi.components)))
+    return [
+        ("norm_identity", worst_norm, worst_norm < tol),
+        ("fiber_invariance", worst_fiber, worst_fiber < tol),
+        ("representation_roundtrips", worst_round, worst_round < 1e-13),
     ]

@@ -1,5 +1,6 @@
 """Command line interface: record formats, exit codes, determinism."""
 
+import dataclasses
 import importlib
 import io
 import json
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import class_spinor, mixed_spinors
-from oracles import per_sample_suite_fierz
+from oracles import per_sample_suite_fierz, per_sample_suite_hopf
 from spinorlab import SpinorC4, cli
+from spinorlab.algebra import hamilton_product
 
 
 def run(argv, capsys):
@@ -492,18 +494,34 @@ def test_verify_fierz_prints_four_passing_checks(capsys):
     assert all(rec["pass"] is True for rec in records)
 
 
-@pytest.mark.parametrize("seed, tol", [(1, None), (4, None), (4, "1e-6")])
-def test_blocked_verify_fierz_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
-    block = cli._FIERZ_BLOCK
-    for samples in (1, 2, block - 1, block, block + 1, 2 * block + 3, 1000):
-        argv = ["verify", "fierz", "--samples", str(samples), "--seed", str(seed)]
+def assert_blocked_suite_prints_the_oracle_bytes(suite, oracle, sample_counts, seed, tol,
+                                                 capsys, monkeypatch):
+    for samples in sample_counts:
+        argv = ["verify", suite, "--samples", str(samples), "--seed", str(seed)]
         argv += ["--tol", tol] if tol else []
         got = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
-        results = per_sample_suite_fierz(np.random.default_rng(seed), samples, float(tol or 1e-10))
+        results = oracle(np.random.default_rng(seed), samples, float(tol or 1e-10))
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_suite_fierz", lambda rng, n, t: results)
+            patch.setattr(cli, f"_suite_{suite}", lambda rng, n, t: results)
             want = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
         assert got == want, samples
+
+
+@pytest.mark.parametrize("seed, tol", [(1, None), (4, None), (4, "1e-6")])
+def test_blocked_verify_fierz_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
+    block = cli._VERIFY_BLOCK
+    counts = (1, 2, block - 1, block, block + 1, 2 * block + 3, 1000)
+    assert_blocked_suite_prints_the_oracle_bytes("fierz", per_sample_suite_fierz, counts, seed, tol,
+                                                 capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("tol", [None, "1e-6"])
+@pytest.mark.parametrize("seed", [2, 5])
+def test_blocked_verify_hopf_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
+    block = cli._VERIFY_BLOCK
+    counts = (1, block - 1, block, block + 1, 200, 1000)
+    assert_blocked_suite_prints_the_oracle_bytes("hopf", per_sample_suite_hopf, counts, seed, tol,
+                                                 capsys, monkeypatch)
 
 
 def test_verify_fierz_fails_reconstruction_when_every_probe_is_degenerate(capsys, monkeypatch):
@@ -550,6 +568,47 @@ def _stretch_the_ideal_projector(mp):  # f = (1 + e0)(1 + i e12)/4 off by 1e-9
     mp.setattr(module, "_IDEAL_PROJECTOR", module._IDEAL_PROJECTOR * (1 + 1e-9))
 
 
+def _drop_the_factor_2_on_j1(mp):  # J1 = Re(q1* i q2) on the quaternion route
+    module = importlib.import_module("spinorlab.hopf")
+    mp.setattr(module, "_UNITS", [(0.0, 0.5, 0.0, 0.0), *module._UNITS[1:]])
+
+
+def _act_on_the_left(mp):  # the fiber element multiplies u q, not q u
+    mp.setattr(cli, "fiber_action_array",
+               lambda q1, q2, u: (hamilton_product(u, q1), hamilton_product(u, q2)))
+
+
+def _tilt_the_component_route(mp):  # split-component shared residuals 1e-9 too large
+    module = importlib.import_module("spinorlab.mapping")
+    exact = module._shared_components
+    mp.setattr(module, "_shared_components", lambda a, b: exact(a, b) * (1 + 1e-9))
+
+
+def _fault_the_conditions(mp, fault):
+    """Replace elko_map_conditions, in cli and in mappability, by ``fault(psi, report)``."""
+    module = importlib.import_module("spinorlab.mapping")
+    exact = module.elko_map_conditions
+    faulty = lambda psi: fault(psi, exact(psi))
+    mp.setattr(module, "elko_map_conditions", faulty)
+    mp.setattr(cli, "elko_map_conditions", faulty)
+
+
+def _flip_a_sign_in_extra_class3(mp):  # + Im(psi_2* psi_3) where the condition has -
+    im = importlib.import_module("spinorlab.mapping")._im
+
+    def fault(psi, report):
+        c = psi.components
+        extra3 = abs(im(c[0], c[3]) + im(c[1], c[2]) - 2.0 * im(c[0], c[1]))
+        return dataclasses.replace(report, extra_class3=extra3, extra_class3_components=extra3)
+
+    _fault_the_conditions(mp, fault)
+
+
+def _zero_the_shared_residuals(mp):  # every spinor meets the shared block
+    _fault_the_conditions(mp, lambda psi, report: dataclasses.replace(
+        report, shared=np.zeros(4), shared_components=np.zeros(4)))
+
+
 # one small fault per check, in the kernel, table or function that the check covers
 CHECK_FAULTS = {
     ("fierz", "quadratic_identities"): _flip_the_dual_sign,
@@ -557,6 +616,11 @@ CHECK_FAULTS = {
     ("fierz", "generalized_identities"): _halve_the_spin_coefficient,
     ("fierz", "reconstruction_roundtrip"): _stretch_the_recovered_spinor,
     ("hopf", "representation_roundtrips"): _stretch_the_ideal_projector,
+    ("hopf", "norm_identity"): _drop_the_factor_2_on_j1,
+    ("hopf", "fiber_invariance"): _act_on_the_left,
+    ("mapping", "route_agreement"): _tilt_the_component_route,
+    ("mapping", "constructed_families_pass"): _flip_a_sign_in_extra_class3,
+    ("mapping", "random_pass_rate_below_1pc"): _zero_the_shared_residuals,
 }
 
 
@@ -580,9 +644,9 @@ def test_classify_gives_a_tiny_spinor_its_class(tmp_path, capsys):
     assert (code, rec["class"], rec["error"], rec["boomerang"]) == (0, 6, None, True)
 
 
-def classify_stdin(records, capsys, monkeypatch, *options):
+def records_stdin(command, records, capsys, monkeypatch, *options):
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(r) + "\n" for r in records)))
-    code, out, _ = run(["classify", "-", "--json", *options], capsys)
+    code, out, _ = run([command, "-", "--json", *options], capsys)
     return code, out.splitlines()
 
 
@@ -600,13 +664,26 @@ def test_classify_chunks_give_the_records_of_one_spinor_at_a_time(across_chunks,
                                                                   monkeypatch, tol):
     zeros, records = across_chunks
     options = ("--tol", str(tol))
-    code, lines = classify_stdin(records, capsys, monkeypatch, *options)
+    code, lines = records_stdin("classify", records, capsys, monkeypatch, *options)
     assert code == 2 and len(lines) == len(records)
     for k, (line, record) in enumerate(zip(lines, records)):
         rec = json.loads(line)
         assert rec["index"] == k
         assert (rec.get("error_kind") == "null-spinor") == (k in zeros)
-        _, alone = classify_stdin([record], capsys, monkeypatch, *options)
+        _, alone = records_stdin("classify", [record], capsys, monkeypatch, *options)
+        assert line.split(", ", 1)[1] == alone[0].split(", ", 1)[1]
+
+
+def test_hopf_chunks_give_the_records_of_one_spinor_at_a_time(across_chunks, capsys, monkeypatch):
+    zeros, records = across_chunks
+    records = [dict(record, label=f"record {k}") for k, record in enumerate(records)]
+    code, lines = records_stdin("hopf", records, capsys, monkeypatch)
+    assert code == 2 and len(lines) == len(records)
+    for k, (line, record) in enumerate(zip(lines, records)):
+        rec = json.loads(line)
+        assert (rec["index"], rec["label"]) == (k, record["label"])
+        assert (rec.get("error_kind") == "null-spinor") == (k in zeros)
+        _, alone = records_stdin("hopf", [record], capsys, monkeypatch)
         assert line.split(", ", 1)[1] == alone[0].split(", ", 1)[1]
 
 

@@ -11,7 +11,8 @@ deliberately avoid asserting one.
 import numpy as np
 import pytest
 
-from conftest import random_unit_spinor
+from conftest import mixed_spinors, random_unit_spinor
+from oracles import scalar_hopf_from_components, scalar_hopf_routes_report, scalar_instanton_obstruction
 from spinorlab import (
     Multivector,
     Quaternion,
@@ -33,6 +34,19 @@ from spinorlab import (
     ideal_to_column,
     instanton_obstruction,
     quaternions_to_column,
+)
+from spinorlab.algebra import BLADE_GRADES
+from spinorlab.hopf import (
+    column_to_even_array,
+    column_to_quaternions_array,
+    even_to_column_array,
+    even_to_ideal_array,
+    fiber_action_array,
+    hopf_from_components_array,
+    hopf_map_array,
+    hopf_report_array,
+    ideal_to_column_array,
+    quaternions_to_column_array,
 )
 
 
@@ -259,3 +273,126 @@ def test_eigenspinors_sit_off_the_unit_bilinear_sphere():
 def test_obstruction_rejects_the_zero_column():
     with pytest.raises(ValueError, match="zero column"):
         instanton_obstruction(SpinorC4(np.zeros(4), "standard"))
+
+
+# ---- array kernels against the one-column functions, bit for bit ------------
+
+
+def same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def flatten(report):
+    """(key path, value) pairs of a nested report, in key order."""
+    out = []
+    for key, value in report.items():
+        if isinstance(value, dict):
+            out += [((key, *path), v) for path, v in flatten(value)]
+        elif isinstance(value, list):
+            out += [((key, n), v) for n, v in enumerate(value)]
+        else:
+            out.append(((key,), value))
+    return out
+
+
+def assert_same_report(got, want):
+    got, want = flatten(got), flatten(want)
+    assert [(path, type(v) is bool) for path, v in got] == [(path, type(v) is bool) for path, v in want]
+    assert same_bits([float(v) for _, v in got], [float(v) for _, v in want])
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """360 spinors of all six classes, scaled by 0.1-10, phased, from both representations."""
+    return [psi for _, psi in mixed_spinors(np.random.default_rng(112), 360)]
+
+
+@pytest.mark.parametrize("rep", ["chiral", "standard"])
+def test_hopf_report_array_equals_the_per_record_oracles_bit_for_bit(batch, rep):
+    spinors = [psi.in_rep(rep) for psi in batch]
+    reports = hopf_report_array(np.array([psi.components for psi in spinors]), rep)
+    for report, psi in zip(reports, spinors):
+        want = scalar_hopf_routes_report(psi)
+        want["instanton"] = scalar_instanton_obstruction(psi)
+        assert_same_report(report, want)
+
+
+@pytest.mark.parametrize("rep", ["chiral", "standard"])
+def test_hopf_one_row_wrappers_return_their_row_of_the_batch(batch, rep):
+    spinors = [psi.in_rep(rep) for psi in batch]
+    reports = hopf_report_array(np.array([psi.components for psi in spinors]), rep)
+    columns = np.array([psi.in_rep("standard").components for psi in spinors])
+    sigma, point = hopf_from_components_array(columns)
+    for n, (report, psi) in enumerate(zip(reports, spinors)):
+        assert_same_report(instanton_obstruction(psi), report.pop("instanton"))
+        assert_same_report(hopf_routes_report(psi), report)
+        one_sigma, one_point = hopf_from_components(SpinorC4(columns[n], "standard"))
+        assert same_bits([one_sigma, *one_point], [sigma[n], *point[n]])
+        oracle_sigma, oracle_point = scalar_hopf_from_components(SpinorC4(columns[n], "standard"))
+        assert same_bits([one_sigma, *one_point], [oracle_sigma, *oracle_point])
+
+
+def test_dictionary_kernels_equal_the_one_column_functions_bit_for_bit(batch):
+    spinors = [psi.in_rep("standard") for psi in batch]
+    columns = np.array([psi.components for psi in spinors])
+    q1, q2 = column_to_quaternions_array(columns)
+    rng = np.random.default_rng(113)
+    angles = rng.standard_normal((len(columns), 4))
+    u = tuple((angles / np.linalg.norm(angles, axis=1)[:, None]).T)
+    m1, m2 = fiber_action_array(q1, q2, u)
+    sigma, point = hopf_map_array(q1, q2)
+    back = quaternions_to_column_array(q1, q2)
+    even = column_to_even_array(columns)
+    even_back = even_to_column_array(even)
+    ideal = even_to_ideal_array(even)
+    ideal_back = ideal_to_column_array(ideal)
+    for n, psi in enumerate(spinors):
+        pair = column_to_quaternions(psi)
+        assert same_bits([q[n] for q in (*q1, *q2)], [*pair.q1.components(), *pair.q2.components()])
+        moved = pair.right_multiplied(Quaternion(*(c[n] for c in u)))
+        assert same_bits([q[n] for q in (*m1, *m2)], [*moved.q1.components(), *moved.q2.components()])
+        one_sigma, one_point = hopf_map_unnormalized(pair)
+        assert same_bits([sigma[n], *point[n]], [one_sigma, *one_point])
+        assert same_bits(back[n], quaternions_to_column(pair).components)
+        one_even = column_to_even(psi)
+        assert same_bits(even[n], one_even.coeffs)
+        assert same_bits(even_back[n], even_to_column(one_even).components)
+        one_ideal = even_to_ideal(one_even)
+        assert same_bits(ideal[n], one_ideal.coeffs)
+        assert same_bits(ideal_back[n], ideal_to_column(one_ideal).components)
+
+
+def test_both_routes_round_their_squares_as_the_one_column_functions_do():
+    # x * x and Python's x ** 2 differ in about 1 of 1,600 squares: enough rows to see it
+    rng = np.random.default_rng(115)
+    columns = rng.standard_normal((5000, 4)) + 1j * rng.standard_normal((5000, 4))
+    columns *= 10.0 ** rng.uniform(-1.0, 1.0, (5000, 1))
+    sigma_q, point_q = hopf_map_array(*column_to_quaternions_array(columns))
+    sigma_c, point_c = hopf_from_components_array(columns)
+    for n, column in enumerate(columns):
+        psi = SpinorC4(column, "standard")
+        sigma, point = hopf_map_unnormalized(column_to_quaternions(psi))
+        assert same_bits([sigma_q[n], *point_q[n]], [sigma, *point])
+        sigma, point = scalar_hopf_from_components(psi)
+        assert same_bits([sigma_c[n], *point_c[n]], [sigma, *point])
+
+
+def test_dictionary_kernels_raise_the_one_column_errors():
+    rng = np.random.default_rng(114)
+    even = column_to_even_array(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+    odd = even.copy()
+    odd[3] += 1e-3 * (BLADE_GRADES % 2)
+    for array_fn, one_fn in ((even_to_column_array, even_to_column), (even_to_ideal_array, even_to_ideal)):
+        with pytest.raises(ValueError) as one:
+            one_fn(Multivector(odd[3]))
+        with pytest.raises(ValueError, match="odd-grade support") as block:
+            array_fn(odd)
+        assert str(block.value) == str(one.value)
+    ideal = even_to_ideal_array(even)
+    ideal[2] = even[2]  # an even element is not in the ideal of f
+    with pytest.raises(ValueError) as one:
+        ideal_to_column(Multivector(ideal[2]))
+    with pytest.raises(ValueError) as block:
+        ideal_to_column_array(ideal)
+    assert str(block.value) == str(one.value) == "element is not in the minimal left ideal of f"

@@ -108,6 +108,19 @@ def test_report_shape_and_scale():
     assert report.line3_vs_class3_gap == pytest.approx(2.0)
 
 
+def test_table_rows_are_built_on_first_use():
+    psi = SpinorC4(np.array([0.3, 1j, 0.5 - 0.2j, 0.7]), "standard")
+    report = elko_map_conditions(psi)
+    assert "table_rows" not in vars(report)
+    rows = report.table_rows
+    assert report.table_rows is rows
+    # Re - Im of psi_2* psi_3 = -1j (0.5 - 0.2j), and Im of psi_3* psi_4 = (0.5 + 0.2j) 0.7
+    row_a, row_b = abs(-0.2 - (-0.5)), abs(0.2 * 0.7)
+    assert rows[1] == pytest.approx((row_a, row_b))
+    assert rows[2] == pytest.approx((row_b, report.shared_components[2]))
+    assert rows[3] == pytest.approx((row_a, report.shared_components[3]))
+
+
 def test_satisfied_rejects_singular_labels():
     report = elko_map_conditions(SpinorC4([1, 0, 0, 0], "standard"))
     with pytest.raises(ValueError, match="labels 1, 2 and 3"):
