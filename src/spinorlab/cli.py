@@ -5,7 +5,7 @@ Subcommands
 classify   read spinor documents, emit classification reports
 make       construct a named spinor family (elko, majorana, weyl, dirac, flagdipole)
 verify     run a randomized identity suite (fierz, hopf, projectors, mapping);
-           fierz and hopf run their samples in fixed blocks through the array kernels
+           each suite runs its samples in fixed blocks through the array kernels
 hopf       compare the fibration routes for each input spinor, a chunk at a time
 map-check  evaluate the ELKO mapping conditions for each input spinor
 
@@ -60,7 +60,6 @@ from .bilinears import (
 from .classify import (
     BilinearInconsistencyError,
     NullSpinorError,
-    classify,
     lounesto_class,
     magnitude_array,
 )
@@ -75,14 +74,13 @@ from .elko import (
     weyl_spinor,
 )
 from .flagdipole import (
-    annihilator_residuals,
-    class_limit,
+    annihilator_residual_array,
+    class_limit_array,
     direction_element,
-    frame_from_bilinears,
+    frame_array,
     projection_spinor,
-    projector_idempotency_residual,
-    sigma_projector,
-    sigma_projector_matrix,
+    projection_spinor_array,
+    sigma_projector_matrix_array,
 )
 from .hopf import (
     _NULL_COLUMN,
@@ -97,7 +95,7 @@ from .hopf import (
     norm_identity_residual_array,
     quaternions_to_column_array,
 )
-from .mapping import SingularSpinorError, elko_map_conditions, mappability
+from .mapping import SingularSpinorError, condition_routes, elko_map_conditions, mappability
 
 REP_CHOICES = ("chiral", "standard")
 # largest accepted |psi|: the record code goes up to its eighth power
@@ -542,11 +540,6 @@ def _make_records(args) -> list[dict]:
 # ---- verify ----------------------------------------------------------------
 
 
-def _random_spinor(rng: np.random.Generator, rep: str) -> SpinorC4:
-    comp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return SpinorC4(comp, rep)
-
-
 def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise |a e^(i phi) - b| with the phase phi that aligns a with b."""
     inner = np.vecdot(a, b)
@@ -556,8 +549,8 @@ def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _norms(a * phase[:, None] - b)
 
 
-# samples per verify fierz and verify hopf block: the peak memory of 1,000
-# fierz samples at once would exceed the other suites'
+# samples per verify block, in every suite: the peak memory of 1,000 fierz
+# samples at once would exceed the other suites'
 _VERIFY_BLOCK = 64
 
 
@@ -642,43 +635,40 @@ def _random_admissible_direction(rng: np.random.Generator) -> Multivector:
             return direction_element(raw)
 
 
+_SCALAR_ONE = Multivector.scalar(1.0).coeffs[None]
+
+
 def _suite_projectors(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
-    worst_class = 0.0
-    worst_ratio = worst_ann = worst_idem = 0.0
+    # worst class, ratio, annihilator, idempotency, apply-sum and limit residuals
+    worst = [0.0] * 6
     matrix_sum_exact = True
-    worst_apply = 0.0
-    limit_fail = 0.0
     eye = np.eye(4, dtype=np.complex128)
-    for n in range(max(10, samples // 10)):
-        u = _random_admissible_direction(rng)
-        psi = projection_spinor(Multivector.scalar(1.0), u)
-        b = bilinears(psi)
-        verdict = classify(b)
-        if verdict.label != 4:
-            worst_class = 1.0
-        frame = frame_from_bilinears(b)
-        ratio = float(np.max(np.abs(frame.h * b.J - b.K))) / max(1.0, float(np.max(np.abs(b.K))))
-        worst_ratio = max(worst_ratio, ratio)
-        res = annihilator_residuals(frame)
-        worst_ann = max(worst_ann, res["z_squared"], res["left"], res["right"])
-        worst_idem = max(worst_idem, projector_idempotency_residual(frame.s, frame.h))
-        mat_sum = sigma_projector_matrix(frame.s, frame.h, +1) + sigma_projector_matrix(
-            frame.s, frame.h, -1
+    count = max(10, samples // 10)
+    for start in range(0, count, _VERIFY_BLOCK):
+        u = np.array([_random_admissible_direction(rng).coeffs
+                      for _ in range(min(_VERIFY_BLOCK, count - start))])
+        psi = projection_spinor_array(_SCALAR_ONE, u)
+        cov = covariant_array(psi, "standard")
+        J, s, h, _ = frame_array(cov)
+        K = cov[:, 11:15]
+        plus, minus = (sigma_projector_matrix_array(s, h, sign) for sign in (1, -1))
+        matrix_sum_exact &= bool(np.all(plus + minus == eye))
+        applied = (plus @ psi[:, :, None] + minus @ psi[:, :, None])[..., 0]
+        # both paths are built whole; the suite classifies their t = 0 ends
+        limits_missed = [_any_class_but(class_limit_array(u, which)[1][-1], terminal)
+                         for which, terminal in (("h->0", 5), ("s->0", 6))]
+        values = (
+            np.array([1.0 if _any_class_but(psi, 4) else 0.0]),
+            np.max(np.abs(h[:, None] * cov[:, 1:5] - K), axis=1)
+            / np.maximum(1.0, np.max(np.abs(K), axis=1)),
+            annihilator_residual_array(J, s, h)[:, :3].ravel(),
+            _norms((plus @ plus - plus).reshape(-1, 16)),
+            _norms(applied - psi) / np.maximum(1.0, _norms(psi)),
+            np.array([1.0 if any(limits_missed) else 0.0]),
         )
-        if not np.array_equal(mat_sum, eye):
-            matrix_sum_exact = False
-        plus = sigma_projector(psi, frame.s, frame.h, +1)
-        minus = sigma_projector(psi, frame.s, frame.h, -1)
-        total = plus.components + minus.components
-        worst_apply = max(
-            worst_apply,
-            float(np.linalg.norm(total - psi.components)) / max(1.0, psi.norm()),
-        )
-        for which, terminal in (("h->0", 5), ("s->0", 6)):
-            path = class_limit(u, which)
-            end = classify(bilinears(path[-1][2]))
-            if end.label != terminal:
-                limit_fail = 1.0
+        # fmax: a NaN sample leaves the worst value as it was
+        worst = [float(np.fmax.reduce(x, initial=w)) for w, x in zip(worst, values)]
+    worst_class, worst_ratio, worst_ann, worst_idem, worst_apply, limit_fail = worst
     machine_floor = 64 * np.finfo(np.float64).eps
     return [
         ("projection_class_is_4", worst_class, worst_class == 0.0),
@@ -691,10 +681,15 @@ def _suite_projectors(rng: np.random.Generator, samples: int, tol: float) -> lis
     ]
 
 
+def _any_class_but(columns: np.ndarray, label: int) -> bool:
+    """Whether a standard column of the block is not of Lounesto class ``label``."""
+    mags = magnitude_array(covariant_array(columns, "standard"))
+    return any(lounesto_class(m).label != label for m in mags.tolist())
+
+
 def _suite_mapping(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
     worst_route = 0.0
     passes = 0
-    total = 0
     witness_fail = 0.0
     witnesses = {
         1: np.array([2, 0, 1j, 0]),
@@ -711,14 +706,15 @@ def _suite_mapping(rng: np.random.Generator, samples: int, tol: float) -> list[t
         verdict = mappability(psi, tol)
         if verdict["class"] != label or not verdict[label]:
             witness_fail = 1.0
-    for _ in range(samples):
-        psi = _random_spinor(rng, "standard")
-        report = elko_map_conditions(psi)
-        worst_route = max(worst_route, report.route_disagreement())
-        total += 1
-        if bool(np.all(report.shared <= tol * report.scale)):
-            passes += 1
-    rate = passes / max(1, total)
+    for start in range(0, samples, _VERIFY_BLOCK):
+        # per sample: psi re, psi im, the order of one draw at a time
+        draw = rng.standard_normal((min(_VERIFY_BLOCK, samples - start), 2, 4))
+        complex_route, component_route = condition_routes(draw[:, 0].T, draw[:, 1].T)
+        routes = np.abs([complex_route[:6], component_route])
+        worst_route = float(np.fmax.reduce(np.abs(routes[0] - routes[1]), axis=None, initial=worst_route))
+        psi = draw[:, 0] + 1j * draw[:, 1]
+        passes += int(np.sum(np.all(routes[0, :4] <= tol * np.vecdot(psi, psi).real, axis=0)))
+    rate = passes / max(1, samples)
     return [
         ("route_agreement", worst_route, worst_route < 1e-12),
         ("constructed_families_pass", witness_fail, witness_fail == 0.0),

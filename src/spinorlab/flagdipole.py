@@ -11,6 +11,16 @@ u in the e1-e2 plane gives a flagpole (class 5), anything else a flag-dipole
 where h = <u e3>_0 is the Minkowski pairing with the third axis.  The complex
 combination Z = J (1 + i s + i h e0123) squares to zero and is annihilated by
 (1 + i s + i h e0123) from the left and (1 - i s - i h e0123) from the right.
+
+The array kernels work on blocks of N rows of 16 blade coefficients:
+``projection_spinor_array`` on directions, ``frame_array`` on covariants,
+``boomerang_array``, ``annihilator_residual_array`` and
+``sigma_projector_matrix_array`` on frames (J, s, h), and
+``class_limit_array`` on directions, with the checks and errors of the
+one-row functions, which are their one-row calls.  Products run through
+``algebra.product_array`` and matrices through ``bilinears._z_matrices``, so
+every row equals the ``Multivector`` computation bit for bit, by the rules of
+``spinorlab.bilinears``.
 """
 
 from __future__ import annotations
@@ -22,18 +32,28 @@ import numpy as np
 from .algebra import (
     BLADE_GRADES,
     BLADE_INDEX,
+    DIM,
+    E0,
     E3,
-    GRADE_2_PAIRS,
+    LCONTRACT_SIGN,
+    PRODUCT_SIGN,
     PSEUDOSCALAR,
+    WEDGE_SIGN,
     Multivector,
     lcontract,
-    wedge,
+    product_array,
 )
-from .bilinears import BilinearSet, SpinorC4, minkowski_square
+from .bilinears import BilinearSet, SpinorC4, _norms, _z_matrices, minkowski_square
 from .gamma import gamma_rep
-from .hopf import even_to_column
+from .hopf import even_to_column_array
 
 _IDX_VEC = [BLADE_INDEX[(i,)] for i in range(4)]
+# coefficient rows: the scalars 1 and 1 + 0i, gamma_0, e0123, and the basis vectors e_0..e_3
+_ONE = Multivector.scalar(1.0).coeffs
+_ONE_C = Multivector.scalar(1.0 + 0.0j).coeffs
+_E0 = E0.coeffs[None]
+_PS = PSEUDOSCALAR.coeffs
+_BASIS = np.eye(4, DIM, 1)
 
 
 def direction_element(components3) -> Multivector:
@@ -47,18 +67,30 @@ def direction_element(components3) -> Multivector:
     return Multivector.vector(np.concatenate(([0.0], comp / norm)))
 
 
+def _check_directions(u: np.ndarray, tol: float) -> None:
+    """``validate_direction`` on each (N, 16) row; raises for the first faulty row."""
+    if np.iscomplexobj(u):
+        raise ValueError("direction elements are real multivectors")
+    off = np.where(BLADE_GRADES == 1, 0, u)
+    square = product_array(u, u, PRODUCT_SIGN)[:, 0]
+    faults = np.stack([
+        np.sqrt(np.vecdot(off, off)) > tol,
+        np.abs(u[:, _IDX_VEC[0]]) > tol,
+        np.abs(square + 1.0) > tol,
+    ])
+    rows = np.flatnonzero(faults.any(axis=0))
+    if len(rows):
+        row = rows[0]
+        if faults[0, row]:
+            raise ValueError("direction element must be a pure 1-vector")
+        if faults[1, row]:
+            raise ValueError("direction element must have no time component")
+        raise ValueError(f"direction element must square to -1, got {square[row]:g}")
+
+
 def validate_direction(u: Multivector, tol: float = 1e-10) -> None:
     """Check u is a real grade-1 spatial unit vector (u^2 = -1)."""
-    if u.is_complex:
-        raise ValueError("direction elements are real multivectors")
-    off_grade = np.linalg.norm(np.where(BLADE_GRADES == 1, 0, u.coeffs))
-    if off_grade > tol:
-        raise ValueError("direction element must be a pure 1-vector")
-    if abs(u.coeffs[_IDX_VEC[0]]) > tol:
-        raise ValueError("direction element must have no time component")
-    square = float((u * u).scalar_part().real)
-    if abs(square + 1.0) > tol:
-        raise ValueError(f"direction element must square to -1, got {square:g}")
+    _check_directions(u.coeffs[None], tol)
 
 
 def elko_mixture_direction(angle: float) -> Multivector:
@@ -86,12 +118,21 @@ def is_admissible_flag_dipole_direction(u: Multivector, tol: float = 1e-10) -> b
     return direction_class(u, tol) == 4
 
 
+def projection_spinor_array(psi_even, u, tol: float = 1e-10) -> np.ndarray:
+    """The (N, 4) standard columns of Psi (1 + gamma_0 u)/2 for (N, 16) even elements and directions.
+
+    Either block may be one row, broadcast; raises as ``validate_direction``
+    and ``even_to_column`` do, for the first faulty row.
+    """
+    u = np.asarray(u)
+    _check_directions(u, tol)
+    half = (_ONE + product_array(_E0, u, PRODUCT_SIGN)) * 0.5
+    return even_to_column_array(product_array(psi_even, half, PRODUCT_SIGN), tol)
+
+
 def projection_spinor(psi_even: Multivector, u: Multivector, tol: float = 1e-10) -> SpinorC4:
     """Column spinor of Psi (1 + gamma_0 u)/2 in the standard representation."""
-    validate_direction(u, tol)
-    e0 = Multivector.blade(0)
-    projected = psi_even * ((Multivector.scalar(1.0) + e0 * u) * 0.5)
-    return even_to_column(projected, tol)
+    return SpinorC4(projection_spinor_array(psi_even.coeffs[None], u.coeffs[None], tol)[0], "standard")
 
 
 def doran_h(u: Multivector) -> float:
@@ -137,50 +178,98 @@ def synthetic_frame(J: Multivector, s: Multivector, h: float, tol: float = 1e-9)
     return FlagDipoleFrame(J=J, s=s, h=float(h), consistent=consistent)
 
 
-def frame_from_bilinears(b: BilinearSet, tol: float = 1e-9) -> FlagDipoleFrame:
-    """Extract (J, s, h) from a class-4 bilinear set.
+def frame_array(covariants, tol: float = 1e-9) -> tuple:
+    """The frames (J, s, h) of an (N, 16) block of class-4 covariants, and their consistency.
 
-    h is the component ratio K/J read at J's dominant entry; s solves
-    S_bold = J wedge s with J . s = 0 in the least-squares sense, taking the
-    minimum-norm representative of the null gauge family s -> s + c J.
+    Returns J and s as (N, 16) vector coefficients, h as (N,) and an (N,)
+    mask, true where h^2 = 1 + s^2 holds to ``tol * max(1, h^2)``.  h is the
+    component ratio K/J read at J's dominant entry; s solves S_bold = J wedge s
+    with J . s = 0 in the least-squares sense, taking the minimum-norm
+    representative of the null gauge family s -> s + c J.  The wedge and
+    contraction rows come from ``product_array``; numpy has no stacked lstsq,
+    so each row's 7 x 4 system is solved on its own.
     """
-    jmv = b.current_vector()
-    lead = int(np.argmax(np.abs(b.J)))
-    if abs(b.J[lead]) <= tol:
+    c = np.asarray(covariants, dtype=float)
+    n = np.arange(len(c))
+    lead = np.argmax(np.abs(c[:, 1:5]), axis=1)
+    j_lead = c[n, 1 + lead]
+    if np.any(np.abs(j_lead) <= tol):
         raise ValueError("current J vanishes; not a flag-dipole bilinear set")
-    h = float(b.K[lead] / b.J[lead])
+    h = c[n, 11 + lead] / j_lead
 
-    # wedge matrix: rows = 6 bivector coefficients of J ^ s plus 1 row for J . s
-    rows = np.zeros((7, 4))
-    target = np.zeros(7)
-    for r, pair in enumerate(GRADE_2_PAIRS):
-        for c in range(4):
-            basis = np.zeros(4)
-            basis[c] = 1.0
-            w = wedge(jmv, Multivector.vector(basis))
-            rows[r, c] = w.coeffs[BLADE_INDEX[pair]]
-        target[r] = 2.0 * b.S[r]
-    for c in range(4):
-        basis = np.zeros(4)
-        basis[c] = 1.0
-        rows[6, c] = float(lcontract(jmv, Multivector.vector(basis)).scalar_part().real)
-    solution, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    smv = Multivector.vector(solution)
+    J = np.zeros((len(c), DIM))
+    J[:, 1:5] = c[:, 1:5]
+    # rows = the 6 bivector coefficients of J ^ e_c, then J . e_c; target = S_bold, then 0
+    rows = np.zeros((len(c), 7, 4))
+    for k, e in enumerate(_BASIS):
+        rows[:, :6, k] = product_array(J, e[None], WEDGE_SIGN)[:, 5:11]
+        rows[:, 6, k] = product_array(J, e[None], LCONTRACT_SIGN)[:, 0]
+    target = np.zeros((len(c), 7))
+    target[:, :6] = 2.0 * c[:, 5:11]
+    s = np.zeros((len(c), DIM))
+    for row, (m, t) in enumerate(zip(rows, target)):
+        s[row, 1:5] = np.linalg.lstsq(m, t, rcond=None)[0]
 
-    frame = FlagDipoleFrame(J=jmv, s=smv, h=h)
-    consistent = frame.hs_residual() <= tol * max(1.0, h**2)
-    return FlagDipoleFrame(J=jmv, s=smv, h=h, consistent=consistent)
+    h2 = np.float_power(h, 2)
+    hs = np.abs(h2 - 1.0 - product_array(s, s, PRODUCT_SIGN)[:, 0])
+    return J, s, h, hs <= tol * np.maximum(1.0, h2)
+
+
+def frame_from_bilinears(b: BilinearSet, tol: float = 1e-9) -> FlagDipoleFrame:
+    """Extract (J, s, h) from a class-4 bilinear set: ``frame_array`` of one row."""
+    J, s, h, consistent = frame_array(b.as_array()[None], tol)
+    return FlagDipoleFrame(J=Multivector(J[0]), s=Multivector(s[0]), h=float(h[0]),
+                           consistent=bool(consistent[0]))
+
+
+def _tail(s: np.ndarray, h: np.ndarray, sign_s: int, sign_h: int) -> np.ndarray:
+    """The (N, 16) rows of 1 +/- i s +/- i h e0123 (by the signs), summed left to right."""
+    si, ps = s * 1j, _PS * (1j * h)[:, None]
+    head = _ONE_C + si if sign_s > 0 else _ONE_C - si
+    return head + ps if sign_h > 0 else head - ps
+
+
+def boomerang_array(J, s, h, tol: float = 1e-9) -> np.ndarray:
+    """The (N, 16) complex Z = J (1 + i s + i h e0123) of a block of class-4 frames.
+
+    Raises ValueError if a frame's J is not null, or s not orthogonal to J.
+    """
+    J, s, h = np.asarray(J), np.asarray(s), np.asarray(h)
+    jnorm, snorm = _norms(J), _norms(s)
+    null = np.abs(product_array(J, J, PRODUCT_SIGN)[:, 0].real)
+    if np.any(null > tol * np.maximum(1.0, np.float_power(jnorm, 2))):
+        raise ValueError("frame violates the null-current invariant")
+    ortho = np.abs(product_array(J, s, LCONTRACT_SIGN)[:, 0].real)
+    if np.any(ortho > tol * np.maximum(1.0, jnorm * snorm)):
+        raise ValueError("frame violates J . s = 0")
+    return product_array(J, _tail(s, h, 1, 1), PRODUCT_SIGN)
 
 
 def type4_boomerang(frame: FlagDipoleFrame, tol: float = 1e-9) -> Multivector:
     """The complex aggregate Z = J (1 + i s + i h e0123) of a class-4 frame."""
-    if frame.null_residual() > tol * max(1.0, frame.J.norm() ** 2):
-        raise ValueError("frame violates the null-current invariant")
-    if frame.orthogonality_residual() > tol * max(1.0, frame.J.norm() * frame.s.norm()):
-        raise ValueError("frame violates J . s = 0")
-    one = Multivector.scalar(1.0 + 0.0j)
-    tail = one + frame.s * 1j + PSEUDOSCALAR * (1j * frame.h)
-    return frame.J * tail
+    return Multivector(boomerang_array(frame.J.coeffs[None], frame.s.coeffs[None], [frame.h], tol)[0])
+
+
+_ANNIHILATOR_KEYS = ("z_squared", "left", "right", "opposite_sign_left")
+
+
+def annihilator_residual_array(J, s, h, z=None) -> np.ndarray:
+    """The four annihilator residuals of each frame of a block, as (N, 4).
+
+    Columns z_squared, left, right and opposite_sign_left, as ``annihilator_residuals``; ``z``
+    defaults to ``boomerang_array`` of the frames, with its checks.
+    """
+    s, h = np.asarray(s), np.asarray(h)
+    if z is None:
+        z = boomerang_array(J, s, h)
+    znorm = np.maximum(1e-300, _norms(z))
+    plus, minus, flipped = _tail(s, h, 1, 1), _tail(s, h, -1, -1), _tail(s, h, 1, -1)
+    return np.stack([
+        _norms(product_array(z, z, PRODUCT_SIGN)) / np.float_power(znorm, 2),
+        _norms(product_array(plus, z, PRODUCT_SIGN)) / znorm,
+        _norms(product_array(z, minus, PRODUCT_SIGN)) / znorm,
+        _norms(product_array(flipped, z, PRODUCT_SIGN)) / znorm,
+    ], axis=1)
 
 
 def annihilator_residuals(frame: FlagDipoleFrame, z: Multivector | None = None) -> dict:
@@ -189,34 +278,31 @@ def annihilator_residuals(frame: FlagDipoleFrame, z: Multivector | None = None) 
     ``left`` uses (1 + i s + i h e0123) Z, ``right`` uses Z (1 - i s - i h e0123);
     both vanish for an hs-consistent frame.  ``opposite_sign_left`` evaluates
     the same left product with the h term negated, which does NOT vanish for
-    h != 0 and is reported as a diagnostic of the sign convention.
+    h != 0 and is reported as a diagnostic of the sign convention.  The
+    one-row call of ``annihilator_residual_array``.
     """
-    if z is None:
-        z = type4_boomerang(frame)
-    znorm = max(1e-300, z.norm())
-    one = Multivector.scalar(1.0 + 0.0j)
-    plus = one + frame.s * 1j + PSEUDOSCALAR * (1j * frame.h)
-    minus = one - frame.s * 1j - PSEUDOSCALAR * (1j * frame.h)
-    flipped = one + frame.s * 1j - PSEUDOSCALAR * (1j * frame.h)
-    return {
-        "z_squared": (z * z).norm() / znorm**2,
-        "left": (plus * z).norm() / znorm,
-        "right": (z * minus).norm() / znorm,
-        "opposite_sign_left": (flipped * z).norm() / znorm,
-    }
+    row = annihilator_residual_array(
+        frame.J.coeffs[None], frame.s.coeffs[None], [frame.h], None if z is None else z.coeffs[None]
+    )[0]
+    return dict(zip(_ANNIHILATOR_KEYS, row.tolist()))
 
 
-def sigma_projector_matrix(s: Multivector, h: float, sign: int) -> np.ndarray:
-    """The 4x4 half-projector matrix (1 -/+ i (s + h e0123)) / 2.
+def sigma_projector_matrix_array(s, h, sign: int) -> np.ndarray:
+    """The (N, 4, 4) half-projector matrices (1 -/+ i (s + h e0123)) / 2 of (N, 16) s and (N,) h.
 
     The operator term s + h e0123 has a purely real diagonal, so halving is
     exact and the two signs sum to the identity matrix bit for bit.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    rep = gamma_rep("standard")
-    op = rep.mv_to_matrix(s) + h * rep.pseudoscalar
+    h = np.asarray(h, dtype=float)
+    op = _z_matrices(s, "standard") + h[:, None, None] * gamma_rep("standard").pseudoscalar
     return 0.5 * (np.eye(4, dtype=np.complex128) - sign * 1j * op)
+
+
+def sigma_projector_matrix(s: Multivector, h: float, sign: int) -> np.ndarray:
+    """The 4x4 half-projector matrix (1 -/+ i (s + h e0123)) / 2: one row of the array kernel."""
+    return sigma_projector_matrix_array(s.coeffs[None], [h], sign)[0]
 
 
 def sigma_projector(psi: SpinorC4, s: Multivector, h: float, sign: int) -> SpinorC4:
@@ -239,41 +325,58 @@ def projector_idempotency_residual(s: Multivector, h: float) -> float:
     return float(np.linalg.norm(half @ half - half))
 
 
-def class_limit(u: Multivector, which: str, ts=(1.0, 0.1, 0.01, 0.0), psi_even: Multivector | None = None):
-    """Degenerate a class-4 direction along a parametrized path.
+def class_limit_array(u, which: str, ts=(1.0, 0.1, 0.01, 0.0), psi_even=None) -> tuple:
+    """Degenerate a block of (N, 16) class-4 directions along a parametrized path.
 
     ``which = "h->0"`` scales the e3 component to zero (flagpole limit,
     class 5 at t=0); ``which = "s->0"`` scales the in-plane part to zero
     (dipole limit, class 6 at t=0).  At t=1 the input direction is
-    reproduced exactly.  Returns a list of (t, direction, spinor) triples.
+    reproduced exactly.  Returns the (T, N, 16) directions and the (T, N, 4)
+    standard columns of ``psi_even`` (default 1, else (N, 16) or one row)
+    projected by them, one slab per t.
     """
-    validate_direction(u)
+    u = np.asarray(u)
+    _check_directions(u, 1e-10)
     if psi_even is None:
-        psi_even = Multivector.scalar(1.0)
-    u1, u2, u3 = (float(u.coeffs[_IDX_VEC[k]]) for k in (1, 2, 3))
-    plane = float(np.hypot(u1, u2))
+        psi_even = _ONE[None]
+    u1, u2, u3 = (u[:, _IDX_VEC[k]] for k in (1, 2, 3))
+    plane = np.hypot(u1, u2)
     if which == "h->0":
-        if plane == 0.0:
+        if np.any(plane == 0.0):
             raise ValueError("direction is purely axial; no h->0 path from it")
     elif which == "s->0":
-        if u3 == 0.0:
+        if np.any(u3 == 0.0):
             raise ValueError("direction is purely in-plane; no s->0 path from it")
     else:
         raise ValueError("which must be 'h->0' or 's->0'")
 
-    out = []
+    directions, columns = [], []
     for t in ts:
         if which == "h->0":
             axial = t * u3
-            scale = np.sqrt(max(0.0, 1.0 - axial**2)) / plane
-            comp = np.array([u1 * scale, u2 * scale, axial])
+            scale = np.sqrt(np.maximum(0.0, 1.0 - np.float_power(axial, 2))) / plane
+            comp = np.stack([u1 * scale, u2 * scale, axial], axis=1)
         else:
             in_plane = t * plane
-            axial = np.sign(u3) * np.sqrt(max(0.0, 1.0 - in_plane**2))
-            if plane == 0.0:
-                comp = np.array([0.0, 0.0, axial])
-            else:
-                comp = np.array([u1 * t, u2 * t, axial])
-        direction = direction_element(comp)
-        out.append((float(t), direction, projection_spinor(psi_even, direction)))
-    return out
+            axial = np.sign(u3) * np.sqrt(np.maximum(0.0, 1.0 - np.float_power(in_plane, 2)))
+            comp = np.stack([u1 * t, u2 * t, axial], axis=1)
+            comp[plane == 0.0, :2] = 0.0
+        direction = np.zeros((len(u), DIM))  # direction_element, row by row
+        direction[:, _IDX_VEC[1:]] = comp / np.sqrt(np.vecdot(comp, comp))[:, None]
+        directions.append(direction)
+        columns.append(projection_spinor_array(psi_even, direction))
+    return np.stack(directions), np.stack(columns)
+
+
+def class_limit(u: Multivector, which: str, ts=(1.0, 0.1, 0.01, 0.0), psi_even: Multivector | None = None):
+    """Degenerate a class-4 direction along a parametrized path: ``class_limit_array`` of one row.
+
+    Returns a list of (t, direction, spinor) triples.
+    """
+    directions, columns = class_limit_array(
+        u.coeffs[None], which, ts, None if psi_even is None else psi_even.coeffs[None]
+    )
+    return [
+        (float(t), Multivector(d[0]), SpinorC4(col[0], "standard"))
+        for t, d, col in zip(ts, directions, columns)
+    ]

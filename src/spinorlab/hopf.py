@@ -52,7 +52,6 @@ from .algebra import (
     BLADE_INDEX,
     DIM,
     E0,
-    PRODUCT_INDEX,
     PRODUCT_SIGN,
     Multivector,
     Quaternion,
@@ -60,6 +59,7 @@ from .algebra import (
     QUAT_J,
     QUAT_K,
     hamilton_product,
+    product_array,
 )
 from .bilinears import SpinorC4, _moduli, _norms, _z_matrices, covariant_array
 from .gamma import SIMILARITY, gamma_rep
@@ -396,18 +396,12 @@ def even_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
 def even_to_ideal_array(coeffs, tol: float = 1e-10) -> np.ndarray:
     """Right-multiply each row of an (N, 16) block of even elements by the idempotent f.
 
-    Sums the products blade by blade in ``Multivector``'s order, so each row is
-    ``even_to_ideal`` of that row bit for bit; raises as it does.
+    Through ``algebra.product_array``, so each row is ``even_to_ideal`` of that
+    row bit for bit; raises as it does.
     """
     x = np.asarray(coeffs)
     _require_even_array(x, tol)
-    terms = (x[:, :, None] * _IDEAL_PROJECTOR.coeffs[None, None, :]) * PRODUCT_SIGN
-    out = np.zeros((len(x), DIM), dtype=terms.dtype)
-    # Multivector's np.add.at adds term (i, j) to slot PRODUCT_INDEX[i, j] in ravel
-    # order, so each slot sums over i in turn; each row of PRODUCT_INDEX is a permutation
-    for i in range(DIM):
-        out[:, PRODUCT_INDEX[i]] += terms[:, i]
-    return out
+    return product_array(x, _IDEAL_PROJECTOR.coeffs[None], PRODUCT_SIGN)
 
 
 def ideal_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:

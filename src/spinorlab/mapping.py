@@ -1,10 +1,12 @@
 """Conditions for a regular Dirac spinor to be mappable onto an ELKO.
 
 The conditions are bilinear constraints on the four components psi_r.  Every
-residual is computed twice: once with complex arithmetic (Re/Im of psi_i*
-psi_j) and once with explicitly real arithmetic on the split components
-psi_r = a_r + i b_r; the two routes must agree to rounding, which is itself a
-contract of this module.
+residual is computed twice: once with complex arithmetic (Re/Im of the
+complex product psi_i* psi_j) and once with explicitly real arithmetic on the
+split components psi_r = a_r + i b_r; the two routes must agree to rounding,
+which is itself a contract of this module.  ``condition_routes`` writes both routes once, over
+real and imaginary parts given as floats (``elko_map_conditions``) or as
+arrays over a block of spinors (``verify mapping``).
 
 A shared block of four constraints applies to all classes; one extra
 constraint each selects class 2 and class 3, and class 1 requires both.  The
@@ -34,36 +36,40 @@ class SingularSpinorError(ValueError):
     """Mappability is defined for regular spinors (classes 1-3) only."""
 
 
-def _re(u: complex, v: complex) -> float:
-    return float((np.conj(u) * v).real)
+def condition_routes(a, b) -> tuple[list, list]:
+    """Every condition's signed residual by both arithmetic routes.
 
-
-def _im(u: complex, v: complex) -> float:
-    return float((np.conj(u) * v).imag)
-
-
-def _shared_complex(c: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            _re(c[0], c[2]),
-            _re(c[1], c[3]),
-            _re(c[1], c[2]) + _re(c[0], c[3]),
-            _im(c[0], c[3]) - _im(c[1], c[2]) - 2.0 * _im(c[2], c[3]) - 2.0 * _im(c[0], c[1]),
-        ]
-    )
-
-
-def _shared_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ``a`` and ``b`` are the real and imaginary parts of psi_1..psi_4, each
+    four floats or four (N,) arrays.  The complex route forms Re and Im of
+    psi_i* psi_j as the complex product of conj(psi_i) and psi_j, written out
+    in real arithmetic as the scalar complex product computes it; the
+    component route uses a_i a_j + b_i b_j and a_i b_j - b_i a_j.  Each route
+    returns [shared_1..shared_4, extra_class2, extra_class3]; the complex
+    route appends the line-3 gap term 2 Im(psi_3* psi_4).
+    """
+    re = lambda i, j: a[i] * a[j] - (-b[i]) * b[j]
+    im = lambda i, j: a[i] * b[j] + (-b[i]) * a[j]
+    gap = 2.0 * im(2, 3)
+    complex_route = [
+        re(0, 2),
+        re(1, 3),
+        re(1, 2) + re(0, 3),
+        im(0, 3) - im(1, 2) - gap - 2.0 * im(0, 1),
+        re(0, 3) + im(1, 2),
+        im(0, 3) - im(1, 2) - 2.0 * im(0, 1),
+        gap,
+    ]
     re = lambda i, j: a[i] * a[j] + b[i] * b[j]
     im = lambda i, j: a[i] * b[j] - b[i] * a[j]
-    return np.array(
-        [
-            re(0, 2),
-            re(1, 3),
-            re(1, 2) + re(0, 3),
-            im(0, 3) - im(1, 2) - 2.0 * im(2, 3) - 2.0 * im(0, 1),
-        ]
-    )
+    component_route = [
+        re(0, 2),
+        re(1, 3),
+        re(1, 2) + re(0, 3),
+        im(0, 3) - im(1, 2) - 2.0 * im(2, 3) - 2.0 * im(0, 1),
+        re(0, 3) + im(1, 2),
+        im(0, 3) - im(1, 2) - 2.0 * im(0, 1),
+    ]
+    return complex_route, component_route
 
 
 @dataclass(frozen=True)
@@ -125,19 +131,9 @@ class ConditionReport:
 def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
     """Evaluate every mapping condition on the raw components of ``psi``."""
     c = psi.components
-    a = c.real
-    b = c.imag
-
-    shared = _shared_complex(c)
-    extra2 = _re(c[0], c[3]) + _im(c[1], c[2])
-    extra3 = _im(c[0], c[3]) - _im(c[1], c[2]) - 2.0 * _im(c[0], c[1])
-
-    shared_comp = _shared_components(a, b)
-    re = lambda i, j: a[i] * a[j] + b[i] * b[j]
-    im = lambda i, j: a[i] * b[j] - b[i] * a[j]
-    extra2_comp = re(0, 3) + im(1, 2)
-    extra3_comp = im(0, 3) - im(1, 2) - 2.0 * im(0, 1)
-
+    (*shared, extra2, extra3, gap), (*shared_comp, extra2_comp, extra3_comp) = condition_routes(
+        c.real.tolist(), c.imag.tolist()
+    )
     return ConditionReport(
         shared=np.abs(shared),
         extra_class2=abs(extra2),
@@ -145,7 +141,7 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
         shared_components=np.abs(shared_comp),
         extra_class2_components=abs(extra2_comp),
         extra_class3_components=abs(extra3_comp),
-        line3_vs_class3_gap=abs(2.0 * _im(c[2], c[3])),
+        line3_vs_class3_gap=abs(gap),
         scale=float(np.vdot(c, c).real),
         components=c,
     )

@@ -1,28 +1,36 @@
 """Bitwise oracles: the per-sample bodies that the array kernels and the blocked
-``verify fierz`` and ``verify hopf`` replaced.  The tests compare the kernels
-against them bit for bit."""
+``verify`` suites replaced.  The tests compare the kernels against them bit
+for bit."""
 
 import numpy as np
 
 from spinorlab import (
+    PSEUDOSCALAR,
+    ConditionReport,
     DegenerateProbeError,
+    FlagDipoleFrame,
     HopfPoint,
     Multivector,
     Quaternion,
     SpinorC4,
     aggregate_matrix_residual,
     bilinears,
+    classify,
     column_to_even,
     column_to_quaternions,
+    direction_element,
     even_to_column,
     even_to_ideal,
     fierz_residuals,
     gamma_rep,
     hopf_map_unnormalized,
     ideal_to_column,
+    mappability,
     quaternions_to_column,
 )
+from spinorlab.algebra import BLADE_GRADES, BLADE_INDEX, GRADE_2_PAIRS, lcontract, wedge
 from spinorlab.bilinears import _INVERSES, _MATRICES
+from spinorlab.cli import _random_admissible_direction
 
 _FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16))
 
@@ -186,4 +194,255 @@ def per_sample_suite_hopf(rng, samples, tol):
         ("norm_identity", worst_norm, worst_norm < tol),
         ("fiber_invariance", worst_fiber, worst_fiber < tol),
         ("representation_roundtrips", worst_round, worst_round < 1e-13),
+    ]
+
+
+# ---- flag-dipole -------------------------------------------------------------
+
+_IDX_VEC = [BLADE_INDEX[(i,)] for i in range(4)]
+
+
+def scalar_validate_direction(u, tol=1e-10):
+    """Check u is a real grade-1 spatial unit vector (u^2 = -1)."""
+    if u.is_complex:
+        raise ValueError("direction elements are real multivectors")
+    off_grade = np.linalg.norm(np.where(BLADE_GRADES == 1, 0, u.coeffs))
+    if off_grade > tol:
+        raise ValueError("direction element must be a pure 1-vector")
+    if abs(u.coeffs[_IDX_VEC[0]]) > tol:
+        raise ValueError("direction element must have no time component")
+    square = float((u * u).scalar_part().real)
+    if abs(square + 1.0) > tol:
+        raise ValueError(f"direction element must square to -1, got {square:g}")
+
+
+def scalar_projection_spinor(psi_even, u, tol=1e-10):
+    """Column spinor of Psi (1 + gamma_0 u)/2, with Multivector products."""
+    scalar_validate_direction(u, tol)
+    e0 = Multivector.blade(0)
+    projected = psi_even * ((Multivector.scalar(1.0) + e0 * u) * 0.5)
+    return even_to_column(projected, tol)
+
+
+def _minkowski_square(v):
+    return float((v * v).scalar_part().real)
+
+
+def scalar_frame_from_bilinears(b, tol=1e-9):
+    """(J, s, h) of one class-4 bilinear set, with one wedge per matrix entry."""
+    jmv = b.current_vector()
+    lead = int(np.argmax(np.abs(b.J)))
+    if abs(b.J[lead]) <= tol:
+        raise ValueError("current J vanishes; not a flag-dipole bilinear set")
+    h = float(b.K[lead] / b.J[lead])
+    rows = np.zeros((7, 4))
+    target = np.zeros(7)
+    for r, pair in enumerate(GRADE_2_PAIRS):
+        for c in range(4):
+            basis = np.zeros(4)
+            basis[c] = 1.0
+            w = wedge(jmv, Multivector.vector(basis))
+            rows[r, c] = w.coeffs[BLADE_INDEX[pair]]
+        target[r] = 2.0 * b.S[r]
+    for c in range(4):
+        basis = np.zeros(4)
+        basis[c] = 1.0
+        rows[6, c] = float(lcontract(jmv, Multivector.vector(basis)).scalar_part().real)
+    solution, *_ = np.linalg.lstsq(rows, target, rcond=None)
+    smv = Multivector.vector(solution)
+    hs = abs(h**2 - 1.0 - _minkowski_square(smv))
+    return FlagDipoleFrame(J=jmv, s=smv, h=h, consistent=hs <= tol * max(1.0, h**2))
+
+
+def scalar_type4_boomerang(frame, tol=1e-9):
+    if abs(_minkowski_square(frame.J)) > tol * max(1.0, frame.J.norm() ** 2):
+        raise ValueError("frame violates the null-current invariant")
+    ortho = abs(float(lcontract(frame.J, frame.s).scalar_part().real))
+    if ortho > tol * max(1.0, frame.J.norm() * frame.s.norm()):
+        raise ValueError("frame violates J . s = 0")
+    one = Multivector.scalar(1.0 + 0.0j)
+    tail = one + frame.s * 1j + PSEUDOSCALAR * (1j * frame.h)
+    return frame.J * tail
+
+
+def scalar_annihilator_residuals(frame, z=None):
+    if z is None:
+        z = scalar_type4_boomerang(frame)
+    znorm = max(1e-300, z.norm())
+    one = Multivector.scalar(1.0 + 0.0j)
+    plus = one + frame.s * 1j + PSEUDOSCALAR * (1j * frame.h)
+    minus = one - frame.s * 1j - PSEUDOSCALAR * (1j * frame.h)
+    flipped = one + frame.s * 1j - PSEUDOSCALAR * (1j * frame.h)
+    return {
+        "z_squared": (z * z).norm() / znorm**2,
+        "left": (plus * z).norm() / znorm,
+        "right": (z * minus).norm() / znorm,
+        "opposite_sign_left": (flipped * z).norm() / znorm,
+    }
+
+
+def scalar_sigma_projector_matrix(s, h, sign):
+    rep = gamma_rep("standard")
+    op = rep.mv_to_matrix(s) + h * rep.pseudoscalar
+    return 0.5 * (np.eye(4, dtype=np.complex128) - sign * 1j * op)
+
+
+def scalar_class_limit(u, which, ts=(1.0, 0.1, 0.01, 0.0), psi_even=None):
+    scalar_validate_direction(u)
+    if psi_even is None:
+        psi_even = Multivector.scalar(1.0)
+    u1, u2, u3 = (float(u.coeffs[_IDX_VEC[k]]) for k in (1, 2, 3))
+    plane = float(np.hypot(u1, u2))
+    if which == "h->0":
+        if plane == 0.0:
+            raise ValueError("direction is purely axial; no h->0 path from it")
+    elif which == "s->0":
+        if u3 == 0.0:
+            raise ValueError("direction is purely in-plane; no s->0 path from it")
+    else:
+        raise ValueError("which must be 'h->0' or 's->0'")
+    out = []
+    for t in ts:
+        if which == "h->0":
+            axial = t * u3
+            scale = np.sqrt(max(0.0, 1.0 - axial**2)) / plane
+            comp = np.array([u1 * scale, u2 * scale, axial])
+        else:
+            in_plane = t * plane
+            axial = np.sign(u3) * np.sqrt(max(0.0, 1.0 - in_plane**2))
+            if plane == 0.0:
+                comp = np.array([0.0, 0.0, axial])
+            else:
+                comp = np.array([u1 * t, u2 * t, axial])
+        direction = direction_element(comp)
+        out.append((float(t), direction, scalar_projection_spinor(psi_even, direction)))
+    return out
+
+
+def per_sample_suite_projectors(rng, samples, tol):
+    """``verify projectors`` one sample at a time, as it ran before the blocked suite."""
+    worst_class = 0.0
+    worst_ratio = worst_ann = worst_idem = 0.0
+    matrix_sum_exact = True
+    worst_apply = 0.0
+    limit_fail = 0.0
+    eye = np.eye(4, dtype=np.complex128)
+    for n in range(max(10, samples // 10)):
+        u = _random_admissible_direction(rng)
+        psi = scalar_projection_spinor(Multivector.scalar(1.0), u)
+        b = bilinears(psi)
+        if classify(b).label != 4:
+            worst_class = 1.0
+        frame = scalar_frame_from_bilinears(b)
+        ratio = float(np.max(np.abs(frame.h * b.J - b.K))) / max(1.0, float(np.max(np.abs(b.K))))
+        worst_ratio = max(worst_ratio, ratio)
+        res = scalar_annihilator_residuals(frame)
+        worst_ann = max(worst_ann, res["z_squared"], res["left"], res["right"])
+        half = scalar_sigma_projector_matrix(frame.s, frame.h, +1)
+        worst_idem = max(worst_idem, float(np.linalg.norm(half @ half - half)))
+        other = scalar_sigma_projector_matrix(frame.s, frame.h, -1)
+        if not np.array_equal(half + other, eye):
+            matrix_sum_exact = False
+        total = half @ psi.components + other @ psi.components
+        worst_apply = max(
+            worst_apply,
+            float(np.linalg.norm(total - psi.components)) / max(1.0, psi.norm()),
+        )
+        for which, terminal in (("h->0", 5), ("s->0", 6)):
+            path = scalar_class_limit(u, which)
+            if classify(bilinears(path[-1][2])).label != terminal:
+                limit_fail = 1.0
+    machine_floor = 64 * np.finfo(np.float64).eps
+    return [
+        ("projection_class_is_4", worst_class, worst_class == 0.0),
+        ("axial_ratio_K_equals_hJ", worst_ratio, worst_ratio < max(tol, 1e-9)),
+        ("boomerang_annihilators", worst_ann, worst_ann < max(tol, 1e-11)),
+        ("projector_idempotency", worst_idem, worst_idem < max(tol, 1e-10)),
+        ("projector_matrix_sum_is_identity", 0.0 if matrix_sum_exact else 1.0, matrix_sum_exact),
+        ("projector_apply_sum_at_machine_floor", worst_apply, worst_apply < machine_floor),
+        ("class_limits_reach_5_and_6", limit_fail, limit_fail == 0.0),
+    ]
+
+
+# ---- mapping -----------------------------------------------------------------
+
+
+def _re(u, v):
+    return float((np.conj(u) * v).real)
+
+
+def _im(u, v):
+    return float((np.conj(u) * v).imag)
+
+
+def scalar_elko_map_conditions(psi):
+    """The mapping conditions of one spinor, on numpy complex scalars and arrays."""
+    c = psi.components
+    a = c.real
+    b = c.imag
+    shared = np.array(
+        [
+            _re(c[0], c[2]),
+            _re(c[1], c[3]),
+            _re(c[1], c[2]) + _re(c[0], c[3]),
+            _im(c[0], c[3]) - _im(c[1], c[2]) - 2.0 * _im(c[2], c[3]) - 2.0 * _im(c[0], c[1]),
+        ]
+    )
+    extra2 = _re(c[0], c[3]) + _im(c[1], c[2])
+    extra3 = _im(c[0], c[3]) - _im(c[1], c[2]) - 2.0 * _im(c[0], c[1])
+    re = lambda i, j: a[i] * a[j] + b[i] * b[j]
+    im = lambda i, j: a[i] * b[j] - b[i] * a[j]
+    shared_comp = np.array(
+        [
+            re(0, 2),
+            re(1, 3),
+            re(1, 2) + re(0, 3),
+            im(0, 3) - im(1, 2) - 2.0 * im(2, 3) - 2.0 * im(0, 1),
+        ]
+    )
+    return ConditionReport(
+        shared=np.abs(shared),
+        extra_class2=abs(extra2),
+        extra_class3=abs(extra3),
+        shared_components=np.abs(shared_comp),
+        extra_class2_components=abs(re(0, 3) + im(1, 2)),
+        extra_class3_components=abs(im(0, 3) - im(1, 2) - 2.0 * im(0, 1)),
+        line3_vs_class3_gap=abs(2.0 * _im(c[2], c[3])),
+        scale=float(np.vdot(c, c).real),
+        components=c,
+    )
+
+
+def per_sample_suite_mapping(rng, samples, tol):
+    """``verify mapping`` one sample at a time, as it ran before the blocked suite."""
+    worst_route = 0.0
+    passes = 0
+    total = 0
+    witness_fail = 0.0
+    witnesses = {
+        1: np.array([2, 0, 1j, 0]),
+        2: np.array([1, 0, 0, 0], dtype=complex),
+        3: np.array([1j, 1j, 1, 1]),
+    }
+    for label, comp in witnesses.items():
+        scale = float(rng.uniform(0.5, 2.0))
+        phase = np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
+        psi = SpinorC4(comp * scale * phase, "standard")
+        if not scalar_elko_map_conditions(psi).satisfied(label, tol):
+            witness_fail = 1.0
+        verdict = mappability(psi, tol)
+        if verdict["class"] != label or not verdict[label]:
+            witness_fail = 1.0
+    for _ in range(samples):
+        psi = SpinorC4(rng.standard_normal(4) + 1j * rng.standard_normal(4), "standard")
+        report = scalar_elko_map_conditions(psi)
+        worst_route = max(worst_route, report.route_disagreement())
+        total += 1
+        if bool(np.all(report.shared <= tol * report.scale)):
+            passes += 1
+    rate = passes / max(1, total)
+    return [
+        ("route_agreement", worst_route, worst_route < 1e-12),
+        ("constructed_families_pass", witness_fail, witness_fail == 0.0),
+        ("random_pass_rate_below_1pc", rate, rate < 0.01),
     ]

@@ -31,8 +31,12 @@ from spinorlab.algebra import (
     BLADE_GRADES,
     BLADES,
     DIM,
+    LCONTRACT_SIGN,
     PRODUCT_INDEX,
     PRODUCT_SIGN,
+    WEDGE_SIGN,
+    _product,
+    product_array,
     scalar_product,
 )
 
@@ -269,3 +273,30 @@ def test_even_grades_are_exactly_the_quaternion_plus_pseudo_sector():
     # 4 trivectors, 1 pseudoscalar
     counts = np.bincount(BLADE_GRADES)
     np.testing.assert_array_equal(counts, [1, 4, 6, 4, 1])
+
+
+def _signed_rows(rng, n, complex_rows):
+    """Random (n, 16) rows with exact +0.0 and -0.0 entries mixed in."""
+    x = rng.standard_normal((n, DIM))
+    if complex_rows:
+        x = x + 1j * rng.standard_normal((n, DIM))
+        x.imag[rng.random(x.shape) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("table", [PRODUCT_SIGN, WEDGE_SIGN, LCONTRACT_SIGN], ids=["product", "wedge", "lcontract"])
+@pytest.mark.parametrize("x_complex, y_complex", [(False, False), (False, True), (True, False), (True, True)])
+def test_product_array_rows_are_the_scalar_products_bit_for_bit(table, x_complex, y_complex):
+    rng = np.random.default_rng(131)
+    x, y = _signed_rows(rng, 70, x_complex), _signed_rows(rng, 70, y_complex)
+    got = product_array(x, y, table)
+    want = np.array([_product(a, b, table) for a, b in zip(x, y)])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a block of one row is broadcast against the other
+    want = np.array([_product(x[0], b, table) for b in y])
+    assert np.array_equal(product_array(x[:1], y, table).view(np.int64), want.view(np.int64))
+    want = np.array([_product(a, y[0], table) for a in x])
+    assert np.array_equal(product_array(x, y[:1], table).view(np.int64), want.view(np.int64))

@@ -1,6 +1,5 @@
 """Command line interface: record formats, exit codes, determinism."""
 
-import dataclasses
 import importlib
 import io
 import json
@@ -15,7 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import class_spinor, mixed_spinors
-from oracles import per_sample_suite_fierz, per_sample_suite_hopf
+from oracles import (
+    per_sample_suite_fierz,
+    per_sample_suite_hopf,
+    per_sample_suite_mapping,
+    per_sample_suite_projectors,
+)
 from spinorlab import SpinorC4, cli
 from spinorlab.algebra import hamilton_product
 
@@ -524,6 +528,24 @@ def test_blocked_verify_hopf_prints_the_per_sample_suite_bytes(seed, tol, capsys
                                                  capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("seed, tol", [(1, None), (4, "1e-6")])
+def test_blocked_verify_projectors_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
+    # 1-11 and 99-100 requested samples run the floor of 10; 639, 641 and 1000 run
+    # 63, 64 and 100, the last across a block seam
+    block = cli._VERIFY_BLOCK
+    counts = (1, 9, 10, 11, 99, 100, 10 * block - 1, 10 * block + 1, 1000)
+    assert_blocked_suite_prints_the_oracle_bytes("projectors", per_sample_suite_projectors, counts,
+                                                 seed, tol, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("seed, tol", [(0, None), (3, None), (3, "1e-6")])
+def test_blocked_verify_mapping_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
+    block = cli._VERIFY_BLOCK
+    counts = (1, 9, 10, 11, 99, 100, 10 * block - 1, 10 * block + 1, 1000)
+    assert_blocked_suite_prints_the_oracle_bytes("mapping", per_sample_suite_mapping, counts,
+                                                 seed, tol, capsys, monkeypatch)
+
+
 def test_verify_fierz_fails_reconstruction_when_every_probe_is_degenerate(capsys, monkeypatch):
     def nothing_recovered(z, probes, rep):
         return np.zeros((len(z), 4), dtype=complex), np.zeros(len(z), dtype=bool)
@@ -578,35 +600,78 @@ def _act_on_the_left(mp):  # the fiber element multiplies u q, not q u
                lambda q1, q2, u: (hamilton_product(u, q1), hamilton_product(u, q2)))
 
 
+def _fault_the_routes(mp, fault):
+    """Replace condition_routes, in mapping and in cli, by ``fault(a, b, complex_route, component_route)``."""
+    exact = cli.condition_routes
+    faulty = lambda a, b: fault(a, b, *exact(a, b))
+    mp.setattr(importlib.import_module("spinorlab.mapping"), "condition_routes", faulty)
+    mp.setattr(cli, "condition_routes", faulty)
+
+
 def _tilt_the_component_route(mp):  # split-component shared residuals 1e-9 too large
-    module = importlib.import_module("spinorlab.mapping")
-    exact = module._shared_components
-    mp.setattr(module, "_shared_components", lambda a, b: exact(a, b) * (1 + 1e-9))
-
-
-def _fault_the_conditions(mp, fault):
-    """Replace elko_map_conditions, in cli and in mappability, by ``fault(psi, report)``."""
-    module = importlib.import_module("spinorlab.mapping")
-    exact = module.elko_map_conditions
-    faulty = lambda psi: fault(psi, exact(psi))
-    mp.setattr(module, "elko_map_conditions", faulty)
-    mp.setattr(cli, "elko_map_conditions", faulty)
+    _fault_the_routes(mp, lambda a, b, cx, comp: (cx, [r * (1 + 1e-9) for r in comp[:4]] + comp[4:]))
 
 
 def _flip_a_sign_in_extra_class3(mp):  # + Im(psi_2* psi_3) where the condition has -
-    im = importlib.import_module("spinorlab.mapping")._im
+    def fault(a, b, cx, comp):
+        im = lambda i, j: a[i] * b[j] - b[i] * a[j]
+        extra3 = im(0, 3) + im(1, 2) - 2.0 * im(0, 1)
+        return cx[:5] + [extra3] + cx[6:], comp[:5] + [extra3]
 
-    def fault(psi, report):
-        c = psi.components
-        extra3 = abs(im(c[0], c[3]) + im(c[1], c[2]) - 2.0 * im(c[0], c[1]))
-        return dataclasses.replace(report, extra_class3=extra3, extra_class3_components=extra3)
-
-    _fault_the_conditions(mp, fault)
+    _fault_the_routes(mp, fault)
 
 
 def _zero_the_shared_residuals(mp):  # every spinor meets the shared block
-    _fault_the_conditions(mp, lambda psi, report: dataclasses.replace(
-        report, shared=np.zeros(4), shared_components=np.zeros(4)))
+    _fault_the_routes(mp, lambda a, b, cx, comp: (
+        [0.0 * r for r in cx[:4]] + cx[4:], [0.0 * r for r in comp[:4]] + comp[4:]))
+
+
+def _tilt_gamma_0_in_the_projection(mp):  # Psi (1 + (gamma_0 + 1e-6 gamma_1) u)/2
+    module = importlib.import_module("spinorlab.flagdipole")
+    mp.setattr(module, "_E0", module._E0 + 1e-6 * np.eye(1, 16, 2))
+
+
+def _misread_the_axial_ratio(mp):  # h = K/J at J's dominant entry, 1e-6 too large
+    real = cli.frame_array
+
+    def misread(covariants):
+        J, s, h, consistent = real(covariants)
+        return J, s, h * (1 + 1e-6), consistent
+
+    mp.setattr(cli, "frame_array", misread)
+
+
+def _drop_h_from_the_boomerang(mp):  # Z = J (1 + i s), without i h e0123
+    module = importlib.import_module("spinorlab.flagdipole")
+    real = module.boomerang_array
+    mp.setattr(module, "boomerang_array", lambda J, s, h, tol=1e-9: real(J, s, 0.0 * h, tol))
+
+
+def _halve_the_projector_operator(mp):  # (1 -/+ i (s + h e0123)/2) / 2
+    real = cli.sigma_projector_matrix_array
+    mp.setattr(cli, "sigma_projector_matrix_array", lambda s, h, sign: real(s / 2, h / 2, sign))
+
+
+def _fault_the_minus_half(mp, fault):
+    """Replace the sign -1 half-projector matrices of verify projectors by ``fault(s, h)``."""
+    real = cli.sigma_projector_matrix_array
+    mp.setattr(cli, "sigma_projector_matrix_array",
+               lambda s, h, sign: real(s, h, sign) if sign == 1 else fault(s, h))
+
+
+def _stretch_the_minus_half_by_an_ulp(mp):  # the halves sum to (1 + 2^-52) on their minus part
+    real = cli.sigma_projector_matrix_array
+    _fault_the_minus_half(mp, lambda s, h: real(s, h, -1) * (1 + 2.0**-52))
+
+
+def _tilt_h_in_the_minus_half(mp):  # the minus half built with h 1e-12 too large
+    real = cli.sigma_projector_matrix_array
+    _fault_the_minus_half(mp, lambda s, h: real(s, h * (1 + 1e-12), -1))
+
+
+def _stop_the_limit_paths_short(mp):  # the paths end at t = 1e-3, not t = 0
+    real = cli.class_limit_array
+    mp.setattr(cli, "class_limit_array", lambda u, which: real(u, which, ts=(1.0, 0.1, 0.01, 1e-3)))
 
 
 # one small fault per check, in the kernel, table or function that the check covers
@@ -618,6 +683,13 @@ CHECK_FAULTS = {
     ("hopf", "representation_roundtrips"): _stretch_the_ideal_projector,
     ("hopf", "norm_identity"): _drop_the_factor_2_on_j1,
     ("hopf", "fiber_invariance"): _act_on_the_left,
+    ("projectors", "projection_class_is_4"): _tilt_gamma_0_in_the_projection,
+    ("projectors", "axial_ratio_K_equals_hJ"): _misread_the_axial_ratio,
+    ("projectors", "boomerang_annihilators"): _drop_h_from_the_boomerang,
+    ("projectors", "projector_idempotency"): _halve_the_projector_operator,
+    ("projectors", "projector_matrix_sum_is_identity"): _stretch_the_minus_half_by_an_ulp,
+    ("projectors", "projector_apply_sum_at_machine_floor"): _tilt_h_in_the_minus_half,
+    ("projectors", "class_limits_reach_5_and_6"): _stop_the_limit_paths_short,
     ("mapping", "route_agreement"): _tilt_the_component_route,
     ("mapping", "constructed_families_pass"): _flip_a_sign_in_extra_class3,
     ("mapping", "random_pass_rate_below_1pc"): _zero_the_shared_residuals,

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_even
+from oracles import (
+    scalar_annihilator_residuals,
+    scalar_class_limit,
+    scalar_frame_from_bilinears,
+    scalar_projection_spinor,
+    scalar_sigma_projector_matrix,
+    scalar_type4_boomerang,
+    scalar_validate_direction,
+)
 from spinorlab import (
+    FlagDipoleFrame,
     Multivector,
     aggregate,
     annihilator_residuals,
@@ -25,6 +35,15 @@ from spinorlab import (
     synthetic_frame,
     type4_boomerang,
     validate_direction,
+)
+from spinorlab.bilinears import covariant_array
+from spinorlab.flagdipole import (
+    annihilator_residual_array,
+    boomerang_array,
+    class_limit_array,
+    frame_array,
+    projection_spinor_array,
+    sigma_projector_matrix_array,
 )
 
 GENERIC_U = direction_element([0.3, 0.4, np.sqrt(1 - 0.25)])
@@ -228,3 +247,128 @@ def test_degeneration_path_validation():
         class_limit(planar, "s->0")
     with pytest.raises(ValueError, match="which"):
         class_limit(GENERIC_U, "sideways")
+
+
+# ---- array kernels against the per-sample bodies, bit for bit ------------------
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def kernel_block(seed=141, n=70):
+    """Admissible directions, operator spinors, their projections and frames, stacked."""
+    rng = np.random.default_rng(seed)
+    us = [random_admissible(rng) for _ in range(n)]
+    evens = [random_even(rng) for _ in range(n)]
+    psis = [scalar_projection_spinor(e, u) for e, u in zip(evens, us)]
+    frames = [scalar_frame_from_bilinears(bilinears(p)) for p in psis]
+    rows = lambda items: np.array([m.coeffs for m in items])
+    return us, evens, psis, frames, rows
+
+
+def test_projection_kernel_rows_are_the_scalar_projections_bit_for_bit():
+    us, evens, psis, _, rows = kernel_block()
+    block = projection_spinor_array(rows(evens), rows(us))
+    assert np.array_equal(bits(block), bits([p.components for p in psis]))
+    assert np.array_equal(bits(projection_spinor(evens[3], us[3]).components), bits(block[3]))
+    # the scalar 1 as one row, broadcast; a flagpole and a dipole direction among the rows
+    one = Multivector.scalar(1.0)
+    more = us + [direction_element([0.6, 0.8, 0.0]), direction_element([0.0, 0.0, -1.0])]
+    block = projection_spinor_array(one.coeffs[None], rows(more))
+    assert np.array_equal(bits(block), bits([scalar_projection_spinor(one, u).components for u in more]))
+
+
+def test_frame_kernel_rows_are_the_scalar_frames_bit_for_bit():
+    _, _, psis, frames, rows = kernel_block()
+    J, s, h, consistent = frame_array(covariant_array([p.components for p in psis], "standard"))
+    assert np.array_equal(bits(J), bits(rows(f.J for f in frames)))
+    assert np.array_equal(bits(s), bits(rows(f.s for f in frames)))
+    assert np.array_equal(bits(h), bits([f.h for f in frames]))
+    assert consistent.tolist() == [f.consistent for f in frames]
+    assert frame_from_bilinears(bilinears(psis[5])) == FlagDipoleFrame(
+        Multivector(J[5]), Multivector(s[5]), float(h[5]), bool(consistent[5]))
+
+
+def test_boomerang_and_annihilator_kernels_are_the_scalar_bodies_bit_for_bit():
+    _, _, _, frames, rows = kernel_block()
+    J, s, h = rows(f.J for f in frames), rows(f.s for f in frames), np.array([f.h for f in frames])
+    z = boomerang_array(J, s, h)
+    assert np.array_equal(bits(z), bits(rows(scalar_type4_boomerang(f) for f in frames)))
+    res = annihilator_residual_array(J, s, h)
+    want = [list(scalar_annihilator_residuals(f).values()) for f in frames]
+    assert np.array_equal(bits(res), bits(want))
+    # a given Z is used as it is
+    shifted = z * 1.5
+    res = annihilator_residual_array(J, s, h, shifted)
+    want = [list(scalar_annihilator_residuals(f, Multivector(c)).values()) for f, c in zip(frames, shifted)]
+    assert np.array_equal(bits(res), bits(want))
+    # the one-frame functions are rows of the block
+    assert np.array_equal(bits(type4_boomerang(frames[2]).coeffs), bits(z[2]))
+    one = annihilator_residuals(frames[2])
+    assert list(one) == ["z_squared", "left", "right", "opposite_sign_left"]
+    assert np.array_equal(bits(list(one.values())), bits(annihilator_residual_array(J, s, h)[2]))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_projector_matrix_kernel_is_the_scalar_matrix_bit_for_bit(sign):
+    _, _, _, frames, rows = kernel_block()
+    block = sigma_projector_matrix_array(rows(f.s for f in frames), [f.h for f in frames], sign)
+    want = [scalar_sigma_projector_matrix(f.s, f.h, sign) for f in frames]
+    assert np.array_equal(bits(block), bits(want))
+    assert np.array_equal(bits(sigma_projector_matrix(frames[4].s, frames[4].h, sign)), bits(block[4]))
+
+
+@pytest.mark.parametrize("which", ["h->0", "s->0"])
+def test_class_limit_kernel_builds_the_scalar_paths_bit_for_bit(which):
+    us, evens, _, _, rows = kernel_block(n=20)
+    for even in (None, evens):
+        directions, columns = class_limit_array(rows(us), which, psi_even=None if even is None else rows(even))
+        paths = [scalar_class_limit(u, which, psi_even=None if even is None else e)
+                 for u, e in zip(us, even or us)]
+        assert [t for t, _, _ in paths[0]] == [1.0, 0.1, 0.01, 0.0]
+        assert np.array_equal(bits(directions), bits([[d.coeffs for _, d, _ in p] for p in paths]).swapaxes(0, 1))
+        assert np.array_equal(bits(columns), bits([[c.components for _, _, c in p] for p in paths]).swapaxes(0, 1))
+    one = class_limit(us[7], which)
+    for k, (t, direction, psi) in enumerate(one):
+        assert np.array_equal(bits(direction.coeffs), bits(class_limit_array(rows(us), which)[0][k, 7]))
+        assert psi.rep == "standard"
+
+
+def test_flag_dipole_kernels_raise_the_per_sample_errors():
+    us, _, psis, frames, rows = kernel_block(n=6)
+    good = rows(us)
+    faulty = {
+        "pure 1-vector": good[2] + 1e-3 * np.eye(1, 16, 7)[0],
+        "no time component": good[2] + 1e-3 * np.eye(1, 16, 1)[0],
+        "square to -1": good[2] * 1.01,
+    }
+    for message, row in faulty.items():
+        block = good.copy()
+        block[4] = row
+        with pytest.raises(ValueError) as want:
+            scalar_validate_direction(Multivector(row))
+        for call in (lambda: projection_spinor_array(block[:1], block), lambda: class_limit_array(block, "h->0"),
+                     lambda: validate_direction(Multivector(row))):
+            with pytest.raises(ValueError, match=message) as got:
+                call()
+            assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="real multivectors"):
+        projection_spinor_array(good[:1], good + 0j)
+    # an odd operator spinor is refused by the even-grade test
+    with pytest.raises(ValueError, match="odd-grade support"):
+        projection_spinor_array(good[:1] + np.eye(1, 16, 1), good)
+    # a vanishing current, a current off the light cone, and an s not orthogonal to J
+    cov = covariant_array([p.components for p in psis], "standard")
+    cov[3, 1:5] = 0.0
+    with pytest.raises(ValueError, match="current J vanishes"):
+        frame_array(cov)
+    J, s, h = rows(f.J for f in frames), rows(f.s for f in frames), np.array([f.h for f in frames])
+    timelike = J.copy()
+    timelike[3, 1] *= 1.01
+    with pytest.raises(ValueError, match="null-current invariant"):
+        boomerang_array(timelike, s, h)
+    tilted = s + 1e-3 * J
+    tilted[:, 1] += 1e-3
+    with pytest.raises(ValueError, match="J . s = 0"):
+        annihilator_residual_array(J, tilted, h)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spinor
+from oracles import scalar_elko_map_conditions
 from spinorlab import (
     SingularSpinorError,
     SpinorC4,
@@ -13,6 +14,7 @@ from spinorlab import (
     elko_quartet,
     mappability,
 )
+from spinorlab.mapping import condition_routes
 
 # one-parameter families through each satisfying class, standard representation
 FAMILY = {
@@ -125,3 +127,36 @@ def test_satisfied_rejects_singular_labels():
     report = elko_map_conditions(SpinorC4([1, 0, 0, 0], "standard"))
     with pytest.raises(ValueError, match="labels 1, 2 and 3"):
         report.satisfied(5)
+
+
+def spinors_across_decades(seed=96):
+    """Standard spinors from 1e-60 to 1e60, with exact zeros and negative zeros among the parts."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((1210, 4)) + 1j * rng.standard_normal((1210, 4))
+    v *= np.repeat(10.0 ** np.arange(-60, 61), 10)[:, None]
+    v[rng.random(v.shape) < 0.15] = 0.0
+    v.real[rng.random(v.shape) < 0.1] = -0.0
+    v.imag[rng.random(v.shape) < 0.1] = -0.0
+    return v
+
+
+def test_conditions_are_the_complex_scalar_arithmetic_bit_for_bit():
+    fields = ("shared", "extra_class2", "extra_class3", "shared_components", "extra_class2_components",
+              "extra_class3_components", "line3_vs_class3_gap", "scale", "components")
+    for comp in spinors_across_decades():
+        psi = SpinorC4(comp, "standard")
+        got, want = elko_map_conditions(psi), scalar_elko_map_conditions(psi)
+        for field in fields:
+            a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
+
+
+def test_condition_routes_on_arrays_are_the_float_routes_bit_for_bit():
+    v = spinors_across_decades(97)
+    block = condition_routes(v.real.T, v.imag.T)
+    rows = [condition_routes(c.real.tolist(), c.imag.tolist()) for c in v]
+    for route, width in ((0, 7), (1, 6)):
+        assert len(block[route]) == width
+        for k in range(width):
+            want = np.array([r[route][k] for r in rows])
+            assert np.array_equal(block[route][k].view(np.int64), want.view(np.int64))
