@@ -143,6 +143,14 @@ _DUAL_SIGN = PRODUCT_SIGN[-1, 5:11]
 _PAIRS = np.array(GRADE_2_PAIRS).T
 
 
+def _components(v) -> np.ndarray:
+    """``v`` as an (N, 4) complex128 block of spinor components; ValueError for any other shape."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) component array, got shape {v.shape}")
+    return v
+
+
 def covariant_array(components, rep: str = "chiral", tol: float = 1e-10) -> np.ndarray:
     """The sixteen covariants of each row of an (N, 4) component array, as (N, 16).
 
@@ -152,9 +160,7 @@ def covariant_array(components, rep: str = "chiral", tol: float = 1e-10) -> np.n
     max(1, psi^dagger psi); the forms are Hermitian, so that can only happen
     on an internal fault.
     """
-    v = np.asarray(components, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) component array, got shape {v.shape}")
+    v = _components(components)
     # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
     # so each value is bit for bit the one-form-at-a-time result (einsum is not)
     z = np.vecdot(v[:, None, :], (_MATRICES[rep][0] @ v[:, None, :, None])[..., 0])

@@ -76,6 +76,7 @@ from .elko import (
 from .flagdipole import (
     annihilator_residual_array,
     class_limit_array,
+    direction_array,
     direction_element,
     frame_array,
     projection_spinor,
@@ -624,7 +625,8 @@ def _suite_hopf(rng: np.random.Generator, samples: int, tol: float) -> list[tupl
     ]
 
 
-def _random_admissible_direction(rng: np.random.Generator) -> Multivector:
+def _random_admissible_direction(rng: np.random.Generator) -> np.ndarray:
+    """A random unit 3-vector clear of the class-5 plane and the class-6 axis."""
     while True:
         raw = rng.standard_normal(3)
         norm = np.linalg.norm(raw)
@@ -632,7 +634,7 @@ def _random_admissible_direction(rng: np.random.Generator) -> Multivector:
             continue
         raw /= norm
         if 0.05 < abs(raw[2]) < 0.95:
-            return direction_element(raw)
+            return raw
 
 
 _SCALAR_ONE = Multivector.scalar(1.0).coeffs[None]
@@ -645,8 +647,8 @@ def _suite_projectors(rng: np.random.Generator, samples: int, tol: float) -> lis
     eye = np.eye(4, dtype=np.complex128)
     count = max(10, samples // 10)
     for start in range(0, count, _VERIFY_BLOCK):
-        u = np.array([_random_admissible_direction(rng).coeffs
-                      for _ in range(min(_VERIFY_BLOCK, count - start))])
+        u = direction_array([_random_admissible_direction(rng)
+                             for _ in range(min(_VERIFY_BLOCK, count - start))])
         psi = projection_spinor_array(_SCALAR_ONE, u)
         cov = covariant_array(psi, "standard")
         J, s, h, _ = frame_array(cov)

@@ -103,7 +103,7 @@ def elko_rest(phi: WeylC2, conjugacy: str = "self") -> ElkoSpinor:
     if conjugacy not in CONJUGACY_LABELS:
         raise ValueError(f"conjugacy must be one of {CONJUGACY_LABELS}")
     v = phi.components
-    if np.allclose(v, 0):
+    if not np.any(v):
         raise ValueError("cannot build an ELKO on the zero 2-spinor")
     upper = _SIGMA2 @ v.conj()
     lower = v if conjugacy == "self" else -v
@@ -187,7 +187,7 @@ def elko_dual(lam: ElkoSpinor) -> np.ndarray:
 def weyl_spinor(phi: WeylC2, chirality: str = "left") -> SpinorC4:
     """Single-handed (class 6) spinor: phi in one chiral block, zero in the other."""
     v = phi.components
-    if np.allclose(v, 0):
+    if not np.any(v):
         raise ValueError("cannot build a Weyl spinor on the zero 2-spinor")
     zero = np.zeros(2, dtype=np.complex128)
     if chirality == "left":

@@ -12,15 +12,18 @@ where h = <u e3>_0 is the Minkowski pairing with the third axis.  The complex
 combination Z = J (1 + i s + i h e0123) squares to zero and is annihilated by
 (1 + i s + i h e0123) from the left and (1 - i s - i h e0123) from the right.
 
-The array kernels work on blocks of N rows of 16 blade coefficients:
-``projection_spinor_array`` on directions, ``frame_array`` on covariants,
+The array kernels work on blocks of N rows: ``direction_array`` turns (N, 3)
+components into (N, 16) unit directions, ``projection_spinor_array`` and
+``class_limit_array`` work on directions, ``frame_array`` on covariants, and
 ``boomerang_array``, ``annihilator_residual_array`` and
-``sigma_projector_matrix_array`` on frames (J, s, h), and
-``class_limit_array`` on directions, with the checks and errors of the
-one-row functions, which are their one-row calls.  Products run through
-``algebra.product_array`` and matrices through ``bilinears._z_matrices``, so
-every row equals the ``Multivector`` computation bit for bit, by the rules of
-``spinorlab.bilinears``.
+``sigma_projector_matrix_array`` on frames (J, s, h).  Each operation has one
+arithmetic body, its kernel: ``direction_element``, ``projection_spinor``,
+``validate_direction``, ``frame_from_bilinears``, ``type4_boomerang``,
+``annihilator_residuals``, ``sigma_projector_matrix`` and ``class_limit`` are
+one-row calls of the kernels, with the same checks and errors.  Products run
+through ``algebra.product_array`` and matrices through
+``bilinears._z_matrices``, so every row equals the ``Multivector``
+computation bit for bit, by the rules of ``spinorlab.bilinears``.
 """
 
 from __future__ import annotations
@@ -56,15 +59,30 @@ _PS = PSEUDOSCALAR.coeffs
 _BASIS = np.eye(4, DIM, 1)
 
 
-def direction_element(components3) -> Multivector:
-    """Spatial unit 1-vector from 3 components (normalized if needed)."""
-    comp = np.asarray(components3, dtype=np.float64)
-    if comp.shape != (3,):
+def direction_array(components) -> np.ndarray:
+    """The (N, 16) spatial unit 1-vectors of an (N, 3) block of direction components.
+
+    Each row is divided by its Euclidean norm ``np.sqrt(np.vecdot(x, x))``,
+    the BLAS dot product that ``np.linalg.norm`` runs on one row.  Raises
+    ValueError if the block is not (N, 3) or a row is zero.
+    """
+    comp = np.asarray(components, dtype=np.float64)
+    if comp.ndim != 2 or comp.shape[1] != 3:
         raise ValueError("a spatial direction needs 3 components")
-    norm = float(np.linalg.norm(comp))
-    if norm == 0.0:
+    norm = np.sqrt(np.vecdot(comp, comp))
+    if np.any(norm == 0.0):
         raise ValueError("the zero vector is not a direction")
-    return Multivector.vector(np.concatenate(([0.0], comp / norm)))
+    u = np.zeros((len(comp), DIM))
+    u[:, _IDX_VEC[1:]] = comp / norm[:, None]
+    return u
+
+
+def direction_element(components3) -> Multivector:
+    """Spatial unit 1-vector from 3 components (normalized if needed).
+
+    One row of ``direction_array``.
+    """
+    return Multivector(direction_array([components3])[0])
 
 
 def _check_directions(u: np.ndarray, tol: float) -> None:
@@ -361,10 +379,8 @@ def class_limit_array(u, which: str, ts=(1.0, 0.1, 0.01, 0.0), psi_even=None) ->
             axial = np.sign(u3) * np.sqrt(np.maximum(0.0, 1.0 - np.float_power(in_plane, 2)))
             comp = np.stack([u1 * t, u2 * t, axial], axis=1)
             comp[plane == 0.0, :2] = 0.0
-        direction = np.zeros((len(u), DIM))  # direction_element, row by row
-        direction[:, _IDX_VEC[1:]] = comp / np.sqrt(np.vecdot(comp, comp))[:, None]
-        directions.append(direction)
-        columns.append(projection_spinor_array(psi_even, direction))
+        directions.append(direction_array(comp))
+        columns.append(projection_spinor_array(psi_even, directions[-1]))
     return np.stack(directions), np.stack(columns)
 
 

@@ -16,20 +16,29 @@ fiber coordinates and both satisfy the norm identity, which is surfaced by
 the comparison report rather than reconciled.
 
 The array kernels work on blocks of N standard-representation columns.  A
-quaternion is a (w, x, y, z) tuple of (N,) arrays, multiplied elementwise by
-``algebra.hamilton_product``.  ``column_to_quaternions_array``,
-``quaternions_to_column_array``, ``column_to_even_array``,
-``even_to_column_array``, ``even_to_ideal_array`` and ``ideal_to_column_array``
-are the dictionary on (N, 4) columns and (N, 16) coefficients, with the checks
-and errors of the one-column functions.  ``hopf_map_array`` is the quaternion
-route of ``hopf_map_unnormalized`` and ``fiber_action_array`` its right action;
-``hopf_from_components_array`` is the component route, and
-``hopf_from_components`` its one-row call; ``norm_identity_residual_array``
-measures either route against the norm identity.  ``hopf_report_array``
-builds the route report of each row of a block in either representation, and
-``hopf_routes_report`` and ``instanton_obstruction`` are its one-row calls.
+quaternion is a (w, x, y, z) tuple of (N,) arrays, or of floats for one
+quaternion, multiplied elementwise by ``algebra.hamilton_product``.
+``column_to_quaternions_array``, ``quaternions_to_column_array``,
+``column_to_even_array``, ``even_to_column_array``, ``even_to_ideal_array``
+and ``ideal_to_column_array`` are the dictionary on (N, 4) columns and
+(N, 16) coefficients.  ``hopf_map_array`` is the quaternion route and
+``fiber_action_array`` its right action; ``hopf_from_components_array`` is
+the component route; ``norm_identity_residual_array`` measures either route
+against the norm identity.  ``hopf_report_array`` builds the route report of
+each row of a block in either representation.
 
-Every kernel row equals the one-column result bit for bit, by the rules of
+Each operation has one arithmetic body, its kernel.  The one-column functions
+are one-row calls of it: ``column_to_quaternions``, ``quaternions_to_column``,
+``column_to_even``, ``even_to_column``, ``even_to_ideal`` and
+``ideal_to_column`` of the dictionary kernels, ``hopf_map_unnormalized`` of
+``hopf_map_array``, ``hopf_from_components`` of the component route, and
+``hopf_routes_report`` and ``instanton_obstruction`` of ``hopf_report_array``.
+Each keeps its own representation check and error text.
+``even_to_quaternions`` has no kernel and reads the even coefficients
+directly.
+
+Every kernel row equals the per-column ``Multivector``, ``Quaternion`` and
+complex-scalar arithmetic it replaced bit for bit, by the rules of
 ``spinorlab.bilinears``: Python's ``x ** 2`` is ``np.float_power``, the norm of
 a real row is ``np.sqrt(np.vecdot(x, x))`` and of a complex row
 ``bilinears._norms``, the scalar ``abs`` of a complex128 is
@@ -61,8 +70,8 @@ from .algebra import (
     hamilton_product,
     product_array,
 )
-from .bilinears import SpinorC4, _moduli, _norms, _z_matrices, covariant_array
-from .gamma import SIMILARITY, gamma_rep
+from .bilinears import SpinorC4, _components, _moduli, _norms, _z_matrices, covariant_array
+from .gamma import SIMILARITY
 
 _EVEN_MASK = (BLADE_GRADES % 2) == 0
 
@@ -78,9 +87,6 @@ _IDX_PS = BLADE_INDEX[(0, 1, 2, 3)]
 class QuaternionPair(NamedTuple):
     q1: Quaternion
     q2: Quaternion
-
-    def norm_squared(self) -> float:
-        return self.q1.norm_squared() + self.q2.norm_squared()
 
     def right_multiplied(self, u: Quaternion) -> "QuaternionPair":
         """The fiber action: multiply both quaternions by u on the right."""
@@ -103,12 +109,6 @@ class HopfPoint(NamedTuple):
         return float(np.linalg.norm(self.as_array()))
 
 
-def _require_even(mv: Multivector, tol: float) -> None:
-    odd = np.linalg.norm(np.where(_EVEN_MASK, 0, mv.coeffs))
-    if odd > tol * max(1.0, mv.norm()):
-        raise ValueError(f"multivector has odd-grade support (norm {odd:g})")
-
-
 _ONE = Multivector.scalar(1.0 + 0.0j)
 _IDEAL_PROJECTOR = (_ONE + E0) * (_ONE + Multivector.blade(1, 2) * 1j) * 0.25
 
@@ -118,80 +118,58 @@ def ideal_projector() -> Multivector:
     return Multivector(_IDEAL_PROJECTOR.coeffs)
 
 
+def _standard_row(psi: SpinorC4, dictionary: str) -> np.ndarray:
+    """The components of a standard-representation column as a one-row block."""
+    if psi.rep != "standard":
+        raise ValueError(f"the {dictionary} dictionary is tied to the standard representation")
+    return psi.components[None]
+
+
+def _wxyz(q: Quaternion) -> tuple:
+    """The (w, x, y, z) floats of a quaternion: one quaternion for the array kernels."""
+    return q.w, q.x, q.y, q.z
+
+
 def even_to_ideal(psi_even: Multivector, tol: float = 1e-10) -> Multivector:
-    """Right-multiply an even element by the idempotent f (complexifies)."""
-    _require_even(psi_even, tol)
-    return psi_even * _IDEAL_PROJECTOR
+    """Right-multiply an even element by the idempotent f (complexifies).
+
+    One row of ``even_to_ideal_array``.
+    """
+    return Multivector(even_to_ideal_array(psi_even.coeffs[None], tol)[0])
 
 
 def ideal_to_column(xi: Multivector, tol: float = 1e-10) -> SpinorC4:
-    """Read the column of an ideal element off its standard-rep matrix."""
-    m = gamma_rep("standard").mv_to_matrix(xi)
-    rest = np.linalg.norm(m[:, 1:])
-    if rest > tol * max(1.0, np.linalg.norm(m)):
-        raise ValueError("element is not in the minimal left ideal of f")
-    return SpinorC4(m[:, 0], "standard")
+    """Read the column of an ideal element off its standard-rep matrix.
+
+    One row of ``ideal_to_column_array``.
+    """
+    return SpinorC4(ideal_to_column_array(xi.coeffs[None], tol)[0], "standard")
 
 
 def even_to_column(psi_even: Multivector, tol: float = 1e-10) -> SpinorC4:
-    """Column components of an even operator spinor (standard representation)."""
-    _require_even(psi_even, tol)
-    c = psi_even.coeffs
-    comp = np.array(
-        [
-            c[0] - 1j * c[_IDX_12],
-            -c[_IDX_13] - 1j * c[_IDX_23],
-            -c[_IDX_03] + 1j * c[_IDX_PS],
-            -c[_IDX_01] - 1j * c[_IDX_02],
-        ]
-    )
-    return SpinorC4(comp, "standard")
+    """Column components of an even operator spinor: one row of ``even_to_column_array``."""
+    return SpinorC4(even_to_column_array(psi_even.coeffs[None], tol)[0], "standard")
 
 
 def column_to_even(psi: SpinorC4) -> Multivector:
-    """Even operator spinor of a standard-representation column."""
-    if psi.rep != "standard":
-        raise ValueError("the even dictionary is tied to the standard representation")
-    p = psi.components
-    c = np.zeros(DIM)
-    c[0] = p[0].real
-    c[_IDX_12] = -p[0].imag
-    c[_IDX_13] = -p[1].real
-    c[_IDX_23] = -p[1].imag
-    c[_IDX_03] = -p[2].real
-    c[_IDX_PS] = p[2].imag
-    c[_IDX_01] = -p[3].real
-    c[_IDX_02] = -p[3].imag
-    return Multivector(c)
+    """Even operator spinor of a standard-representation column: one row of the array kernel."""
+    return Multivector(column_to_even_array(_standard_row(psi, "even"))[0])
 
 
 def column_to_quaternions(psi: SpinorC4) -> QuaternionPair:
-    """Quaternion pair of a standard-representation column spinor."""
-    if psi.rep != "standard":
-        raise ValueError("the quaternion dictionary is tied to the standard representation")
-    p = psi.components
-    q1 = Quaternion(p[0].real, -p[1].imag, p[1].real, -p[0].imag)
-    q2 = Quaternion(p[2].imag, p[3].real, p[3].imag, p[2].real)
-    return QuaternionPair(q1, q2)
+    """Quaternion pair of a standard-representation column: one row of the array kernel."""
+    q1, q2 = column_to_quaternions_array(_standard_row(psi, "quaternion"))
+    return QuaternionPair(Quaternion(*(c[0] for c in q1)), Quaternion(*(c[0] for c in q2)))
 
 
 def quaternions_to_column(pair: QuaternionPair) -> SpinorC4:
-    """Inverse of :func:`column_to_quaternions`."""
-    q1, q2 = pair
-    comp = np.array(
-        [
-            q1.w - 1j * q1.z,
-            q1.y - 1j * q1.x,
-            q2.z + 1j * q2.w,
-            q2.x + 1j * q2.y,
-        ]
-    )
-    return SpinorC4(comp, "standard")
+    """Inverse of :func:`column_to_quaternions`: one row of ``quaternions_to_column_array``."""
+    return SpinorC4(quaternions_to_column_array(*(_wxyz(q) for q in pair)), "standard")
 
 
 def even_to_quaternions(psi_even: Multivector, tol: float = 1e-10) -> QuaternionPair:
     """Quaternion pair straight from the even coefficients."""
-    _require_even(psi_even, tol)
+    _require_even_array(psi_even.coeffs[None], tol)
     c = psi_even.coeffs
     q1 = Quaternion(c[0], c[_IDX_23], -c[_IDX_13], c[_IDX_12])
     q2 = Quaternion(c[_IDX_PS], -c[_IDX_01], -c[_IDX_02], -c[_IDX_03])
@@ -207,17 +185,12 @@ def hopf_map(pair: QuaternionPair, tol: float = 1e-9) -> HopfPoint:
 
 
 def hopf_map_unnormalized(pair: QuaternionPair) -> tuple[float, HopfPoint]:
-    """Radius sigma = |q1|^2 + |q2|^2 and the (unnormalized) image point."""
-    q1, q2 = pair
-    q1c = q1.conjugate()
-    point = HopfPoint(
-        J0=q1.norm_squared() - q2.norm_squared(),
-        J1=2.0 * (q1c * QUAT_I * q2).w,
-        J2=2.0 * (q1c * QUAT_J * q2).w,
-        J3=2.0 * (q1c * QUAT_K * q2).w,
-        omega=2.0 * (q1c * q2).w,
-    )
-    return pair.norm_squared(), point
+    """Radius sigma = |q1|^2 + |q2|^2 and the (unnormalized) image point.
+
+    One row of ``hopf_map_array``.
+    """
+    sigma, point = hopf_map_array(*(_wxyz(q) for q in pair))
+    return float(sigma), HopfPoint(*point.tolist())
 
 
 def hopf_from_components(psi: SpinorC4) -> tuple[float, HopfPoint]:
@@ -275,13 +248,6 @@ def instanton_obstruction(psi: SpinorC4) -> dict:
 # ---- array kernels ---------------------------------------------------------
 
 
-def _components(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) component array, got shape {v.shape}")
-    return v
-
-
 def column_to_quaternions_array(components) -> tuple[tuple, tuple]:
     """The quaternion pairs (q1, q2) of an (N, 4) block of standard-representation columns."""
     v = _components(components)
@@ -290,9 +256,12 @@ def column_to_quaternions_array(components) -> tuple[tuple, tuple]:
 
 
 def quaternions_to_column_array(q1, q2) -> np.ndarray:
-    """Inverse of ``column_to_quaternions_array``: the (N, 4) columns."""
+    """Inverse of ``column_to_quaternions_array``: the (N, 4) columns.
+
+    Quaternions of floats, one pair, give one (4,) column.
+    """
     return np.stack(
-        [q1[0] - 1j * q1[3], q1[2] - 1j * q1[1], q2[3] + 1j * q2[0], q2[1] + 1j * q2[2]], axis=1
+        [q1[0] - 1j * q1[3], q1[2] - 1j * q1[1], q2[3] + 1j * q2[0], q2[1] + 1j * q2[2]], axis=-1
     )
 
 
@@ -302,21 +271,22 @@ def _norm_squared(q) -> np.ndarray:
     return w + x + y + z
 
 
-_UNITS = [(q.w, q.x, q.y, q.z) for q in (QUAT_I, QUAT_J, QUAT_K)]
+_UNITS = [_wxyz(q) for q in (QUAT_I, QUAT_J, QUAT_K)]
 
 
 def hopf_map_array(q1, q2) -> tuple[np.ndarray, np.ndarray]:
     """The (N,) radii sigma and (N, 5) image points of quaternion pairs: the quaternion route.
 
-    Row n is ``hopf_map_unnormalized`` of pair n, (J0, J1, J2, J3, omega) with
+    Row n is the image of pair n, (J0, J1, J2, J3, omega) with
     J0 = |q1|^2 - |q2|^2, J_k = 2 Re(q1* u_k q2) for u = i, j, k and
-    omega = 2 Re(q1* q2).
+    omega = 2 Re(q1* q2).  Quaternions of floats, one pair, give a float
+    sigma and a (5,) point.
     """
     n1, n2 = _norm_squared(q1), _norm_squared(q2)
     q1c = (q1[0], -q1[1], -q1[2], -q1[3])
     block = [2.0 * hamilton_product(hamilton_product(q1c, u), q2)[0] for u in _UNITS]
     omega = 2.0 * hamilton_product(q1c, q2)[0]
-    return n1 + n2, np.stack([n1 - n2, *block, omega], axis=1)
+    return n1 + n2, np.stack([n1 - n2, *block, omega], axis=-1)
 
 
 def norm_identity_residual_array(sigma, points) -> np.ndarray:
@@ -377,7 +347,7 @@ def _require_even_array(c: np.ndarray, tol: float) -> None:
 def even_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
     """The (N, 4) standard columns of an (N, 16) block of even operator spinors.
 
-    Raises ValueError, as ``even_to_column``, for the first row with odd-grade support.
+    Raises ValueError for the first row with odd-grade support.
     """
     c = np.asarray(coeffs)
     _require_even_array(c, tol)
@@ -396,8 +366,9 @@ def even_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
 def even_to_ideal_array(coeffs, tol: float = 1e-10) -> np.ndarray:
     """Right-multiply each row of an (N, 16) block of even elements by the idempotent f.
 
-    Through ``algebra.product_array``, so each row is ``even_to_ideal`` of that
-    row bit for bit; raises as it does.
+    Through ``algebra.product_array``, so each row is the ``Multivector``
+    product of that row and f bit for bit; raises ValueError for the first row
+    with odd-grade support.
     """
     x = np.asarray(coeffs)
     _require_even_array(x, tol)
@@ -407,7 +378,7 @@ def even_to_ideal_array(coeffs, tol: float = 1e-10) -> np.ndarray:
 def ideal_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
     """The (N, 4) columns of an (N, 16) block of minimal-left-ideal elements.
 
-    Raises ValueError, as ``ideal_to_column``, when a row is not in the ideal.
+    Raises ValueError when a row is not in the ideal.
     """
     m = _z_matrices(coeffs, "standard")
     rest = _norms(m[:, :, 1:].reshape(-1, 12))

@@ -6,31 +6,27 @@ import numpy as np
 
 from spinorlab import (
     PSEUDOSCALAR,
+    QUAT_I,
+    QUAT_J,
+    QUAT_K,
     ConditionReport,
     DegenerateProbeError,
     FlagDipoleFrame,
     HopfPoint,
     Multivector,
     Quaternion,
+    QuaternionPair,
     SpinorC4,
     aggregate_matrix_residual,
     bilinears,
     classify,
-    column_to_even,
-    column_to_quaternions,
-    direction_element,
-    even_to_column,
-    even_to_ideal,
     fierz_residuals,
     gamma_rep,
-    hopf_map_unnormalized,
-    ideal_to_column,
+    ideal_projector,
     mappability,
-    quaternions_to_column,
 )
-from spinorlab.algebra import BLADE_GRADES, BLADE_INDEX, GRADE_2_PAIRS, lcontract, wedge
+from spinorlab.algebra import BLADE_GRADES, BLADE_INDEX, DIM, GRADE_2_PAIRS, lcontract, wedge
 from spinorlab.bilinears import _INVERSES, _MATRICES
-from spinorlab.cli import _random_admissible_direction
 
 _FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16))
 
@@ -105,6 +101,109 @@ def per_sample_suite_fierz(rng, samples, tol):
     ]
 
 
+# ---- hopf dictionary ----------------------------------------------------------
+
+_EVEN_MASK = (BLADE_GRADES % 2) == 0
+_IDX_12 = BLADE_INDEX[(1, 2)]
+_IDX_13 = BLADE_INDEX[(1, 3)]
+_IDX_23 = BLADE_INDEX[(2, 3)]
+_IDX_01 = BLADE_INDEX[(0, 1)]
+_IDX_02 = BLADE_INDEX[(0, 2)]
+_IDX_03 = BLADE_INDEX[(0, 3)]
+_IDX_PS = BLADE_INDEX[(0, 1, 2, 3)]
+
+
+def _scalar_require_even(mv, tol):
+    odd = np.linalg.norm(np.where(_EVEN_MASK, 0, mv.coeffs))
+    if odd > tol * max(1.0, mv.norm()):
+        raise ValueError(f"multivector has odd-grade support (norm {odd:g})")
+
+
+def scalar_even_to_ideal(psi_even, tol=1e-10):
+    """Right-multiply an even element by the idempotent f, with the ``Multivector`` product."""
+    _scalar_require_even(psi_even, tol)
+    return psi_even * ideal_projector()
+
+
+def scalar_ideal_to_column(xi, tol=1e-10):
+    """The column of an ideal element, read off its one standard-rep matrix."""
+    m = gamma_rep("standard").mv_to_matrix(xi)
+    rest = np.linalg.norm(m[:, 1:])
+    if rest > tol * max(1.0, np.linalg.norm(m)):
+        raise ValueError("element is not in the minimal left ideal of f")
+    return SpinorC4(m[:, 0], "standard")
+
+
+def scalar_even_to_column(psi_even, tol=1e-10):
+    """Column components of an even operator spinor, on numpy scalars."""
+    _scalar_require_even(psi_even, tol)
+    c = psi_even.coeffs
+    comp = np.array(
+        [
+            c[0] - 1j * c[_IDX_12],
+            -c[_IDX_13] - 1j * c[_IDX_23],
+            -c[_IDX_03] + 1j * c[_IDX_PS],
+            -c[_IDX_01] - 1j * c[_IDX_02],
+        ]
+    )
+    return SpinorC4(comp, "standard")
+
+
+def scalar_column_to_even(psi):
+    """Even operator spinor of a standard column, one slot at a time."""
+    if psi.rep != "standard":
+        raise ValueError("the even dictionary is tied to the standard representation")
+    p = psi.components
+    c = np.zeros(DIM)
+    c[0] = p[0].real
+    c[_IDX_12] = -p[0].imag
+    c[_IDX_13] = -p[1].real
+    c[_IDX_23] = -p[1].imag
+    c[_IDX_03] = -p[2].real
+    c[_IDX_PS] = p[2].imag
+    c[_IDX_01] = -p[3].real
+    c[_IDX_02] = -p[3].imag
+    return Multivector(c)
+
+
+def scalar_column_to_quaternions(psi):
+    """Quaternion pair of a standard column."""
+    if psi.rep != "standard":
+        raise ValueError("the quaternion dictionary is tied to the standard representation")
+    p = psi.components
+    q1 = Quaternion(p[0].real, -p[1].imag, p[1].real, -p[0].imag)
+    q2 = Quaternion(p[2].imag, p[3].real, p[3].imag, p[2].real)
+    return QuaternionPair(q1, q2)
+
+
+def scalar_quaternions_to_column(pair):
+    """Inverse of ``scalar_column_to_quaternions``, on Python complex numbers."""
+    q1, q2 = pair
+    comp = np.array(
+        [
+            q1.w - 1j * q1.z,
+            q1.y - 1j * q1.x,
+            q2.z + 1j * q2.w,
+            q2.x + 1j * q2.y,
+        ]
+    )
+    return SpinorC4(comp, "standard")
+
+
+def scalar_hopf_map_unnormalized(pair):
+    """Radius and image point of one pair, with ``Quaternion`` products."""
+    q1, q2 = pair
+    q1c = q1.conjugate()
+    point = HopfPoint(
+        J0=q1.norm_squared() - q2.norm_squared(),
+        J1=2.0 * (q1c * QUAT_I * q2).w,
+        J2=2.0 * (q1c * QUAT_J * q2).w,
+        J3=2.0 * (q1c * QUAT_K * q2).w,
+        omega=2.0 * (q1c * q2).w,
+    )
+    return q1.norm_squared() + q2.norm_squared(), point
+
+
 def scalar_hopf_from_components(psi):
     """The component route of one standard column, with numpy scalar arithmetic."""
     p = psi.components
@@ -120,7 +219,7 @@ def scalar_hopf_from_components(psi):
 def scalar_hopf_routes_report(psi):
     """The route report of one spinor, through the one-column dictionary."""
     psi_std = psi.in_rep("standard")
-    sigma_q, point_q = hopf_map_unnormalized(column_to_quaternions(psi_std))
+    sigma_q, point_q = scalar_hopf_map_unnormalized(scalar_column_to_quaternions(psi_std))
     sigma_c, point_c = scalar_hopf_from_components(psi_std)
     b = bilinears(psi_std)
     direct = {
@@ -170,25 +269,25 @@ def per_sample_suite_hopf(rng, samples, tol):
         comp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         comp /= np.linalg.norm(comp)
         psi = SpinorC4(comp, "standard")
-        pair = column_to_quaternions(psi)
-        sigma, point = hopf_map_unnormalized(pair)
+        pair = scalar_column_to_quaternions(psi)
+        sigma, point = scalar_hopf_map_unnormalized(pair)
         worst_norm = max(worst_norm, abs(point.norm() ** 2 - sigma**2))
         angles = rng.standard_normal(4)
         u = Quaternion(*(angles / np.linalg.norm(angles)))
         moved = pair.right_multiplied(u)
-        sigma_m, point_m = hopf_map_unnormalized(moved)
+        sigma_m, point_m = scalar_hopf_map_unnormalized(moved)
         worst_fiber = max(
             worst_fiber,
             float(np.max(np.abs(point_m.as_array() - point.as_array()))),
             abs(sigma_m - sigma),
         )
-        back = quaternions_to_column(pair)
+        back = scalar_quaternions_to_column(pair)
         worst_round = max(worst_round, float(np.linalg.norm(back.components - psi.components)))
-        even = column_to_even(psi)
-        back2 = even_to_column(even)
+        even = scalar_column_to_even(psi)
+        back2 = scalar_even_to_column(even)
         worst_round = max(worst_round, float(np.linalg.norm(back2.components - psi.components)))
-        ideal = even_to_ideal(even)
-        back3 = ideal_to_column(ideal)
+        ideal = scalar_even_to_ideal(even)
+        back3 = scalar_ideal_to_column(ideal)
         worst_round = max(worst_round, float(np.linalg.norm(back3.components - psi.components)))
     return [
         ("norm_identity", worst_norm, worst_norm < tol),
@@ -200,6 +299,29 @@ def per_sample_suite_hopf(rng, samples, tol):
 # ---- flag-dipole -------------------------------------------------------------
 
 _IDX_VEC = [BLADE_INDEX[(i,)] for i in range(4)]
+
+
+def scalar_direction_element(components3):
+    """Spatial unit 1-vector from 3 components, normalized by ``np.linalg.norm``."""
+    comp = np.asarray(components3, dtype=np.float64)
+    if comp.shape != (3,):
+        raise ValueError("a spatial direction needs 3 components")
+    norm = float(np.linalg.norm(comp))
+    if norm == 0.0:
+        raise ValueError("the zero vector is not a direction")
+    return Multivector.vector(np.concatenate(([0.0], comp / norm)))
+
+
+def per_sample_random_admissible_direction(rng):
+    """One ``verify projectors`` direction, drawn and built as a ``Multivector``."""
+    while True:
+        raw = rng.standard_normal(3)
+        norm = np.linalg.norm(raw)
+        if norm < 1e-6:
+            continue
+        raw /= norm
+        if 0.05 < abs(raw[2]) < 0.95:
+            return scalar_direction_element(raw)
 
 
 def scalar_validate_direction(u, tol=1e-10):
@@ -221,7 +343,7 @@ def scalar_projection_spinor(psi_even, u, tol=1e-10):
     scalar_validate_direction(u, tol)
     e0 = Multivector.blade(0)
     projected = psi_even * ((Multivector.scalar(1.0) + e0 * u) * 0.5)
-    return even_to_column(projected, tol)
+    return scalar_even_to_column(projected, tol)
 
 
 def _minkowski_square(v):
@@ -314,7 +436,7 @@ def scalar_class_limit(u, which, ts=(1.0, 0.1, 0.01, 0.0), psi_even=None):
                 comp = np.array([0.0, 0.0, axial])
             else:
                 comp = np.array([u1 * t, u2 * t, axial])
-        direction = direction_element(comp)
+        direction = scalar_direction_element(comp)
         out.append((float(t), direction, scalar_projection_spinor(psi_even, direction)))
     return out
 
@@ -328,7 +450,7 @@ def per_sample_suite_projectors(rng, samples, tol):
     limit_fail = 0.0
     eye = np.eye(4, dtype=np.complex128)
     for n in range(max(10, samples // 10)):
-        u = _random_admissible_direction(rng)
+        u = per_sample_random_admissible_direction(rng)
         psi = scalar_projection_spinor(Multivector.scalar(1.0), u)
         b = bilinears(psi)
         if classify(b).label != 4:

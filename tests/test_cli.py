@@ -205,6 +205,21 @@ def test_make_then_classify_pipeline(tmp_path, capsys):
     assert json.loads(out)["class"] == 4
 
 
+@pytest.mark.parametrize("argv, label", [
+    (["elko", "--alpha", "1e-9"], 5),
+    (["elko", "--alpha", "0", "--beta", "1e-9j"], 5),
+    (["weyl", "--phi", "1e-9,0"], 6),
+    (["weyl", "--phi", "0,1e-30", "--chirality", "right"], 6),
+])
+def test_make_builds_on_tiny_two_spinors(argv, label, capsys, monkeypatch):
+    # only the zero 2-spinor is refused: classify accepts a norm down to about 1.2e-77
+    code, out, _ = run(["make", *argv], capsys)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(["classify", "-", "--json"], capsys)
+    assert (code, json.loads(out)["class"]) == (0, label)
+
+
 @pytest.mark.parametrize("suite", ["fierz", "hopf", "projectors", "mapping"])
 def test_verify_suites_pass(suite, capsys):
     code, out, _ = run(["verify", suite, "--samples", "40", "--seed", "3"], capsys)
@@ -786,6 +801,7 @@ def test_an_unusable_tol_is_malformed_input(capsys, monkeypatch, command, tol):
     (["flagdipole", "--u", "0,0,0"], "the zero vector is not a direction"),
     (["weyl", "--phi", "0,0"], "cannot build a Weyl spinor on the zero 2-spinor"),
     (["elko", "--p", "1e200,0,0", "--m", "1"], "the parameters give non-finite components"),
+    (["elko", "--alpha", "0", "--beta", "0"], "cannot build an ELKO on the zero 2-spinor"),
 ])
 def test_make_rejects_bad_parameters_as_malformed_input(capsys, argv, message):
     code, out, err = run(["make", *argv], capsys)

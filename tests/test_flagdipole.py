@@ -7,6 +7,7 @@ from conftest import random_even
 from oracles import (
     scalar_annihilator_residuals,
     scalar_class_limit,
+    scalar_direction_element,
     scalar_frame_from_bilinears,
     scalar_projection_spinor,
     scalar_sigma_projector_matrix,
@@ -37,10 +38,12 @@ from spinorlab import (
     validate_direction,
 )
 from spinorlab.bilinears import covariant_array
+from spinorlab.cli import _random_admissible_direction
 from spinorlab.flagdipole import (
     annihilator_residual_array,
     boomerang_array,
     class_limit_array,
+    direction_array,
     frame_array,
     projection_spinor_array,
     sigma_projector_matrix_array,
@@ -372,3 +375,43 @@ def test_flag_dipole_kernels_raise_the_per_sample_errors():
     tilted[:, 1] += 1e-3
     with pytest.raises(ValueError, match="J . s = 0"):
         annihilator_residual_array(J, tilted, h)
+
+
+def direction_rows():
+    """The projectors suite's draws for seeds 0-19, then non-unit, axial, planar and signed-zero rows."""
+    rngs = [np.random.default_rng(seed) for seed in range(20)]
+    rows = [_random_admissible_direction(rng) for rng in rngs for _ in range(50)]
+    rows += [[3.0, 4.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -2.5], [1.0, 0.0, 0.0], [0.6, -0.8, 0.0],
+             [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -3.0, -0.0], [1e-300, 0.0, 1.0],
+             [0.3, 0.4, 0.866025403784], [1e150, -2e150, 3e150], [7.0, 7.0, 7.0]]
+    return np.array(rows)
+
+
+def test_direction_kernel_is_the_scalar_direction_element_bit_for_bit():
+    rows = direction_rows()
+    block = direction_array(rows)
+    want = [scalar_direction_element(row).coeffs for row in rows]
+    assert np.array_equal(bits(block), bits(want))
+    for n in (0, 999, 1000, 1005, 1006, 1007, len(rows) - 1):
+        assert np.array_equal(bits(direction_element(rows[n]).coeffs), bits(block[n]))
+    assert direction_element([3, 4, 0]).vector_components().tolist() == [0.0, 0.6, 0.8, 0.0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.0, 0.0, 0.0], "the zero vector is not a direction"),
+    ([-0.0, 0.0, -0.0], "the zero vector is not a direction"),
+    ([1.0, 2.0], "a spatial direction needs 3 components"),
+    ([1.0, 2.0, 3.0, 4.0], "a spatial direction needs 3 components"),
+    ([[1.0, 2.0, 3.0]], "a spatial direction needs 3 components"),
+])
+def test_direction_errors_keep_their_text(bad, message):
+    with pytest.raises(ValueError) as want:
+        scalar_direction_element(bad)
+    with pytest.raises(ValueError) as got:
+        direction_element(bad)
+    assert str(got.value) == str(want.value) == message
+    # a zero row after good ones; a block of the wrong shape
+    block = [[0.3, 0.4, 0.5], bad] if message.startswith("the zero") else [bad]
+    with pytest.raises(ValueError) as got:
+        direction_array(block)
+    assert str(got.value) == message

@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 
 from conftest import mixed_spinors, random_unit_spinor
-from oracles import scalar_hopf_from_components, scalar_hopf_routes_report, scalar_instanton_obstruction
+from oracles import (
+    scalar_column_to_even,
+    scalar_column_to_quaternions,
+    scalar_even_to_column,
+    scalar_even_to_ideal,
+    scalar_hopf_from_components,
+    scalar_hopf_map_unnormalized,
+    scalar_hopf_routes_report,
+    scalar_ideal_to_column,
+    scalar_instanton_obstruction,
+    scalar_quaternions_to_column,
+)
 from spinorlab import (
     Multivector,
     Quaternion,
@@ -276,6 +287,9 @@ def test_obstruction_rejects_the_zero_column():
 
 
 # ---- array kernels against the one-column functions, bit for bit ------------
+# The one-column functions of the library are one-row calls of the kernels, so
+# the kernels are checked against the scalar one-column bodies they replaced,
+# kept in ``oracles`` as ``scalar_*``.
 
 
 def same_bits(got, want):
@@ -348,19 +362,19 @@ def test_dictionary_kernels_equal_the_one_column_functions_bit_for_bit(batch):
     ideal = even_to_ideal_array(even)
     ideal_back = ideal_to_column_array(ideal)
     for n, psi in enumerate(spinors):
-        pair = column_to_quaternions(psi)
+        pair = scalar_column_to_quaternions(psi)
         assert same_bits([q[n] for q in (*q1, *q2)], [*pair.q1.components(), *pair.q2.components()])
         moved = pair.right_multiplied(Quaternion(*(c[n] for c in u)))
         assert same_bits([q[n] for q in (*m1, *m2)], [*moved.q1.components(), *moved.q2.components()])
-        one_sigma, one_point = hopf_map_unnormalized(pair)
+        one_sigma, one_point = scalar_hopf_map_unnormalized(pair)
         assert same_bits([sigma[n], *point[n]], [one_sigma, *one_point])
-        assert same_bits(back[n], quaternions_to_column(pair).components)
-        one_even = column_to_even(psi)
+        assert same_bits(back[n], scalar_quaternions_to_column(pair).components)
+        one_even = scalar_column_to_even(psi)
         assert same_bits(even[n], one_even.coeffs)
-        assert same_bits(even_back[n], even_to_column(one_even).components)
-        one_ideal = even_to_ideal(one_even)
+        assert same_bits(even_back[n], scalar_even_to_column(one_even).components)
+        one_ideal = scalar_even_to_ideal(one_even)
         assert same_bits(ideal[n], one_ideal.coeffs)
-        assert same_bits(ideal_back[n], ideal_to_column(one_ideal).components)
+        assert same_bits(ideal_back[n], scalar_ideal_to_column(one_ideal).components)
 
 
 def test_both_routes_round_their_squares_as_the_one_column_functions_do():
@@ -372,7 +386,7 @@ def test_both_routes_round_their_squares_as_the_one_column_functions_do():
     sigma_c, point_c = hopf_from_components_array(columns)
     for n, column in enumerate(columns):
         psi = SpinorC4(column, "standard")
-        sigma, point = hopf_map_unnormalized(column_to_quaternions(psi))
+        sigma, point = scalar_hopf_map_unnormalized(scalar_column_to_quaternions(psi))
         assert same_bits([sigma_q[n], *point_q[n]], [sigma, *point])
         sigma, point = scalar_hopf_from_components(psi)
         assert same_bits([sigma_c[n], *point_c[n]], [sigma, *point])
@@ -383,16 +397,77 @@ def test_dictionary_kernels_raise_the_one_column_errors():
     even = column_to_even_array(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
     odd = even.copy()
     odd[3] += 1e-3 * (BLADE_GRADES % 2)
-    for array_fn, one_fn in ((even_to_column_array, even_to_column), (even_to_ideal_array, even_to_ideal)):
-        with pytest.raises(ValueError) as one:
-            one_fn(Multivector(odd[3]))
+    pairs = (
+        (even_to_column_array, even_to_column, scalar_even_to_column),
+        (even_to_ideal_array, even_to_ideal, scalar_even_to_ideal),
+        (lambda c: even_to_quaternions(Multivector(c[3])), even_to_quaternions, scalar_even_to_column),
+    )
+    for array_fn, one_fn, scalar_fn in pairs:
+        with pytest.raises(ValueError) as want:
+            scalar_fn(Multivector(odd[3]))
         with pytest.raises(ValueError, match="odd-grade support") as block:
             array_fn(odd)
-        assert str(block.value) == str(one.value)
+        with pytest.raises(ValueError) as one:
+            one_fn(Multivector(odd[3]))
+        assert str(block.value) == str(one.value) == str(want.value)
     ideal = even_to_ideal_array(even)
     ideal[2] = even[2]  # an even element is not in the ideal of f
-    with pytest.raises(ValueError) as one:
-        ideal_to_column(Multivector(ideal[2]))
+    with pytest.raises(ValueError) as want:
+        scalar_ideal_to_column(Multivector(ideal[2]))
     with pytest.raises(ValueError) as block:
         ideal_to_column_array(ideal)
-    assert str(block.value) == str(one.value) == "element is not in the minimal left ideal of f"
+    with pytest.raises(ValueError) as one:
+        ideal_to_column(Multivector(ideal[2]))
+    assert str(block.value) == str(one.value) == str(want.value)
+    assert str(want.value) == "element is not in the minimal left ideal of f"
+
+
+def test_dictionary_functions_are_one_row_calls_of_their_kernels(batch):
+    spinors = [psi.in_rep("standard") for psi in batch]
+    # signed zeros in every slot, and a column with every part a negative zero
+    spinors += [SpinorC4(np.array([-0.0, 0.5 - 0.0j, complex(-0.0, 2.0), 0.0]), "standard"),
+                SpinorC4(np.full(4, complex(-0.0, -0.0)), "standard")]
+    columns = np.array([psi.components for psi in spinors])
+    q1, q2 = column_to_quaternions_array(columns)
+    sigma, point = hopf_map_array(q1, q2)
+    back = quaternions_to_column_array(q1, q2)
+    even = column_to_even_array(columns)
+    ideal = even_to_ideal_array(even)
+    # complex even elements: a phase on the operator spinor, with exact zeros off the even grades
+    phased = even * np.exp(0.7j)
+    same = lambda got, row, want: same_bits(got, row) and same_bits(got, want)
+    for n, psi in enumerate(spinors):
+        pair, want_pair = column_to_quaternions(psi), scalar_column_to_quaternions(psi)
+        assert same([*pair.q1.components(), *pair.q2.components()], [q[n] for q in (*q1, *q2)],
+                    [*want_pair.q1.components(), *want_pair.q2.components()])
+        assert same(quaternions_to_column(pair).components, back[n], scalar_quaternions_to_column(pair).components)
+        (one_sigma, one_point), (want_sigma, want_point) = (f(pair) for f in (
+            hopf_map_unnormalized, scalar_hopf_map_unnormalized))
+        assert same([one_sigma, *one_point], [sigma[n], *point[n]], [want_sigma, *want_point])
+        assert same(column_to_even(psi).coeffs, even[n], scalar_column_to_even(psi).coeffs)
+        for block in (even, phased):
+            mv = Multivector(block[n])
+            assert same(even_to_column(mv).components, even_to_column_array(block)[n],
+                        scalar_even_to_column(mv).components)
+        assert same(even_to_ideal(Multivector(even[n])).coeffs, ideal[n],
+                    scalar_even_to_ideal(Multivector(even[n])).coeffs)
+        assert same(ideal_to_column(Multivector(ideal[n])).components, ideal_to_column_array(ideal)[n],
+                    scalar_ideal_to_column(Multivector(ideal[n])).components)
+
+
+def test_hopf_map_unnormalized_takes_pairs_of_plain_numbers():
+    pair = QuaternionPair(Quaternion(2, 0, 0, 0), Quaternion(0, 1, 0, 0))
+    sigma, point = hopf_map_unnormalized(pair)
+    assert (sigma, point) == scalar_hopf_map_unnormalized(pair) == (5.0, (3.0, -4.0, 0.0, 0.0, 0.0))
+    assert all(type(x) is float for x in (sigma, *point))
+
+
+@pytest.mark.parametrize("fn, name", [(column_to_even, "even"), (column_to_quaternions, "quaternion")])
+def test_column_dictionaries_refuse_chiral_columns_with_the_scalar_text(fn, name):
+    scalar_fn = {"even": scalar_column_to_even, "quaternion": scalar_column_to_quaternions}[name]
+    psi = SpinorC4([1, 0, 0, 0], "chiral")
+    with pytest.raises(ValueError) as want:
+        scalar_fn(psi)
+    with pytest.raises(ValueError) as got:
+        fn(psi)
+    assert str(got.value) == str(want.value) == f"the {name} dictionary is tied to the standard representation"
