@@ -110,7 +110,9 @@ class BilinearSet:
         return Multivector(c)
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.sigma], self.J, self.S, self.K, [self.omega]))
+        out = np.empty(16)
+        out[0], out[1:5], out[5:11], out[11:15], out[15] = self.sigma, self.J, self.S, self.K, self.omega
+        return out
 
 
 # e^mu = g^{mu mu} e_mu: the algebra's basis vectors carry lower indices
@@ -164,10 +166,9 @@ def covariant_array(components, rep: str = "chiral", tol: float = 1e-10) -> np.n
     # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
     # so each value is bit for bit the one-form-at-a-time result (einsum is not)
     z = np.vecdot(v[:, None, :], (_MATRICES[rep][0] @ v[:, None, :, None])[..., 0])
-    scale = np.maximum(1.0, np.vecdot(v, v).real)
-    bad = np.argwhere(np.abs(z.imag) > tol * scale[:, None])
-    if len(bad):
-        row, n = bad[0]
+    bad = np.abs(z.imag) > tol * np.maximum(1.0, z[:, 1:2].real)  # J^0 = psi^dagger psi
+    if bad.any():
+        row, n = np.argwhere(bad)[0]
         raise GammaDictionaryError(
             f"bilinear {n} has imaginary residue {float(z[row, n].imag):g}; gamma dictionary broken"
         )
@@ -180,9 +181,9 @@ def bilinears(psi: SpinorC4, tol: float = 1e-10) -> BilinearSet:
     values = covariant_array(psi.components[None], psi.rep, tol)[0]
     return BilinearSet(
         sigma=float(values[0]),
-        J=values[1:5].copy(),
-        S=values[5:11].copy(),
-        K=values[11:15].copy(),
+        J=values[1:5],
+        S=values[5:11],
+        K=values[11:15],
         omega=float(values[15]),
         rep=psi.rep,
     )

@@ -53,10 +53,12 @@ def magnitude_array(covariants) -> np.ndarray:
     """
     c = np.asarray(covariants, dtype=float)
     c = np.ldexp(c, -np.frexp(c[:, 1:2])[1])
-    norm = lambda x: np.sqrt(np.vecdot(x, x))
-    columns = (np.abs(c[:, 1]), norm(c[:, 1:5]), np.abs(c[:, 0]), np.abs(c[:, 15]),
-               norm(c[:, 11:15]), norm(c[:, 5:11]))
-    return np.stack(columns, axis=1)
+    out = np.empty((len(c), 6))
+    for col, k in ((0, 1), (2, 0), (3, 15)):
+        np.abs(c[:, k], out=out[:, col])
+    for col, part in ((1, c[:, 1:5]), (4, c[:, 11:15]), (5, c[:, 5:11])):
+        np.sqrt(np.vecdot(part, part), out=out[:, col])
+    return out
 
 
 def lounesto_class(magnitudes, tol: float = 1e-10) -> LounestoClass:
@@ -71,16 +73,14 @@ def lounesto_class(magnitudes, tol: float = 1e-10) -> LounestoClass:
     the marginal flag.
     """
     j0, jnorm, *values = magnitudes
-    mags = dict(zip(_FIELDS, values))
     threshold = tol * j0
 
     if jnorm <= threshold and all(v <= threshold for v in values):
         raise NullSpinorError("all bilinear covariants vanish; cannot classify the zero spinor")
 
-    nz = {k: v > threshold for k, v in mags.items()}
-    marginal_fields = tuple(
-        k for k, v in mags.items() if threshold / 10.0 < v < threshold * 10.0
-    )
+    nz = dict(zip(_FIELDS, [v > threshold for v in values]))
+    low, high = threshold / 10.0, threshold * 10.0
+    marginal_fields = tuple([k for k, v in zip(_FIELDS, values) if low < v < high])
 
     if nz["sigma"] or nz["omega"]:
         if nz["sigma"] and nz["omega"]:

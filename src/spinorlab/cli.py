@@ -17,8 +17,9 @@ The record subcommands stream: they read, compute and write one chunk of
 peak memory does not grow with the input.
 
 Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
-|psi| outside ~1.2e-77..3.4e38, a ``--tol`` that is not a finite number above 0
-and ``make`` parameters its builders refuse included), 2 when a classify or
+|psi| outside ~1.2e-77..3.4e38, a ``--tol`` that is not a finite number above 0,
+``make`` parameters its builders refuse and ``make`` spinors outside that range
+included), 2 when a classify or
 hopf record carries an error or a verify suite fails.  map-check notes null and
 singular spinors and exits 0.  A malformed record exits 1 after the records of
 the chunks before it have been written.
@@ -172,14 +173,19 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _finite(values: list[complex], where: str) -> np.ndarray:
-    if not all(map(cmath.isfinite, values)):
-        raise CliInputError(f"{where}: non-finite component entry")
+def _check_norm(values, where: str) -> None:
+    """Refuse finite components whose spinor norm is outside what the record subcommands accept."""
     norm = math.hypot(*[x for z in values for x in (z.real, z.imag)])  # no over- or underflow
     if norm > _MAX_NORM:
         raise CliInputError(f"{where}: spinor norm above {_MAX_NORM:.3g} is out of range")
     if 0.0 < norm < _MIN_NORM:
         raise CliInputError(f"{where}: nonzero spinor norm below {_MIN_NORM:.3g} is out of range")
+
+
+def _finite(values: list[complex], where: str) -> np.ndarray:
+    if not all(map(cmath.isfinite, values)):
+        raise CliInputError(f"{where}: non-finite component entry")
+    _check_norm(values, where)
     return np.array(values)
 
 
@@ -423,7 +429,7 @@ def _map_check_record(doc: SpinorDocument, tol: float) -> dict:
     record = _head(doc)
     record.update(
         {
-            "shared_residuals": [float(x) for x in report.shared],
+            "shared_residuals": report.shared.tolist(),
             "extra_class2": float(report.extra_class2),
             "extra_class3": float(report.extra_class3),
             "route_disagreement": float(report.route_disagreement()),
@@ -469,6 +475,7 @@ def _make_records(args) -> list[dict]:
     def add(spinor: SpinorC4, label: str, momentum=None, mass=None) -> None:
         if not all(map(cmath.isfinite, spinor.components)):
             raise CliInputError(f"{label}: the parameters give non-finite components")
+        _check_norm(spinor.components.tolist(), label)
         comp = [[float(c.real), float(c.imag)] for c in spinor.components]
         record: dict = {"components": comp, "rep": spinor.rep, "label": label}
         if momentum is not None:

@@ -62,13 +62,18 @@ _BASIS = np.eye(4, DIM, 1)
 def direction_array(components) -> np.ndarray:
     """The (N, 16) spatial unit 1-vectors of an (N, 3) block of direction components.
 
-    Each row is divided by its Euclidean norm ``np.sqrt(np.vecdot(x, x))``,
-    the BLAS dot product that ``np.linalg.norm`` runs on one row.  Raises
+    Each row is first scaled by the power of two that brings its largest
+    |component| into [0.5, 1), then divided by its Euclidean norm
+    ``np.sqrt(np.vecdot(x, x))``, the BLAS dot product that ``np.linalg.norm``
+    runs on one row.  The scaling is exact, so a row whose squares are normal
+    doubles gets the bits of the unscaled division, and any finite nonzero row
+    gives a unit vector: the squares can no longer over- or underflow.  Raises
     ValueError if the block is not (N, 3) or a row is zero.
     """
     comp = np.asarray(components, dtype=np.float64)
     if comp.ndim != 2 or comp.shape[1] != 3:
         raise ValueError("a spatial direction needs 3 components")
+    comp = np.ldexp(comp, -np.frexp(np.abs(comp).max(axis=1, keepdims=True))[1])
     norm = np.sqrt(np.vecdot(comp, comp))
     if np.any(norm == 0.0):
         raise ValueError("the zero vector is not a direction")

@@ -101,7 +101,7 @@ class ConditionReport:
     def route_disagreement(self) -> float:
         """Largest gap between the complex and component arithmetic routes."""
         gaps = [
-            float(np.max(np.abs(self.shared - self.shared_components))),
+            float(abs(self.shared - self.shared_components).max()),
             abs(self.extra_class2 - self.extra_class2_components),
             abs(self.extra_class3 - self.extra_class3_components),
         ]
@@ -114,7 +114,7 @@ class ConditionReport:
         ``tol * |psi|^2`` and the verdict does not change when psi is rescaled.
         """
         threshold = tol * self.scale
-        shared_ok = bool(np.all(self.shared <= threshold))
+        shared_ok = bool(self.shared.max() <= threshold)
         if label == 2:
             return shared_ok and self.extra_class2 <= threshold
         if label == 3:

@@ -9,11 +9,13 @@ from spinorlab import (
     QUAT_I,
     QUAT_J,
     QUAT_K,
+    BilinearInconsistencyError,
     ConditionReport,
     DegenerateProbeError,
     FlagDipoleFrame,
     HopfPoint,
     Multivector,
+    NullSpinorError,
     Quaternion,
     QuaternionPair,
     SpinorC4,
@@ -533,6 +535,42 @@ def scalar_elko_map_conditions(psi):
         scale=float(np.vdot(c, c).real),
         components=c,
     )
+
+
+def scalar_map_check_record(psi, tol=1e-10):
+    """One ``map-check`` record without its index and label, built per spinor as it was.
+
+    The conditions come from ``scalar_elko_map_conditions``, the route gap and
+    the verdicts from the ``np.max`` and ``np.all`` forms of
+    ``route_disagreement`` and ``satisfied``, and the class from
+    ``classify(bilinears(psi))``, as ``mappability`` takes it.
+    """
+    report = scalar_elko_map_conditions(psi)
+    record = {
+        "shared_residuals": [float(x) for x in report.shared],
+        "extra_class2": float(report.extra_class2),
+        "extra_class3": float(report.extra_class3),
+        "route_disagreement": max(
+            float(np.max(np.abs(report.shared - report.shared_components))),
+            abs(report.extra_class2 - report.extra_class2_components),
+            abs(report.extra_class3 - report.extra_class3_components),
+        ),
+        "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
+    }
+    try:
+        label = classify(bilinears(psi), tol).label
+    except (NullSpinorError, BilinearInconsistencyError) as exc:
+        return {**record, "mappability": None, "note": str(exc)}
+    if label not in (1, 2, 3):
+        note = f"spinor is class {label}; mapping conditions apply to classes 1-3"
+        return {**record, "mappability": None, "note": note}
+    threshold = tol * report.scale
+    shared_ok = bool(np.all(report.shared <= threshold))
+    ok2 = shared_ok and report.extra_class2 <= threshold
+    ok3 = shared_ok and report.extra_class3 <= threshold
+    record["mappability"] = {"class": label, "1": ok2 and report.extra_class3 <= threshold,
+                             "2": ok2, "3": ok3}
+    return record
 
 
 def per_sample_suite_mapping(rng, samples, tol):

@@ -2,7 +2,9 @@
 
 import importlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 import select
@@ -19,6 +21,7 @@ from oracles import (
     per_sample_suite_hopf,
     per_sample_suite_mapping,
     per_sample_suite_projectors,
+    scalar_map_check_record,
 )
 from spinorlab import SpinorC4, cli
 from spinorlab.algebra import hamilton_product
@@ -205,6 +208,32 @@ def test_make_then_classify_pipeline(tmp_path, capsys):
     assert json.loads(out)["class"] == 4
 
 
+@pytest.mark.parametrize("extreme, plain", [
+    ("1e-200,0,0", "1,0,0"), ("1e200,0,1e200", "1,0,1"), ("1e-160,0,1e-160", "1,0,1"),
+])
+def test_make_flagdipole_takes_any_finite_nonzero_direction(extreme, plain, capsys, monkeypatch):
+    code, out, err = run(["make", "flagdipole", "--u", extreme], capsys)
+    assert (code, err) == (0, "")
+    _, plain_out, _ = run(["make", "flagdipole", "--u", plain], capsys)
+    got, want = json.loads(out), json.loads(plain_out)
+    assert (got["label"], got["rep"]) == (want["label"], want["rep"])
+    # the same direction up to rounding: 1e-160 and 1 have different mantissas
+    np.testing.assert_allclose(got["components"], want["components"], rtol=1e-15, atol=0)
+    if extreme != "1e-160,0,1e-160":
+        assert out == plain_out
+    # the extreme row and the same row moved by a power of two into [4, 8) give the same line
+    values = [float(x) for x in extreme.split(",")]
+    shift = 3 - math.frexp(max(map(abs, values)))[1]
+    ordinary = ",".join(repr(math.ldexp(x, shift)) for x in values)
+    assert run(["make", "flagdipole", "--u", ordinary], capsys)[1] == out
+    classes = []
+    for text in (out, plain_out):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, record, _ = run(["classify", "-", "--json"], capsys)
+        classes.append((code, json.loads(record)["class"]))
+    assert classes[0] == classes[1] == (0, 5 if plain == "1,0,0" else 4)
+
+
 @pytest.mark.parametrize("argv, label", [
     (["elko", "--alpha", "1e-9"], 5),
     (["elko", "--alpha", "0", "--beta", "1e-9j"], 5),
@@ -327,6 +356,66 @@ def test_map_check_table_output(tmp_path, capsys):
     first, second = out.splitlines()
     assert first == "   0 shared_max=0.00e+00 ad2=0.00e+00 ad3=0.00e+00 "
     assert second.startswith("   1 shared_max=") and "class 5" in second
+
+
+def map_check_spinors(seed=98):
+    """Spinors from 1e-70 to 1e35 in both reps, with zero and signed-zero parts, then the
+    six classes, the three mapping witnesses and the zero spinor."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((424, 4)) + 1j * rng.standard_normal((424, 4))
+    v *= np.repeat(10.0 ** np.arange(-70, 36), 4)[:, None]
+    v[rng.random(v.shape) < 0.15] = 0.0
+    v.real[rng.random(v.shape) < 0.1] = -0.0
+    v.imag[rng.random(v.shape) < 0.1] = -0.0
+    spinors = [SpinorC4(c, rep) for c, rep in zip(v, itertools.cycle(("standard", "chiral")))]
+    spinors += [psi for _, psi in mixed_spinors(rng, 60)]
+    witnesses = ([2, 0, 1j, 0], [1, 0, 0, 0], [1j, 1j, 1, 1], [0, 0, 0, 0])
+    return spinors + [SpinorC4(c, "standard") for c in witnesses]
+
+
+def map_check_against_the_oracle(tmp_path, capsys, spinors, tol):
+    """Run ``map-check --json`` on labelled and unlabelled records; compare each line to the oracle."""
+    labels = [f"s{k}" if k % 3 == 0 else None for k in range(len(spinors))]
+    path = tmp_path / "spinors.jsonl"
+    write_jsonl(path, [spinor_record(psi.components, rep=psi.rep, **({"label": lab} if lab else {}))
+                       for psi, lab in zip(spinors, labels)])
+    code, out, err = run(["map-check", str(path), "--json", "--tol", repr(tol)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == len(spinors)
+    records = []
+    for k, (line, psi, lab) in enumerate(zip(lines, spinors, labels)):
+        record = {"index": k, **({"label": lab} if lab else {}), **scalar_map_check_record(psi, tol)}
+        assert line == json.dumps(record)
+        records.append(record)
+    return records
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.95])
+def test_map_check_records_are_the_per_spinor_oracle_byte_for_byte(tmp_path, capsys, monkeypatch,
+                                                                  tol, chunk):
+    if chunk:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    records = map_check_against_the_oracle(tmp_path, capsys, map_check_spinors(), tol)
+    notes = {r.get("note", "").partition(";")[0] for r in records}
+    verdicts = {r["mappability"][k] for r in records if r["mappability"] for k in "123"}
+    assert {"", "all bilinear covariants vanish"} <= notes and verdicts == {True, False}
+    if tol < 0.9:
+        assert {f"spinor is class {label}" for label in (4, 5, 6)} <= notes
+    else:  # the threshold reads the flagpoles' current as alone
+        assert any(note.startswith("sigma = omega = 0 with K = S = 0") for note in notes)
+
+
+def test_map_check_a_shared_residual_at_the_threshold_passes(tmp_path, capsys):
+    psi = SpinorC4([1, 0, 2.0**-20, 0], "standard")
+    tol = 2.0**-20 - 2.0**-60
+    # |psi|^2 = 1 + 2^-40 exactly, and tol |psi|^2 rounds to the residual Re(psi_1* psi_3) = 2^-20
+    assert tol * (1 + 2.0**-40) == 2.0**-20
+    at, = map_check_against_the_oracle(tmp_path, capsys, [psi], tol)
+    below, = map_check_against_the_oracle(tmp_path, capsys, [psi], float(np.nextafter(tol, 0.0)))
+    assert at["shared_residuals"][0] == 2.0**-20
+    assert (at["mappability"]["2"], below["mappability"]["2"]) == (True, False)
 
 
 def test_non_numeric_mass_and_momentum_are_ignored(tmp_path, capsys):
@@ -802,6 +891,9 @@ def test_an_unusable_tol_is_malformed_input(capsys, monkeypatch, command, tol):
     (["weyl", "--phi", "0,0"], "cannot build a Weyl spinor on the zero 2-spinor"),
     (["elko", "--p", "1e200,0,0", "--m", "1"], "the parameters give non-finite components"),
     (["elko", "--alpha", "0", "--beta", "0"], "cannot build an ELKO on the zero 2-spinor"),
+    (["elko", "--alpha", "1e300", "--beta", "1e300"],
+     "elko:self:rest: spinor norm above 3.4e+38 is out of range"),
+    (["weyl", "--phi", "1e-100,0"], "weyl:left: nonzero spinor norm below 1.22e-77 is out of range"),
 ])
 def test_make_rejects_bad_parameters_as_malformed_input(capsys, argv, message):
     code, out, err = run(["make", *argv], capsys)

@@ -397,6 +397,21 @@ def test_direction_kernel_is_the_scalar_direction_element_bit_for_bit():
     assert direction_element([3, 4, 0]).vector_components().tolist() == [0.0, 0.6, 0.8, 0.0]
 
 
+def test_direction_kernel_keeps_the_bits_of_rows_across_decades():
+    # squares that stay normal doubles: the power-of-two scaling changes no bit
+    rows = np.random.default_rng(39).standard_normal((281, 3)) * 10.0 ** np.arange(-140, 141)[:, None]
+    want = [scalar_direction_element(row).coeffs for row in rows]
+    assert np.array_equal(bits(direction_array(rows)), bits(want))
+
+
+@pytest.mark.parametrize("row", [[1e-200, 0.0, 0.0], [1e200, 0.0, 1e200], [1e-160, 0.0, 1e-160],
+                                 [-5e-324, 0.0, 0.0], [1.7e308, -1.7e308, 1.7e308]])
+def test_directions_whose_squares_leave_the_double_range_are_unit_vectors(row):
+    u = direction_element(row)
+    validate_direction(u, tol=1e-15)
+    assert np.array_equal(np.sign(u.vector_components()[1:]), np.sign(row))
+
+
 @pytest.mark.parametrize("bad, message", [
     ([0.0, 0.0, 0.0], "the zero vector is not a direction"),
     ([-0.0, 0.0, -0.0], "the zero vector is not a direction"),
