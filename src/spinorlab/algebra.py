@@ -7,7 +7,7 @@ grade-major and lexicographically within each grade:
 
 The full product structure is generated once from the metric by counting
 index transpositions, so every operation (geometric product, wedge, left
-contraction, involutions) is table-driven.  Coefficients may be real or
+contraction, reversion) is table-driven.  Coefficients may be real or
 complex; complex coefficients give the complexified algebra.
 """
 
@@ -79,14 +79,6 @@ WEDGE_SIGN = np.where(_GRADE_OUT == _GA + _GB, PRODUCT_SIGN, 0.0)
 LCONTRACT_SIGN = np.where(_GRADE_OUT == _GB - _GA, PRODUCT_SIGN, 0.0)
 
 REVERSE_SIGN = np.array([(-1) ** (k * (k - 1) // 2) for k in BLADE_GRADES])
-INVOLUTE_SIGN = np.array([(-1) ** k for k in BLADE_GRADES])
-
-
-def _product(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
-    terms = np.outer(x, y) * table
-    out = np.zeros(DIM, dtype=terms.dtype)
-    np.add.at(out, PRODUCT_INDEX.ravel(), terms.ravel())
-    return out
 
 
 # slot k of row i of the product table takes term (i, _PRODUCT_SOURCE[i, k]): the
@@ -101,10 +93,9 @@ def product_array(x, y, table: np.ndarray) -> np.ndarray:
     """Row-wise products of two (N, 16) float or complex coefficient blocks under a sign table.
 
     ``table`` is PRODUCT_SIGN, WEDGE_SIGN or LCONTRACT_SIGN; a block of one row
-    is broadcast against the other.  Row n is ``_product(x[n], y[n], table)``
-    bit for bit: ``np.add.at`` adds term (i, j) to slot PRODUCT_INDEX[i, j] in
-    ravel order, so each slot sums over i in turn, and each row of
-    PRODUCT_INDEX is a permutation.
+    is broadcast against the other.  Each slot sums its terms over i in turn,
+    starting from +0.0, so a row's bits do not depend on the block around it;
+    the ``Multivector`` products are one-row calls.
     """
     terms = np.asarray(x)[:, :, None] * np.asarray(y)[:, None, :]
     terms *= table
@@ -113,6 +104,11 @@ def product_array(x, y, table: np.ndarray) -> np.ndarray:
     for i in range(DIM):
         out += by_slot[:, i]
     return out
+
+
+def _product(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One row of ``product_array``: the product of two coefficient vectors."""
+    return product_array(x[None], y[None], table)[0]
 
 
 class Multivector:
@@ -170,10 +166,6 @@ class Multivector:
         return "Multivector(" + (" ".join(parts) if parts else "0") + ")"
 
     @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.coeffs)
-
-    @property
     def real(self) -> "Multivector":
         return Multivector(self.coeffs.real)
 
@@ -188,10 +180,6 @@ class Multivector:
         out = np.where(BLADE_GRADES == k, self.coeffs, 0)
         return Multivector(out)
 
-    def grades(self, tol: float = 0.0) -> tuple[int, ...]:
-        present = sorted({int(BLADE_GRADES[i]) for i in range(DIM) if abs(self.coeffs[i]) > tol})
-        return tuple(present)
-
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
         return float(np.linalg.norm(self.coeffs))
@@ -201,12 +189,6 @@ class Multivector:
 
     def reverse(self) -> "Multivector":
         return Multivector(self.coeffs * REVERSE_SIGN)
-
-    def involute(self) -> "Multivector":
-        return Multivector(self.coeffs * INVOLUTE_SIGN)
-
-    def vector_components(self) -> np.ndarray:
-        return self.coeffs[1:5].copy()
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -351,14 +333,6 @@ class Quaternion:
         if isinstance(other, numbers.Real):
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return NotImplemented
-
-    def to_multivector(self) -> Multivector:
-        c = np.zeros(DIM)
-        c[0] = self.w
-        c[BLADE_INDEX[(2, 3)]] = self.x
-        c[BLADE_INDEX[(1, 3)]] = -self.y  # j = e31 = -e13
-        c[BLADE_INDEX[(1, 2)]] = self.z
-        return Multivector(c)
 
 
 QUAT_I = Quaternion(0, 1, 0, 0)

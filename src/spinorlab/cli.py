@@ -14,7 +14,8 @@ Input is JSON-lines (one object per line with a ``components`` field of four
 deterministic: fixed key order, byte-identical for identical input and seed.
 The record subcommands stream: they read, compute and write one chunk of
 ``_CHUNK`` records at a time, so the first records leave after one chunk and
-peak memory does not grow with the input.
+peak memory does not grow with the input.  Each chunk is parsed straight into
+one (N, 4) complex block, with each record's representation and head.
 
 Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
 |psi| outside ~1.2e-77..3.4e38, a ``--tol`` that is not a finite number above 0,
@@ -38,9 +39,8 @@ import os
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -122,11 +122,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
-class SpinorDocument:
-    index: int
-    spinor: SpinorC4
-    label: str | None = None
+class Chunk(NamedTuple):
+    """Up to ``_CHUNK`` documents in input order."""
+
+    heads: list[dict]  # each record's first fields: its index, and its label when it has one
+    reps: list[str]
+    components: np.ndarray  # (N, 4) complex
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -173,23 +174,24 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _check_norm(values, where: str) -> None:
-    """Refuse finite components whose spinor norm is outside what the record subcommands accept."""
-    norm = math.hypot(*[x for z in values for x in (z.real, z.imag)])  # no over- or underflow
+def _check_norm(values: list[float], where: str) -> None:
+    """Refuse finite re/im parts whose spinor norm is outside what the record subcommands accept."""
+    norm = math.hypot(*values)  # no over- or underflow
     if norm > _MAX_NORM:
         raise CliInputError(f"{where}: spinor norm above {_MAX_NORM:.3g} is out of range")
     if 0.0 < norm < _MIN_NORM:
         raise CliInputError(f"{where}: nonzero spinor norm below {_MIN_NORM:.3g} is out of range")
 
 
-def _finite(values: list[complex], where: str) -> np.ndarray:
-    if not all(map(cmath.isfinite, values)):
+def _finite(values: list[float], where: str) -> list[float]:
+    """A document's eight re/im parts, once they are finite and their norm is in range."""
+    if not all(map(math.isfinite, values)):
         raise CliInputError(f"{where}: non-finite component entry")
     _check_norm(values, where)
-    return np.array(values)
+    return values
 
 
-def _components_from_pairs(pairs, where: str) -> np.ndarray:
+def _components_from_pairs(pairs, where: str) -> list[float]:
     if not isinstance(pairs, list) or len(pairs) != 4:
         raise CliInputError(f"{where}: 'components' must be a list of four [re, im] pairs")
     values = []
@@ -197,7 +199,7 @@ def _components_from_pairs(pairs, where: str) -> np.ndarray:
         if not isinstance(pair, list) or len(pair) != 2:
             raise CliInputError(f"{where}: each component must be a [re, im] pair")
         try:
-            values.append(complex(float(pair[0]), float(pair[1])))
+            values += (float(pair[0]), float(pair[1]))
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{where}: non-numeric component entry") from exc
     return _finite(values, where)
@@ -213,11 +215,12 @@ def _input_lines(path: str):
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _documents(path: str, default_rep: str) -> Iterator[SpinorDocument]:
-    """Parse the input lazily, one document at a time.
+def _documents(path: str, default_rep: str) -> Iterator[Chunk]:
+    """Parse the input lazily, one chunk at a time, each line checked as it is read.
 
     The first non-blank line picks the format: JSON-lines when it starts with
-    ``{``, CSV otherwise.  A blank input has no documents.
+    ``{``, CSV otherwise.  A blank input reads as CSV without rows.  The last
+    chunk holds fewer than ``_CHUNK`` documents, and may hold none.
     """
     with _input_lines(path) as lines:
         head = []
@@ -225,19 +228,25 @@ def _documents(path: str, default_rep: str) -> Iterator[SpinorDocument]:
             head.append(line)
             if line.strip():
                 break
-        else:
-            return
-        read = _read_jsonl if head[-1].lstrip()[0] == "{" else _read_csv
-        for index, (spinor, label) in enumerate(read(itertools.chain(head, lines), default_rep)):
-            yield SpinorDocument(index=index, spinor=spinor, label=label)
+        jsonl = "".join(head[-1:]).lstrip().startswith("{")
+        docs = (_read_jsonl if jsonl else _read_csv)(itertools.chain(head, lines), default_rep)
+        for start in itertools.count(0, _CHUNK):
+            chunk = list(itertools.islice(docs, _CHUNK))
+            # an (N, 8) float block viewed as complex pairs each re with its im
+            block = np.array([values for values, _, _ in chunk], dtype=float).reshape(-1, 8)
+            heads = [{"index": start + k} if label is None else {"index": start + k, "label": label}
+                     for k, (_, _, label) in enumerate(chunk)]
+            yield Chunk(heads, [rep for _, rep, _ in chunk], block.view(complex))
+            if len(chunk) < _CHUNK:
+                return
 
 
-def read_documents(documents: Iterator[SpinorDocument]) -> list[SpinorDocument]:
+def read_documents(documents: Iterator[Chunk]) -> Chunk:
     """Parse the next chunk: up to ``_CHUNK`` documents, reading no line past them."""
-    return list(itertools.islice(documents, _CHUNK))
+    return next(documents)
 
 
-def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[SpinorC4, str | None]]:
+def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, str | None]]:
     # a file splits only on newlines; splitlines also breaks at \v, \f, U+2028 and the like
     texts = (text for line in lines for text in line.splitlines())
     for lineno, line in enumerate(texts, start=1):
@@ -254,10 +263,10 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[Spinor
         rep = obj.get("rep", default_rep)
         if rep not in REP_CHOICES:
             raise CliInputError(f"{where}: unknown representation {rep!r}")
-        yield SpinorC4(comp, rep), obj.get("label")
+        yield comp, rep, obj.get("label")
 
 
-def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[SpinorC4, None]]:
+def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, None]]:
     for rowno, row in enumerate(csv.reader(lines), start=1):
         cells = [c.strip() for c in row if c.strip() != ""]
         if not cells:
@@ -272,9 +281,7 @@ def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[SpinorC4
             raise CliInputError(
                 f"row {rowno}: need 8 real columns (re/im interleaved), got {len(values)}"
             )
-        pairs = [complex(values[2 * k], values[2 * k + 1]) for k in range(4)]
-        comp = _finite(pairs, f"row {rowno}")
-        yield SpinorC4(comp, default_rep), None
+        yield _finite(values, f"row {rowno}"), default_rep, None
 
 
 def _output(path: str | None, source: str = "-"):
@@ -298,18 +305,11 @@ def _emit(lines: list[str], out: TextIO) -> None:
 # ---- record pipeline: classify, hopf, map-check ----------------------------
 
 
-def _head(doc: SpinorDocument) -> dict:
-    head: dict = {"index": doc.index}
-    if doc.label is not None:
-        head["label"] = doc.label
-    return head
-
-
 def _run_records(args, record_fn, table_row, header=None) -> int:
     """Stream the input through ``record_fn``; exit 2 when a record has an error.
 
     Each round reads up to ``_CHUNK`` documents, turns them into their records,
-    in order, with ``record_fn(docs, tol)``, and writes and flushes their lines,
+    in order, with ``record_fn(chunk, tol)``, and writes and flushes their lines,
     so one chunk is held at a time and the first records leave before the input
     ends.  The output opens with the first chunk: input that fails there leaves
     no file, and a malformed record later exits 1 after the earlier chunks.
@@ -320,35 +320,30 @@ def _run_records(args, record_fn, table_row, header=None) -> int:
     with contextlib.ExitStack() as stack:
         documents = stack.enter_context(contextlib.closing(_documents(args.input, args.rep)))
         while True:
-            docs = read_documents(documents)
-            for record in record_fn(docs, args.tol):
+            chunk = read_documents(documents)
+            for record in record_fn(chunk, args.tol):
                 failed = failed or bool(record.get("error"))
                 lines.append(table_row(record) if args.table else json.dumps(record))
             if out is None:
                 out = stack.enter_context(_output(args.output, args.input))
             _emit(lines, out)
-            if len(docs) < _CHUNK:
+            if len(chunk.heads) < _CHUNK:
                 return 2 if failed else 0
             lines = []
 
 
-def _each(record_fn):
-    """Lift a one-document record function to a chunk of documents."""
-    return lambda docs, tol: [record_fn(doc, tol) for doc in docs]
-
-
-def _rep_blocks(docs: list[SpinorDocument]) -> Iterator[tuple[str, list[int], np.ndarray]]:
+def _rep_blocks(chunk: Chunk) -> Iterator[tuple[str, list[int], np.ndarray]]:
     """Each representation present in a chunk, its rows and their (N, 4) components."""
     for rep in REP_CHOICES:
-        rows = [i for i, doc in enumerate(docs) if doc.spinor.rep == rep]
+        rows = [i for i, r in enumerate(chunk.reps) if r == rep]
         if rows:
-            yield rep, rows, np.array([docs[i].spinor.components for i in rows])
+            yield rep, rows, chunk.components[rows]
 
 
-def _classification_records(docs: list[SpinorDocument], tol: float) -> list[dict]:
+def _classification_records(chunk: Chunk, tol: float) -> list[dict]:
     """Classify a chunk: the array kernels run once per representation present."""
-    records = [_head(doc) for doc in docs]
-    for rep, rows, components in _rep_blocks(docs):
+    records = chunk.heads
+    for rep, rows, components in _rep_blocks(chunk):
         cov = covariant_array(components, rep, tol)
         # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
         residual = aggregate_residual_array(components, cov, rep)
@@ -402,11 +397,11 @@ def _classification_row(rec: dict) -> str:
     )
 
 
-def _hopf_records(docs: list[SpinorDocument], tol: float) -> list[dict]:
+def _hopf_records(chunk: Chunk, tol: float) -> list[dict]:
     """Route reports of a chunk: ``hopf_report_array`` runs once per representation present."""
-    records = [_head(doc) for doc in docs]
+    records = chunk.heads
     null = {"error": _NULL_COLUMN, "error_kind": "null-spinor"}
-    for rep, rows, components in _rep_blocks(docs):
+    for rep, rows, components in _rep_blocks(chunk):
         reports = hopf_report_array(components, rep)
         for i, nonzero, report in zip(rows, components.any(axis=1), reports):
             records[i].update(report if nonzero else null)
@@ -424,24 +419,26 @@ def _hopf_row(rec: dict) -> str:
     )
 
 
-def _map_check_record(doc: SpinorDocument, tol: float) -> dict:
-    report = elko_map_conditions(doc.spinor)
-    record = _head(doc)
-    record.update(
-        {
-            "shared_residuals": report.shared.tolist(),
-            "extra_class2": float(report.extra_class2),
-            "extra_class3": float(report.extra_class3),
-            "route_disagreement": float(report.route_disagreement()),
-            "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
-        }
-    )
-    try:
-        record["mappability"] = {str(k): v for k, v in mappability(doc.spinor, tol).items()}
-    except (SingularSpinorError, NullSpinorError, BilinearInconsistencyError) as exc:
-        record["mappability"] = None
-        record["note"] = str(exc)
-    return record
+def _map_check_records(chunk: Chunk, tol: float) -> list[dict]:
+    """Mapping reports of a chunk, one spinor at a time."""
+    for record, rep, components in zip(*chunk):
+        spinor = SpinorC4(components, rep)
+        report = elko_map_conditions(spinor)
+        record.update(
+            {
+                "shared_residuals": report.shared.tolist(),
+                "extra_class2": float(report.extra_class2),
+                "extra_class3": float(report.extra_class3),
+                "route_disagreement": float(report.route_disagreement()),
+                "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
+            }
+        )
+        try:
+            record["mappability"] = {str(k): v for k, v in mappability(spinor, tol).items()}
+        except (SingularSpinorError, NullSpinorError, BilinearInconsistencyError) as exc:
+            record["mappability"] = None
+            record["note"] = str(exc)
+    return chunk.heads
 
 
 def _map_check_row(rec: dict) -> str:
@@ -475,8 +472,8 @@ def _make_records(args) -> list[dict]:
     def add(spinor: SpinorC4, label: str, momentum=None, mass=None) -> None:
         if not all(map(cmath.isfinite, spinor.components)):
             raise CliInputError(f"{label}: the parameters give non-finite components")
-        _check_norm(spinor.components.tolist(), label)
         comp = [[float(c.real), float(c.imag)] for c in spinor.components]
+        _check_norm([x for pair in comp for x in pair], label)
         record: dict = {"components": comp, "rep": spinor.rep, "label": label}
         if momentum is not None:
             record["momentum"] = [float(x) for x in momentum]
@@ -700,6 +697,9 @@ def _suite_mapping(rng: np.random.Generator, samples: int, tol: float) -> list[t
     worst_route = 0.0
     passes = 0
     witness_fail = 0.0
+    # no witness can see the sign inside extra_class2 = Re x + Im y (x = psi1* psi4, y = psi2* psi3):
+    # where it and the shared block hold, xy = (psi1* psi3)(psi2* psi4) is real, and that forces
+    # Re x = Im y = 0; the same holds for Re x - Im y
     witnesses = {
         1: np.array([2, 0, 1j, 0]),
         2: np.array([1, 0, 0, 0], dtype=complex),
@@ -816,7 +816,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("map-check", help="evaluate ELKO mapping conditions per input")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_each(_map_check_record),
+    p.set_defaults(func=partial(_run_records, record_fn=_map_check_records,
                                 table_row=_map_check_row))
 
     return parser

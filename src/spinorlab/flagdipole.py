@@ -176,12 +176,6 @@ class FlagDipoleFrame:
         """Residual of h^2 = 1 + s^2 (s^2 the Minkowski square of s)."""
         return abs(self.h**2 - 1.0 - minkowski_square(self.s))
 
-    def null_residual(self) -> float:
-        return abs(minkowski_square(self.J))
-
-    def orthogonality_residual(self) -> float:
-        return abs(float(lcontract(self.J, self.s).scalar_part().real))
-
 
 def synthetic_frame(J: Multivector, s: Multivector, h: float, tol: float = 1e-9) -> FlagDipoleFrame:
     """Build a frame from raw parts, validating nullity and orthogonality.

@@ -6,8 +6,8 @@ Two standard 4x4 complex representations are provided:
 * ``standard``: gamma^0 = diag(1,1,-1,-1),            gamma^k = [[0,s_k],[-s_k,0]]
 
 Each representation carries the full dictionary of 16 blade matrices (products
-of lower-index gammas in canonical order), giving an algebra isomorphism
-between multivectors and 4x4 matrices in both directions.
+of lower-index gammas in canonical order), which maps multivectors to 4x4
+matrices by an algebra isomorphism.
 """
 
 from __future__ import annotations
@@ -52,24 +52,8 @@ class GammaRep:
         self.blades = blades
         self.pseudoscalar = blades[-1]
 
-        # 16x16 change of basis: vec(blade matrices) are linearly independent
-        basis = blades.reshape(DIM, 16).T
-        self._to_coeffs = np.linalg.inv(basis)
-
     def mv_to_matrix(self, mv: Multivector) -> np.ndarray:
         return np.tensordot(mv.coeffs, self.blades, axes=(0, 0))
-
-    def matrix_to_mv(self, matrix: np.ndarray, tol: float | None = None) -> Multivector:
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 matrix")
-        coeffs = self._to_coeffs @ m.reshape(16)
-        if tol is not None:
-            rebuilt = np.tensordot(coeffs, self.blades, axes=(0, 0))
-            err = np.linalg.norm(rebuilt - m)
-            if err > tol * max(1.0, np.linalg.norm(m)):
-                raise ValueError(f"matrix does not lie in the blade span (residual {err:g})")
-        return Multivector(coeffs)
 
 
 def _build_chiral() -> GammaRep:

@@ -22,7 +22,6 @@ spinors satisfying it in classes 1 or 2 exist only with standard
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,19 +83,6 @@ class ConditionReport:
     extra_class3_components: float
     line3_vs_class3_gap: float
     scale: float
-    components: np.ndarray
-
-    @cached_property
-    def table_rows(self) -> dict:
-        """Per-class residual rows in the split-component form, built on first use."""
-        a, b = self.components.real, self.components.imag
-        row_a = a[1] * (a[2] - b[2]) + b[1] * (a[2] + b[2])  # Re - Im of psi_2* psi_3
-        row_b = a[2] * b[3] - b[2] * a[3]  # Im of psi_3* psi_4
-        return {
-            1: (abs(row_a), abs(row_b)),
-            2: (abs(row_b), self.shared_components[2]),
-            3: (abs(row_a), self.shared_components[3]),
-        }
 
     def route_disagreement(self) -> float:
         """Largest gap between the complex and component arithmetic routes."""
@@ -143,7 +129,6 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
         extra_class3_components=abs(extra3_comp),
         line3_vs_class3_gap=abs(gap),
         scale=float(np.vdot(c, c).real),
-        components=c,
     )
 
 

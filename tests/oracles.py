@@ -27,10 +27,45 @@ from spinorlab import (
     ideal_projector,
     mappability,
 )
-from spinorlab.algebra import BLADE_GRADES, BLADE_INDEX, DIM, GRADE_2_PAIRS, lcontract, wedge
+from spinorlab.algebra import (
+    BLADE_GRADES,
+    BLADE_INDEX,
+    DIM,
+    GRADE_2_PAIRS,
+    PRODUCT_INDEX,
+    lcontract,
+    wedge,
+)
 from spinorlab.bilinears import _INVERSES, _MATRICES
 
 _FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16))
+
+
+# ---- algebra -----------------------------------------------------------------
+
+
+def scatter_product(x, y, table):
+    """Product of two coefficient vectors, its terms scattered into their slots by ``np.add.at``."""
+    terms = np.outer(x, y) * table
+    out = np.zeros(DIM, dtype=terms.dtype)
+    np.add.at(out, PRODUCT_INDEX.ravel(), terms.ravel())
+    return out
+
+
+def quaternion_to_multivector(q):
+    """The even element w + x e23 - y e13 + z e12 of a quaternion (j = e31 = -e13)."""
+    c = np.zeros(DIM)
+    c[0] = q.w
+    c[BLADE_INDEX[(2, 3)]] = q.x
+    c[BLADE_INDEX[(1, 3)]] = -q.y
+    c[BLADE_INDEX[(1, 2)]] = q.z
+    return Multivector(c)
+
+
+def matrix_to_mv(rep, matrix):
+    """The multivector whose blade-dictionary matrix in ``rep`` is ``matrix``."""
+    basis = rep.blades.reshape(DIM, 16).T  # the vectorized blade matrices are independent
+    return Multivector(np.linalg.solve(basis, np.asarray(matrix, dtype=np.complex128).reshape(16)))
 
 
 def vector_aggregate(b):
@@ -328,7 +363,7 @@ def per_sample_random_admissible_direction(rng):
 
 def scalar_validate_direction(u, tol=1e-10):
     """Check u is a real grade-1 spatial unit vector (u^2 = -1)."""
-    if u.is_complex:
+    if np.iscomplexobj(u.coeffs):
         raise ValueError("direction elements are real multivectors")
     off_grade = np.linalg.norm(np.where(BLADE_GRADES == 1, 0, u.coeffs))
     if off_grade > tol:
@@ -533,7 +568,6 @@ def scalar_elko_map_conditions(psi):
         extra_class3_components=abs(im(0, 3) - im(1, 2) - 2.0 * im(0, 1)),
         line3_vs_class3_gap=abs(2.0 * _im(c[2], c[3])),
         scale=float(np.vdot(c, c).real),
-        components=c,
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_multivector
+from oracles import quaternion_to_multivector, scatter_product
 from spinorlab import (
     E0,
     E1,
@@ -126,11 +127,12 @@ def test_reversion_is_an_antiautomorphism():
 
 def test_grade_involution_is_an_automorphism():
     rng = np.random.default_rng(32)
+    involute = lambda m: Multivector(m.coeffs * (-1.0) ** BLADE_GRADES)
     for _ in range(10):
         a = random_multivector(rng)
         b = random_multivector(rng)
-        lhs = (a * b).involute()
-        rhs = a.involute() * b.involute()
+        lhs = involute(a * b)
+        rhs = involute(a) * involute(b)
         np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
@@ -145,13 +147,13 @@ def test_grade_projections_partition_the_element():
     a = random_multivector(rng, complex_coeffs=True)
     total = sum((a.grade(k) for k in range(5)), Multivector.zero())
     np.testing.assert_allclose(total.coeffs, a.coeffs, atol=0)
-    assert a.grade(2).grades() == (2,)
+    assert set(BLADE_GRADES[a.grade(2).coeffs != 0]) == {2}
 
 
 def test_vector_round_trip_and_components():
     v = Multivector.vector([0.5, -1.0, 2.0, 3.5])
-    np.testing.assert_array_equal(v.vector_components(), [0.5, -1.0, 2.0, 3.5])
-    assert v.grades() == (1,)
+    np.testing.assert_array_equal(v.coeffs[1:5], [0.5, -1.0, 2.0, 3.5])
+    assert set(BLADE_GRADES[v.coeffs != 0]) == {1}
 
 
 def test_geometric_product_of_vector_splits_into_contraction_and_wedge():
@@ -197,7 +199,7 @@ def test_scalar_product_is_the_reversed_pairing():
 
 def test_division_by_scalar_and_subtraction():
     a = Multivector.vector([2.0, 4.0, 0.0, -6.0])
-    np.testing.assert_array_equal((a / 2.0).vector_components(), [1.0, 2.0, 0.0, -3.0])
+    np.testing.assert_array_equal((a / 2.0).coeffs[1:5], [1.0, 2.0, 0.0, -3.0])
     assert (1.0 - Multivector.scalar(0.25)).scalar_part() == pytest.approx(0.75)
 
 
@@ -247,9 +249,9 @@ def test_quaternion_conjugation_reverses_products():
 
 
 def test_quaternion_units_map_to_spatial_rotation_bivectors():
-    assert QUAT_I.to_multivector() == Multivector.blade(2, 3)
-    assert QUAT_J.to_multivector() == -Multivector.blade(1, 3)
-    assert QUAT_K.to_multivector() == Multivector.blade(1, 2)
+    assert quaternion_to_multivector(QUAT_I) == Multivector.blade(2, 3)
+    assert quaternion_to_multivector(QUAT_J) == -Multivector.blade(1, 3)
+    assert quaternion_to_multivector(QUAT_K) == Multivector.blade(1, 2)
 
 
 def test_quaternion_embedding_is_a_homomorphism():
@@ -257,8 +259,8 @@ def test_quaternion_embedding_is_a_homomorphism():
     for _ in range(10):
         p = Quaternion(*rng.standard_normal(4))
         q = Quaternion(*rng.standard_normal(4))
-        lhs = (p * q).to_multivector()
-        rhs = p.to_multivector() * q.to_multivector()
+        lhs = quaternion_to_multivector(p * q)
+        rhs = quaternion_to_multivector(p) * quaternion_to_multivector(q)
         np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-13)
 
 
@@ -292,11 +294,15 @@ def test_product_array_rows_are_the_scalar_products_bit_for_bit(table, x_complex
     rng = np.random.default_rng(131)
     x, y = _signed_rows(rng, 70, x_complex), _signed_rows(rng, 70, y_complex)
     got = product_array(x, y, table)
-    want = np.array([_product(a, b, table) for a, b in zip(x, y)])
+    want = np.array([scatter_product(a, b, table) for a, b in zip(x, y)])
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the one-row call that Multivector products, wedge and lcontract make
+    alone = np.array([_product(a, b, table) for a, b in zip(x, y)])
+    assert alone.dtype == want.dtype
+    assert np.array_equal(alone.view(np.int64), want.view(np.int64))
     # a block of one row is broadcast against the other
-    want = np.array([_product(x[0], b, table) for b in y])
+    want = np.array([scatter_product(x[0], b, table) for b in y])
     assert np.array_equal(product_array(x[:1], y, table).view(np.int64), want.view(np.int64))
-    want = np.array([_product(a, y[0], table) for a in x])
+    want = np.array([scatter_product(a, y[0], table) for a in x])
     assert np.array_equal(product_array(x, y[:1], table).view(np.int64), want.view(np.int64))

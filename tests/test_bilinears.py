@@ -179,7 +179,7 @@ def test_aggregate_grades_carry_the_expected_parts():
     z = aggregate(b)
     assert z.grade(0).scalar_part() == pytest.approx(b.sigma)
     np.testing.assert_allclose(
-        z.grade(1).vector_components().real, b.J, atol=1e-15
+        z.grade(1).coeffs[1:5].real, b.J, atol=1e-15
     )
     pseudo = z.grade(4).coeffs[-1]
     assert pseudo == pytest.approx(b.omega)

@@ -951,6 +951,35 @@ def test_a_malformed_record_in_the_third_chunk_exits_after_two_chunks(tmp_path, 
         assert len(out.splitlines()) == 2 * cli._CHUNK
 
 
+NAN_LINE = '{"components": [[1, NaN], [0, 0], [0, 0], [0, 0]]}'
+SHORT_LINE = '{"components": [[1, 0], [0, 0]]}'
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+@pytest.mark.parametrize("bad, message", [
+    ({10: NAN_LINE, 11: SHORT_LINE}, "line 10: non-finite component entry"),
+    ({10: SHORT_LINE, 11: NAN_LINE},
+     "line 10: 'components' must be a list of four [re, im] pairs"),
+    ({11: '{"components": [[1, "x"], 5, [0, 0], [0, 0]]}'}, "line 11: non-numeric component entry"),
+    ({10: "1e39,0,0,0,0,0,0,0", 11: "1,0,0"},
+     f"row 10: spinor norm above {MAX_NORM:.3g} is out of range"),
+], ids=["non-finite-then-structure", "structure-then-non-finite", "pair-values-before-next-shape",
+        "csv-norm-then-short-row"])
+def test_the_first_bad_document_in_input_order_is_the_one_reported(capsys, monkeypatch, command,
+                                                                   bad, message):
+    monkeypatch.setattr(cli, "_CHUNK", 4)  # lines 9-12 are the third chunk
+    records = corpus_records(12)
+    lines = [json.dumps(r) for r in records]
+    if "row" in message:
+        lines = [",".join(repr(x) for pair in r["components"] for x in pair) for r in records]
+    for lineno, text in bad.items():
+        lines[lineno - 1] = text
+    before = run_text([command, "-"], "".join(line + "\n" for line in lines[:8]), capsys, monkeypatch)
+    code, out, err = run_text([command, "-"], "".join(line + "\n" for line in lines), capsys, monkeypatch)
+    assert (code, err) == (1, f"spinorlab: {message}\n")
+    assert out == before[1] and len(out.splitlines()) == 8
+
+
 def test_output_opens_with_the_first_chunk(tmp_path, capsys):
     records = corpus_records(2 * cli._CHUNK + 3)
     path, target = tmp_path / "in.jsonl", tmp_path / "out.txt"

@@ -260,7 +260,7 @@ def test_pole_is_half_the_null_current_on_singular_spinors():
         b = bilinears(psi)
         pole = penrose_pole(psi)
         np.testing.assert_allclose(
-            2.0 * pole.vector_components().real, b.J, atol=1e-13
+            2.0 * pole.coeffs[1:5].real, b.J, atol=1e-13
         )
         assert abs(minkowski_square(pole)) < 1e-12 * max(1.0, b.J[0] ** 2)
 

@@ -28,6 +28,7 @@ from spinorlab import (
     elko_mixture_direction,
     frame_from_bilinears,
     is_admissible_flag_dipole_direction,
+    lcontract,
     minkowski_square,
     projection_spinor,
     projector_idempotency_residual,
@@ -132,8 +133,8 @@ def test_extracted_frames_satisfy_the_hyperbolic_constraint():
         psi = projection_spinor(Multivector.scalar(1.0), u)
         frame = frame_from_bilinears(bilinears(psi))
         assert frame.hs_residual() < 1e-9
-        assert frame.null_residual() < 1e-9
-        assert frame.orthogonality_residual() < 1e-9
+        assert abs(minkowski_square(frame.J)) < 1e-9
+        assert abs(float(lcontract(frame.J, frame.s).scalar_part().real)) < 1e-9
         assert frame.h == pytest.approx(doran_h(u), abs=1e-9)
         # s is spacelike: h^2 = 1 + s^2 < 1 forces a negative Minkowski square
         assert minkowski_square(frame.s) < 0
@@ -394,7 +395,7 @@ def test_direction_kernel_is_the_scalar_direction_element_bit_for_bit():
     assert np.array_equal(bits(block), bits(want))
     for n in (0, 999, 1000, 1005, 1006, 1007, len(rows) - 1):
         assert np.array_equal(bits(direction_element(rows[n]).coeffs), bits(block[n]))
-    assert direction_element([3, 4, 0]).vector_components().tolist() == [0.0, 0.6, 0.8, 0.0]
+    assert direction_element([3, 4, 0]).coeffs[1:5].tolist() == [0.0, 0.6, 0.8, 0.0]
 
 
 def test_direction_kernel_keeps_the_bits_of_rows_across_decades():
@@ -409,7 +410,7 @@ def test_direction_kernel_keeps_the_bits_of_rows_across_decades():
 def test_directions_whose_squares_leave_the_double_range_are_unit_vectors(row):
     u = direction_element(row)
     validate_direction(u, tol=1e-15)
-    assert np.array_equal(np.sign(u.vector_components()[1:]), np.sign(row))
+    assert np.array_equal(np.sign(u.coeffs[2:5]), np.sign(row))
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -103,24 +103,9 @@ def test_report_shape_and_scale():
     psi = SpinorC4(np.array([0.0, 0.0, 1.0, 1j]), "standard")
     report = elko_map_conditions(psi)
     assert report.shared.shape == (4,)
-    assert set(report.table_rows) == {1, 2, 3}
-    assert all(len(v) == 2 for v in report.table_rows.values())
     assert report.scale == pytest.approx(2.0)
     # third displayed line drops the 2 Im(psi3* psi4) term; here that is 2
     assert report.line3_vs_class3_gap == pytest.approx(2.0)
-
-
-def test_table_rows_are_built_on_first_use():
-    psi = SpinorC4(np.array([0.3, 1j, 0.5 - 0.2j, 0.7]), "standard")
-    report = elko_map_conditions(psi)
-    assert "table_rows" not in vars(report)
-    rows = report.table_rows
-    assert report.table_rows is rows
-    # Re - Im of psi_2* psi_3 = -1j (0.5 - 0.2j), and Im of psi_3* psi_4 = (0.5 + 0.2j) 0.7
-    row_a, row_b = abs(-0.2 - (-0.5)), abs(0.2 * 0.7)
-    assert rows[1] == pytest.approx((row_a, row_b))
-    assert rows[2] == pytest.approx((row_b, report.shared_components[2]))
-    assert rows[3] == pytest.approx((row_a, report.shared_components[3]))
 
 
 def test_satisfied_rejects_singular_labels():
@@ -142,7 +127,7 @@ def spinors_across_decades(seed=96):
 
 def test_conditions_are_the_complex_scalar_arithmetic_bit_for_bit():
     fields = ("shared", "extra_class2", "extra_class3", "shared_components", "extra_class2_components",
-              "extra_class3_components", "line3_vs_class3_gap", "scale", "components")
+              "extra_class3_components", "line3_vs_class3_gap", "scale")
     for comp in spinors_across_decades():
         psi = SpinorC4(comp, "standard")
         got, want = elko_map_conditions(psi), scalar_elko_map_conditions(psi)

@@ -1,0 +1,192 @@
+"""Exact metamorphic relations of the record subcommands, run in-process through ``cli.main``.
+
+R1: scaling a spinor by 2^k, anywhere in the accepted norm range, leaves every
+verdict of its ``classify`` and ``map-check`` records as it was, and multiplies
+each numeric field of degree d in psi by exactly 2^(k d).  Multiplying by a
+power of two is exact in IEEE 754 while nothing over- or underflows, and the
+covariants and the mapping residuals are sums of products of two components
+(d = 2).  ``fierz_residuals`` (d = 4) are left out: they square their degree-4
+terms, whose squares leave the normal range for small psi, and they take
+scalar squares through ``pow``, which libm does not round alike at every
+exponent.
+
+R3: the same spinors as JSON-lines and as CSV give the same records, apart
+from the label that only JSON-lines carries.
+
+Each relation runs across chunk seams, and each has a fault row in
+``RELATION_FAULTS`` that makes it fail.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import mixed_spinors
+from spinorlab import cli
+
+CHUNK = 5  # the relations' inputs span several chunks
+SPINORS = 12  # two of each Lounesto class
+SEEDS = st.integers(0, 2**32 - 1)
+
+UNCHANGED = {
+    "classify": ("class", "regular", "singular", "marginal", "marginal_fields", "witness",
+                 "boomerang", "error", "error_kind"),
+    "map-check": ("mappability", "note"),
+}
+DEGREE = {  # field -> degree in psi, as the probe in test_r1_degrees_are_the_fields_degrees finds
+    "classify": {"bilinears": 2},
+    "map-check": {"shared_residuals": 2, "extra_class2": 2, "extra_class3": 2,
+                  "route_disagreement": 2, "line3_vs_class3_gap": 2},
+}
+
+
+def run_main(argv, text):
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(text))
+        mp.setattr(cli, "_CHUNK", CHUNK)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def corpus(seed):
+    return [psi for _, psi in mixed_spinors(np.random.default_rng(seed), SPINORS)]
+
+
+def parts(psi, k=0):
+    return [math.ldexp(x, k) for z in psi.components.tolist() for x in (z.real, z.imag)]
+
+
+def accepted_range(spinors):
+    """The smallest and largest k that keep every nonzero norm inside the accepted range."""
+    nonzero = [psi for psi in spinors if psi.components.any()]
+    norms = [math.hypot(*parts(psi)) for psi in nonzero]
+    inside = lambda k: all(cli._MIN_NORM <= math.hypot(*parts(psi, k)) <= cli._MAX_NORM
+                           for psi in nonzero)
+    lo = math.floor(math.log2(cli._MIN_NORM / min(norms)))
+    hi = math.ceil(math.log2(cli._MAX_NORM / max(norms)))
+    while not inside(lo):
+        lo += 1
+    while not inside(hi):
+        hi -= 1
+    return lo, hi
+
+
+def jsonl(spinors, k=0, rep=True, label=False):
+    lines = []
+    for n, psi in enumerate(spinors):
+        record = {"components": np.reshape(parts(psi, k), (4, 2)).tolist()}
+        record.update({"rep": psi.rep} if rep else {})
+        record.update({"label": f"spinor {n}"} if label else {})
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
+
+
+def scaled_pairs(command, spinors, k):
+    """The records of each spinor and of it times 2^k, read interleaved from one input."""
+    text = "".join(a + b for a, b in zip(jsonl(spinors).splitlines(True),
+                                          jsonl(spinors, k).splitlines(True)))
+    _, records = run_main([command, "-"], text)
+    assert len(records) == 2 * len(spinors)
+    return zip(records[0::2], records[1::2])
+
+
+def numbers(value):
+    return np.hstack(list(value.values()) if isinstance(value, dict) else [value])
+
+
+def assert_r1(spinors, k):
+    for command in ("classify", "map-check"):
+        for plain, scaled in scaled_pairs(command, spinors, k):
+            verdicts = [(plain.get(f), scaled.get(f)) for f in UNCHANGED[command]]
+            assert all(a == b for a, b in verdicts), (command, k, verdicts)
+            for field, degree in DEGREE[command].items():
+                if field in plain:
+                    want = np.ldexp(numbers(plain[field]), k * degree)
+                    assert np.array_equal(numbers(scaled[field]), want), (command, field, k)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=SEEDS, inside=st.floats(0.0, 1.0))
+def test_r1_scaling_by_a_power_of_two_scales_each_field_by_its_degree(seed, inside):
+    spinors = corpus(seed)
+    lo, hi = accepted_range(spinors)
+    for k in (lo, hi, round(lo + inside * (hi - lo))):
+        assert_r1(spinors, k)
+
+
+def test_r1_degrees_are_the_fields_degrees():
+    """The probe behind DEGREE: each field's ratio at 2^k is 2^(k d) for its d, and for no other."""
+    spinors = corpus(11)
+    for command, degrees in DEGREE.items():
+        for plain, scaled in scaled_pairs(command, spinors, 3):
+            for field, degree in degrees.items():
+                if field in plain:
+                    for a, b in zip(numbers(plain[field]), numbers(scaled[field])):
+                        found = [d for d in range(9) if math.ldexp(a, 3 * d) == b]
+                        assert found == ([degree] if a else list(range(9))), (command, field)
+
+
+def assert_r3(spinors):
+    header = "re1,im1,re2,im2,re3,im3,re4,im4\n"
+    csv = header + "".join(",".join(map(repr, parts(psi))) + "\n" for psi in spinors)
+    text = jsonl(spinors, rep=False, label=True)
+    for command in ("classify", "map-check", "hopf"):
+        for rep in cli.REP_CHOICES:
+            code, from_jsonl = run_main([command, "-", "--rep", rep], text)
+            csv_code, from_csv = run_main([command, "-", "--rep", rep], csv)
+            assert csv_code == code and len(from_jsonl) == len(from_csv) == len(spinors)
+            for n, (a, b) in enumerate(zip(from_jsonl, from_csv)):
+                assert a.pop("label") == f"spinor {n}"
+                assert list(a.items()) == list(b.items()), (command, rep, n)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=SEEDS)
+def test_r3_json_lines_and_csv_give_the_same_records(seed):
+    assert_r3(corpus(seed))
+
+
+# ---- each relation fails on a fault in what it covers -------------------------
+
+
+def _threshold_from_the_chunks_largest_j0(mp):  # zero tests against tol * max J^0 of the block
+    magnitudes = cli.magnitude_array
+
+    def faulty(cov):
+        out = magnitudes(cov)
+        j0 = np.asarray(cov)[:, 1]
+        out[:, 0] *= j0.max() / np.where(j0 > 0, j0, 1.0)
+        return out
+
+    mp.setattr(cli, "magnitude_array", faulty)
+
+
+def _csv_read_as_four_re_then_four_im(mp):  # the columns taken in split, not interleaved, order
+    read = cli._read_csv
+    mp.setattr(cli, "_read_csv",
+               lambda lines, rep: ((v[0::2] + v[1::2], r, label) for v, r, label in read(lines, rep)))
+
+
+RELATION_FAULTS = {
+    "R1": (_threshold_from_the_chunks_largest_j0,
+           lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
+    "R3": (_csv_read_as_four_re_then_four_im, assert_r3),
+}
+
+
+@pytest.mark.parametrize("relation", list(RELATION_FAULTS))
+def test_each_relation_fails_on_a_fault_in_what_it_covers(relation, monkeypatch):
+    fault, check = RELATION_FAULTS[relation]
+    spinors = corpus(5)
+    check(spinors)
+    fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        check(spinors)
