@@ -195,13 +195,16 @@ def _components_from_pairs(pairs, where: str) -> list[float]:
     if not isinstance(pairs, list) or len(pairs) != 4:
         raise CliInputError(f"{where}: 'components' must be a list of four [re, im] pairs")
     values = []
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise CliInputError(f"{where}: each component must be a [re, im] pair")
-        try:
-            values += (float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise CliInputError(f"{where}: non-numeric component entry") from exc
+    try:
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise CliInputError(f"{where}: each component must be a [re, im] pair")
+            try:
+                values += (float(pair[0]), float(pair[1]))
+            except OverflowError:  # an integer past the double range is non-finite, as 1e400 is
+                values += (math.inf if isinstance(x, int) else float(x) for x in pair)
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f"{where}: non-numeric component entry") from exc
     return _finite(values, where)
 
 
@@ -255,7 +258,7 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
         where = f"line {lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of more than 4,300 digits
             raise CliInputError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "components" not in obj:
             raise CliInputError(f"{where}: expected an object with a 'components' field")
@@ -725,6 +728,7 @@ def _suite_mapping(rng: np.random.Generator, samples: int, tol: float) -> list[t
         passes += int(np.sum(np.all(routes[0, :4] <= tol * np.vecdot(psi, psi).real, axis=0)))
     rate = passes / max(1, samples)
     return [
+        # the routes run the same IEEE operations: this guards their formulas, not the rounding
         ("route_agreement", worst_route, worst_route < 1e-12),
         ("constructed_families_pass", witness_fail, witness_fail == 0.0),
         ("random_pass_rate_below_1pc", rate, rate < 0.01),

@@ -3,10 +3,14 @@
 The conditions are bilinear constraints on the four components psi_r.  Every
 residual is computed twice: once with complex arithmetic (Re/Im of the
 complex product psi_i* psi_j) and once with explicitly real arithmetic on the
-split components psi_r = a_r + i b_r; the two routes must agree to rounding,
-which is itself a contract of this module.  ``condition_routes`` writes both routes once, over
-real and imaginary parts given as floats (``elko_map_conditions``) or as
-arrays over a block of spinors (``verify mapping``).
+split components psi_r = a_r + i b_r.  The two routes run the same IEEE
+operations, because x - (-u) v is exactly x + u v, so they agree bit for bit:
+``ConditionReport.route_disagreement`` and the ``route_agreement`` check of
+``verify mapping`` guard the formulas (a transcription fault in one route),
+not the rounding.  ``condition_routes``
+writes both routes once, over real and imaginary parts given as floats
+(``elko_map_conditions``) or as arrays over a block of spinors
+(``verify mapping``).
 
 A shared block of four constraints applies to all classes; one extra
 constraint each selects class 2 and class 3, and class 1 requires both.  The
@@ -21,6 +25,7 @@ spinors satisfying it in classes 1 or 2 exist only with standard
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +48,43 @@ def condition_routes(a, b) -> tuple[list, list]:
     psi_i* psi_j as the complex product of conj(psi_i) and psi_j, written out
     in real arithmetic as the scalar complex product computes it; the
     component route uses a_i a_j + b_i b_j and a_i b_j - b_i a_j.  Each route
-    returns [shared_1..shared_4, extra_class2, extra_class3]; the complex
-    route appends the line-3 gap term 2 Im(psi_3* psi_4).
+    forms each of its eight distinct terms once, and shares no term with the
+    other route.  Each route returns [shared_1..shared_4, extra_class2,
+    extra_class3]; the complex route appends the line-3 gap term
+    2 Im(psi_3* psi_4).
     """
-    re = lambda i, j: a[i] * a[j] - (-b[i]) * b[j]
-    im = lambda i, j: a[i] * b[j] + (-b[i]) * a[j]
-    gap = 2.0 * im(2, 3)
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    # complex route: conj(psi_i) psi_j = (x - iu)(y + iv) as x y - (-u) v and x v + (-u) y
+    n0, n1, n2 = -b0, -b1, -b2
+    re02, re03 = a0 * a2 - n0 * b2, a0 * a3 - n0 * b3
+    re12, re13 = a1 * a2 - n1 * b2, a1 * a3 - n1 * b3
+    im01, im03 = a0 * b1 + n0 * a1, a0 * b3 + n0 * a3
+    im12, im23 = a1 * b2 + n1 * a2, a2 * b3 + n2 * a3
+    # the line-3 gap term, and the terms that shared line 4 and extra_class3 have in common
+    gap, im_diff, twice_im01 = 2.0 * im23, im03 - im12, 2.0 * im01
     complex_route = [
-        re(0, 2),
-        re(1, 3),
-        re(1, 2) + re(0, 3),
-        im(0, 3) - im(1, 2) - gap - 2.0 * im(0, 1),
-        re(0, 3) + im(1, 2),
-        im(0, 3) - im(1, 2) - 2.0 * im(0, 1),
+        re02,
+        re13,
+        re12 + re03,
+        im_diff - gap - twice_im01,
+        re03 + im12,
+        im_diff - twice_im01,
         gap,
     ]
-    re = lambda i, j: a[i] * a[j] + b[i] * b[j]
-    im = lambda i, j: a[i] * b[j] - b[i] * a[j]
+    # component route: a_i a_j + b_i b_j and a_i b_j - b_i a_j
+    re02, re03 = a0 * a2 + b0 * b2, a0 * a3 + b0 * b3
+    re12, re13 = a1 * a2 + b1 * b2, a1 * a3 + b1 * b3
+    im01, im03 = a0 * b1 - b0 * a1, a0 * b3 - b0 * a3
+    im12, im23 = a1 * b2 - b1 * a2, a2 * b3 - b2 * a3
+    im_diff, twice_im01 = im03 - im12, 2.0 * im01
     component_route = [
-        re(0, 2),
-        re(1, 3),
-        re(1, 2) + re(0, 3),
-        im(0, 3) - im(1, 2) - 2.0 * im(2, 3) - 2.0 * im(0, 1),
-        re(0, 3) + im(1, 2),
-        im(0, 3) - im(1, 2) - 2.0 * im(0, 1),
+        re02,
+        re13,
+        re12 + re03,
+        im_diff - 2.0 * im23 - twice_im01,
+        re03 + im12,
+        im_diff - twice_im01,
     ]
     return complex_route, component_route
 
@@ -85,22 +103,30 @@ class ConditionReport:
     scale: float
 
     def route_disagreement(self) -> float:
-        """Largest gap between the complex and component arithmetic routes."""
-        gaps = [
-            float(abs(self.shared - self.shared_components).max()),
+        """Largest gap between the complex and component arithmetic routes.
+
+        The routes run the same IEEE operations, so on finite residuals this
+        is 0.0 unless one route's formula is wrong: it guards the formulas,
+        not the rounding.
+        """
+        pairs = zip(self.shared.tolist(), self.shared_components.tolist())
+        shared_gaps = [abs(x - y) for x, y in pairs]
+        return max(
+            # a NaN gap is the largest, as in np.max
+            math.nan if any(map(math.isnan, shared_gaps)) else max(shared_gaps),
             abs(self.extra_class2 - self.extra_class2_components),
             abs(self.extra_class3 - self.extra_class3_components),
-        ]
-        return max(gaps)
+        )
 
     def satisfied(self, label: int, tol: float = 1e-10) -> bool:
         """Whether the condition set selecting ``label`` holds at tolerance.
 
         The residuals are quadratic in psi, so they are compared against
         ``tol * |psi|^2`` and the verdict does not change when psi is rescaled.
+        A NaN residual holds at no tolerance.
         """
         threshold = tol * self.scale
-        shared_ok = bool(self.shared.max() <= threshold)
+        shared_ok = all(x <= threshold for x in self.shared.tolist())
         if label == 2:
             return shared_ok and self.extra_class2 <= threshold
         if label == 3:

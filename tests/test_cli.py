@@ -980,6 +980,29 @@ def test_the_first_bad_document_in_input_order_is_the_one_reported(capsys, monke
     assert out == before[1] and len(out.splitlines()) == 8
 
 
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+@pytest.mark.parametrize("lineno", [2, 10], ids=["first-chunk", "third-chunk"])
+@pytest.mark.parametrize("integer, message, read_as", [
+    ("-1" + "0" * 400, "non-finite component entry", "-1e400"),
+    ("1" * 4301, "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion", None),
+], ids=["past-the-double-range", "past-the-digit-limit"])
+def test_an_integer_component_too_large_to_read_is_malformed_input(capsys, monkeypatch, command,
+                                                                   lineno, integer, message, read_as):
+    monkeypatch.setattr(cli, "_CHUNK", 4)  # lines 9-12 are the third chunk
+    lines = [json.dumps(r) for r in corpus_records(12)]
+    lines[lineno - 1] = '{"components": [[0, %s], [1, 0], [0, 0], [0, 0]]}' % integer
+    lines[lineno] = SHORT_LINE  # a later bad line is not the one reported
+    done = (lineno - 1) // 4 * 4  # the records of the chunks before the bad line
+    before = run_text([command, "-"], "".join(line + "\n" for line in lines[:done]), capsys, monkeypatch)
+    code, out, err = run_text([command, "-"], "".join(line + "\n" for line in lines), capsys, monkeypatch)
+    assert code == 1 and err.startswith(f"spinorlab: line {lineno}: {message}") and err.count("\n") == 1
+    assert out == before[1] and len(out.splitlines()) == done
+    if read_as:  # the same input, the integer written as the float it overflows to
+        lines[lineno - 1] = lines[lineno - 1].replace(integer, read_as)
+        text = "".join(line + "\n" for line in lines)
+        assert run_text([command, "-"], text, capsys, monkeypatch) == (code, out, err)
+
+
 def test_output_opens_with_the_first_chunk(tmp_path, capsys):
     records = corpus_records(2 * cli._CHUNK + 3)
     path, target = tmp_path / "in.jsonl", tmp_path / "out.txt"

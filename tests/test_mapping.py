@@ -14,7 +14,8 @@ from spinorlab import (
     elko_quartet,
     mappability,
 )
-from spinorlab.mapping import condition_routes
+from spinorlab.bilinears import covariant_array
+from spinorlab.mapping import ConditionReport, condition_routes
 
 # one-parameter families through each satisfying class, standard representation
 FAMILY = {
@@ -145,3 +146,40 @@ def test_condition_routes_on_arrays_are_the_float_routes_bit_for_bit():
         for k in range(width):
             want = np.array([r[route][k] for r in rows])
             assert np.array_equal(block[route][k].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("rep", ["chiral", "standard"])
+def test_j0_of_the_covariants_is_the_condition_scale_bit_for_bit(rep):
+    """J^0 of ``covariant_array`` is ``ConditionReport.scale``, so a block can take the scale from it."""
+    v = spinors_across_decades(98)
+    j0 = covariant_array(v, rep)[:, 1]
+    scale = np.array([float(np.vdot(c, c).real) for c in v])
+    assert np.array_equal(j0.view(np.int64), scale.view(np.int64))
+
+
+def test_route_gap_and_verdicts_read_nan_as_np_max_and_np_all_do():
+    """On the report's floats, a NaN anywhere gives what the numpy reductions gave."""
+    rng = np.random.default_rng(99)
+    fields = ("shared", "extra_class2", "extra_class3", "shared_components",
+              "extra_class2_components", "extra_class3_components", "scale")
+    for _ in range(400):
+        # residuals near the threshold tol * scale, so the verdicts go both ways
+        values = {f: np.abs(rng.normal(1e-10, 1e-10, 4 if f.startswith("shared") else None))
+                  for f in fields}
+        values["scale"] = 1.0
+        for field in rng.choice(fields, size=rng.integers(1, 4)):
+            if field.startswith("shared"):
+                values[field][rng.integers(4)] = np.nan
+            else:
+                values[field] = np.nan
+        report = ConditionReport(line3_vs_class3_gap=0.0, **{
+            f: v if f.startswith("shared") else float(v) for f, v in values.items()})
+        gap = max(float(np.max(np.abs(report.shared - report.shared_components))),
+                  abs(report.extra_class2 - report.extra_class2_components),
+                  abs(report.extra_class3 - report.extra_class3_components))
+        assert np.array_equal(report.route_disagreement(), gap, equal_nan=True)
+        threshold = 1e-10 * report.scale
+        shared_ok = bool(np.all(report.shared <= threshold))
+        ok2 = shared_ok and report.extra_class2 <= threshold
+        ok3 = shared_ok and report.extra_class3 <= threshold
+        assert [report.satisfied(label) for label in (1, 2, 3)] == [ok2 and ok3, ok2, ok3]

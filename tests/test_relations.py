@@ -10,6 +10,13 @@ terms, whose squares leave the normal range for small psi, and they take
 scalar squares through ``pow``, which libm does not round alike at every
 exponent.
 
+R2: multiplying a spinor by i, which takes each component a + ib to -b + ia,
+leaves its ``classify`` and ``map-check`` records as they were, every residual
+to its last bit.  The negation is exact, and in Re(psi_i* psi_j) =
+a_i a_j + b_i b_j and Im(psi_i* psi_j) = a_i b_j - b_i a_j the two products
+only trade places.  Nothing is asserted for ``hopf``: a global phase is not a
+fibre action of its Hopf map.
+
 R3: the same spinors as JSON-lines and as CSV give the same records, apart
 from the label that only JSON-lines carries.
 
@@ -28,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_spinors
-from spinorlab import cli
+from spinorlab import SpinorC4, cli, mapping
 
 CHUNK = 5  # the relations' inputs span several chunks
 SPINORS = 12  # two of each Lounesto class
@@ -89,10 +96,9 @@ def jsonl(spinors, k=0, rep=True, label=False):
     return "".join(lines)
 
 
-def scaled_pairs(command, spinors, k):
-    """The records of each spinor and of it times 2^k, read interleaved from one input."""
-    text = "".join(a + b for a, b in zip(jsonl(spinors).splitlines(True),
-                                          jsonl(spinors, k).splitlines(True)))
+def paired_records(command, spinors, partners):
+    """The records of each spinor and of its partner, read interleaved from one input."""
+    text = "".join(a + b for a, b in zip(jsonl(spinors).splitlines(True), partners.splitlines(True)))
     _, records = run_main([command, "-"], text)
     assert len(records) == 2 * len(spinors)
     return zip(records[0::2], records[1::2])
@@ -104,7 +110,7 @@ def numbers(value):
 
 def assert_r1(spinors, k):
     for command in ("classify", "map-check"):
-        for plain, scaled in scaled_pairs(command, spinors, k):
+        for plain, scaled in paired_records(command, spinors, jsonl(spinors, k)):
             verdicts = [(plain.get(f), scaled.get(f)) for f in UNCHANGED[command]]
             assert all(a == b for a, b in verdicts), (command, k, verdicts)
             for field, degree in DEGREE[command].items():
@@ -126,12 +132,32 @@ def test_r1_degrees_are_the_fields_degrees():
     """The probe behind DEGREE: each field's ratio at 2^k is 2^(k d) for its d, and for no other."""
     spinors = corpus(11)
     for command, degrees in DEGREE.items():
-        for plain, scaled in scaled_pairs(command, spinors, 3):
+        for plain, scaled in paired_records(command, spinors, jsonl(spinors, 3)):
             for field, degree in degrees.items():
                 if field in plain:
                     for a, b in zip(numbers(plain[field]), numbers(scaled[field])):
                         found = [d for d in range(9) if math.ldexp(a, 3 * d) == b]
                         assert found == ([degree] if a else list(range(9))), (command, field)
+
+
+def times_i(psi):
+    """psi times i, exactly: each component a + ib becomes -b + ia."""
+    return SpinorC4(np.array([complex(-z.imag, z.real) for z in psi.components.tolist()]), psi.rep)
+
+
+def assert_r2(spinors):
+    turned = jsonl([times_i(psi) for psi in spinors])
+    for command in ("classify", "map-check"):
+        for plain, times in paired_records(command, spinors, turned):
+            assert plain.pop("index") + 1 == times.pop("index")
+            # repr round-trips each float, so equal text is equal bits, signed zeros included
+            assert json.dumps(plain) == json.dumps(times), command
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=SEEDS)
+def test_r2_multiplying_by_i_leaves_every_record_as_it_was(seed):
+    assert_r2(corpus(seed))
 
 
 def assert_r3(spinors):
@@ -169,6 +195,18 @@ def _threshold_from_the_chunks_largest_j0(mp):  # zero tests against tol * max J
     mp.setattr(cli, "magnitude_array", faulty)
 
 
+def _re_formed_without_the_conjugate(mp):  # Re(psi_i* psi_j) as a_i a_j - b_i b_j
+    routes = mapping.condition_routes
+
+    # each residual is linear in the Re and Im terms, and with a = 0 the Re terms are
+    # b_i b_j and the Im terms 0: subtracting twice those residuals flips the b_i b_j sign
+    def faulty(a, b):
+        return tuple([x - 2.0 * y for x, y in zip(route, b_only)]
+                     for route, b_only in zip(routes(a, b), routes([0.0] * 4, b)))
+
+    mp.setattr(mapping, "condition_routes", faulty)
+
+
 def _csv_read_as_four_re_then_four_im(mp):  # the columns taken in split, not interleaved, order
     read = cli._read_csv
     mp.setattr(cli, "_read_csv",
@@ -178,6 +216,7 @@ def _csv_read_as_four_re_then_four_im(mp):  # the columns taken in split, not in
 RELATION_FAULTS = {
     "R1": (_threshold_from_the_chunks_largest_j0,
            lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
+    "R2": (_re_formed_without_the_conjugate, assert_r2),
     "R3": (_csv_read_as_four_re_then_four_im, assert_r3),
 }
 
