@@ -8,6 +8,8 @@ relate regular spinors to ELKOs, and exposes the quaternionic Hopf fibration
 hiding inside the even subalgebra.
 """
 
+from importlib import import_module as _import_module
+
 from .algebra import (
     BLADE_NAMES,
     E0,
@@ -51,63 +53,11 @@ from .classify import (
     is_singular,
     verify_class_relations,
 )
-from .elko import (
-    ElkoSpinor,
-    WeylC2,
-    charge_conjugation,
-    dirac_from_left,
-    dirac_with_phase,
-    elko_boost,
-    elko_dual,
-    elko_quartet,
-    elko_rest,
-    helicity_eigenspinor,
-    majorana_from_weyl,
-    penrose_flag,
-    penrose_pole,
-    weyl_spinor,
-)
-from .flagdipole import (
-    FlagDipoleFrame,
-    annihilator_residuals,
-    class_limit,
-    direction_class,
-    direction_element,
-    doran_h,
-    elko_mixture_direction,
-    frame_from_bilinears,
-    is_admissible_flag_dipole_direction,
-    projection_spinor,
-    projector_idempotency_residual,
-    sigma_projector,
-    sigma_projector_matrix,
-    synthetic_frame,
-    type4_boomerang,
-    validate_direction,
-)
 from .gamma import (
     SIMILARITY,
     GammaRep,
     chiral_to_standard,
     gamma_rep,
-)
-from .hopf import (
-    HopfPoint,
-    QuaternionPair,
-    column_fiber_action,
-    column_to_even,
-    column_to_quaternions,
-    even_to_column,
-    even_to_ideal,
-    even_to_quaternions,
-    hopf_from_components,
-    hopf_map,
-    hopf_map_unnormalized,
-    hopf_routes_report,
-    ideal_projector,
-    ideal_to_column,
-    instanton_obstruction,
-    quaternions_to_column,
 )
 from .mapping import (
     ConditionReport,
@@ -117,3 +67,44 @@ from .mapping import (
 )
 
 __version__ = "0.1.0"
+
+# exported names served on first use, each from its submodule, so that the
+# record subcommands other than ``hopf`` run without these three modules; the
+# rest stay eager, as every subcommand loads them (and the functions
+# ``bilinears`` and ``classify`` must shadow their submodules from the start)
+_LAZY = {
+    **dict.fromkeys((
+        "ElkoSpinor", "WeylC2", "charge_conjugation", "dirac_from_left", "dirac_with_phase",
+        "elko_boost", "elko_dual", "elko_quartet", "elko_rest", "helicity_eigenspinor",
+        "majorana_from_weyl", "penrose_flag", "penrose_pole", "weyl_spinor",
+    ), "elko"),
+    **dict.fromkeys((
+        "FlagDipoleFrame", "annihilator_residuals", "class_limit", "direction_class",
+        "direction_element", "doran_h", "elko_mixture_direction", "frame_from_bilinears",
+        "is_admissible_flag_dipole_direction", "projection_spinor",
+        "projector_idempotency_residual", "sigma_projector", "sigma_projector_matrix",
+        "synthetic_frame", "type4_boomerang", "validate_direction",
+    ), "flagdipole"),
+    **dict.fromkeys((
+        "HopfPoint", "QuaternionPair", "column_fiber_action", "column_to_even",
+        "column_to_quaternions", "even_to_column", "even_to_ideal", "even_to_quaternions",
+        "hopf_from_components", "hopf_map", "hopf_map_unnormalized", "hopf_routes_report",
+        "ideal_projector", "ideal_to_column", "instanton_obstruction", "quaternions_to_column",
+    ), "hopf"),
+}
+# what ``from spinorlab import *`` gave when every module loaded with the package
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += [*_LAZY, "elko", "flagdipole", "hopf"]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

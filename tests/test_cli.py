@@ -23,7 +23,7 @@ from oracles import (
     per_sample_suite_projectors,
     scalar_map_check_record,
 )
-from spinorlab import SpinorC4, cli
+from spinorlab import SpinorC4, cli, verify
 from spinorlab.algebra import hamilton_product
 
 
@@ -610,14 +610,14 @@ def assert_blocked_suite_prints_the_oracle_bytes(suite, oracle, sample_counts, s
         got = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
         results = oracle(np.random.default_rng(seed), samples, float(tol or 1e-10))
         with monkeypatch.context() as patch:
-            patch.setattr(cli, f"_suite_{suite}", lambda rng, n, t: results)
+            patch.setattr(verify, f"_suite_{suite}", lambda rng, n, t: results)
             want = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
         assert got == want, samples
 
 
 @pytest.mark.parametrize("seed, tol", [(1, None), (4, None), (4, "1e-6")])
 def test_blocked_verify_fierz_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
-    block = cli._VERIFY_BLOCK
+    block = verify._VERIFY_BLOCK
     counts = (1, 2, block - 1, block, block + 1, 2 * block + 3, 1000)
     assert_blocked_suite_prints_the_oracle_bytes("fierz", per_sample_suite_fierz, counts, seed, tol,
                                                  capsys, monkeypatch)
@@ -626,7 +626,7 @@ def test_blocked_verify_fierz_prints_the_per_sample_suite_bytes(seed, tol, capsy
 @pytest.mark.parametrize("tol", [None, "1e-6"])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_blocked_verify_hopf_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
-    block = cli._VERIFY_BLOCK
+    block = verify._VERIFY_BLOCK
     counts = (1, block - 1, block, block + 1, 200, 1000)
     assert_blocked_suite_prints_the_oracle_bytes("hopf", per_sample_suite_hopf, counts, seed, tol,
                                                  capsys, monkeypatch)
@@ -636,7 +636,7 @@ def test_blocked_verify_hopf_prints_the_per_sample_suite_bytes(seed, tol, capsys
 def test_blocked_verify_projectors_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
     # 1-11 and 99-100 requested samples run the floor of 10; 639, 641 and 1000 run
     # 63, 64 and 100, the last across a block seam
-    block = cli._VERIFY_BLOCK
+    block = verify._VERIFY_BLOCK
     counts = (1, 9, 10, 11, 99, 100, 10 * block - 1, 10 * block + 1, 1000)
     assert_blocked_suite_prints_the_oracle_bytes("projectors", per_sample_suite_projectors, counts,
                                                  seed, tol, capsys, monkeypatch)
@@ -644,7 +644,7 @@ def test_blocked_verify_projectors_prints_the_per_sample_suite_bytes(seed, tol, 
 
 @pytest.mark.parametrize("seed, tol", [(0, None), (3, None), (3, "1e-6")])
 def test_blocked_verify_mapping_prints_the_per_sample_suite_bytes(seed, tol, capsys, monkeypatch):
-    block = cli._VERIFY_BLOCK
+    block = verify._VERIFY_BLOCK
     counts = (1, 9, 10, 11, 99, 100, 10 * block - 1, 10 * block + 1, 1000)
     assert_blocked_suite_prints_the_oracle_bytes("mapping", per_sample_suite_mapping, counts,
                                                  seed, tol, capsys, monkeypatch)
@@ -654,7 +654,7 @@ def test_verify_fierz_fails_reconstruction_when_every_probe_is_degenerate(capsys
     def nothing_recovered(z, probes, rep):
         return np.zeros((len(z), 4), dtype=complex), np.zeros(len(z), dtype=bool)
 
-    monkeypatch.setattr(cli, "reconstruct_array", nothing_recovered)
+    monkeypatch.setattr(verify, "reconstruct_array", nothing_recovered)
     code, out, _ = run(["verify", "fierz", "--samples", "50", "--seed", "3", "--json"], capsys)
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 2
@@ -680,13 +680,13 @@ def _flip_the_dual_sign(mp):  # J ^ K + (omega - sigma e0123) S_bold
 
 
 def _stretch_the_recovered_spinor(mp):  # recovered psi 1e-6 too long
-    real = cli.reconstruct_array
+    real = verify.reconstruct_array
 
     def stretched(z, probes, rep):
         back, ok = real(z, probes, rep)
         return back * (1 + 1e-6), ok
 
-    mp.setattr(cli, "reconstruct_array", stretched)
+    mp.setattr(verify, "reconstruct_array", stretched)
 
 
 def _stretch_the_ideal_projector(mp):  # f = (1 + e0)(1 + i e12)/4 off by 1e-9
@@ -700,16 +700,16 @@ def _drop_the_factor_2_on_j1(mp):  # J1 = Re(q1* i q2) on the quaternion route
 
 
 def _act_on_the_left(mp):  # the fiber element multiplies u q, not q u
-    mp.setattr(cli, "fiber_action_array",
+    mp.setattr(verify, "fiber_action_array",
                lambda q1, q2, u: (hamilton_product(u, q1), hamilton_product(u, q2)))
 
 
 def _fault_the_routes(mp, fault):
-    """Replace condition_routes, in mapping and in cli, by ``fault(a, b, complex_route, component_route)``."""
-    exact = cli.condition_routes
+    """Replace condition_routes, in mapping and in verify, by ``fault(a, b, complex_route, component_route)``."""
+    exact = verify.condition_routes
     faulty = lambda a, b: fault(a, b, *exact(a, b))
     mp.setattr(importlib.import_module("spinorlab.mapping"), "condition_routes", faulty)
-    mp.setattr(cli, "condition_routes", faulty)
+    mp.setattr(verify, "condition_routes", faulty)
 
 
 def _tilt_the_component_route(mp):  # split-component shared residuals 1e-9 too large
@@ -736,13 +736,13 @@ def _tilt_gamma_0_in_the_projection(mp):  # Psi (1 + (gamma_0 + 1e-6 gamma_1) u)
 
 
 def _misread_the_axial_ratio(mp):  # h = K/J at J's dominant entry, 1e-6 too large
-    real = cli.frame_array
+    real = verify.frame_array
 
     def misread(covariants):
         J, s, h, consistent = real(covariants)
         return J, s, h * (1 + 1e-6), consistent
 
-    mp.setattr(cli, "frame_array", misread)
+    mp.setattr(verify, "frame_array", misread)
 
 
 def _drop_h_from_the_boomerang(mp):  # Z = J (1 + i s), without i h e0123
@@ -752,30 +752,30 @@ def _drop_h_from_the_boomerang(mp):  # Z = J (1 + i s), without i h e0123
 
 
 def _halve_the_projector_operator(mp):  # (1 -/+ i (s + h e0123)/2) / 2
-    real = cli.sigma_projector_matrix_array
-    mp.setattr(cli, "sigma_projector_matrix_array", lambda s, h, sign: real(s / 2, h / 2, sign))
+    real = verify.sigma_projector_matrix_array
+    mp.setattr(verify, "sigma_projector_matrix_array", lambda s, h, sign: real(s / 2, h / 2, sign))
 
 
 def _fault_the_minus_half(mp, fault):
     """Replace the sign -1 half-projector matrices of verify projectors by ``fault(s, h)``."""
-    real = cli.sigma_projector_matrix_array
-    mp.setattr(cli, "sigma_projector_matrix_array",
+    real = verify.sigma_projector_matrix_array
+    mp.setattr(verify, "sigma_projector_matrix_array",
                lambda s, h, sign: real(s, h, sign) if sign == 1 else fault(s, h))
 
 
 def _stretch_the_minus_half_by_an_ulp(mp):  # the halves sum to (1 + 2^-52) on their minus part
-    real = cli.sigma_projector_matrix_array
+    real = verify.sigma_projector_matrix_array
     _fault_the_minus_half(mp, lambda s, h: real(s, h, -1) * (1 + 2.0**-52))
 
 
 def _tilt_h_in_the_minus_half(mp):  # the minus half built with h 1e-12 too large
-    real = cli.sigma_projector_matrix_array
+    real = verify.sigma_projector_matrix_array
     _fault_the_minus_half(mp, lambda s, h: real(s, h * (1 + 1e-12), -1))
 
 
 def _stop_the_limit_paths_short(mp):  # the paths end at t = 1e-3, not t = 0
-    real = cli.class_limit_array
-    mp.setattr(cli, "class_limit_array", lambda u, which: real(u, which, ts=(1.0, 0.1, 0.01, 1e-3)))
+    real = verify.class_limit_array
+    mp.setattr(verify, "class_limit_array", lambda u, which: real(u, which, ts=(1.0, 0.1, 0.01, 1e-3)))
 
 
 # one small fault per check, in the kernel, table or function that the check covers
@@ -1001,6 +1001,33 @@ def test_an_integer_component_too_large_to_read_is_malformed_input(capsys, monke
         lines[lineno - 1] = lines[lineno - 1].replace(integer, read_as)
         text = "".join(line + "\n" for line in lines)
         assert run_text([command, "-"], text, capsys, monkeypatch) == (code, out, err)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # far past the interpreter's recursion limit
+LONG = "1" * 5001
+TOO_LONG = (
+    "invalid JSON: Exceeds the limit (4300 digits)"
+    " for integer string conversion: value has 5001 digits\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+@pytest.mark.parametrize("bad, message", [
+    ('{"components": %s}' % DEEP, "invalid JSON: maximum recursion depth exceeded"),
+    ('{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": %s}' % DEEP,
+     "invalid JSON: maximum recursion depth exceeded"),
+    ('{"components": [[%s, 0], [0, 0], [0, 0], [0, 0]]}' % LONG, TOO_LONG),
+    ('{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": %s}' % LONG, TOO_LONG),
+], ids=["nested-components", "nested-label", "long-integer-component", "long-integer-label"])
+def test_a_line_json_cannot_read_is_malformed_input_with_one_line_of_message(capsys, monkeypatch,
+                                                                            command, bad, message):
+    monkeypatch.setattr(cli, "_CHUNK", 4)  # line 6 is in the second chunk
+    lines = [json.dumps(r) for r in corpus_records(8)]
+    lines[5] = bad
+    before = run_text([command, "-"], "".join(line + "\n" for line in lines[:4]), capsys, monkeypatch)
+    code, out, err = run_text([command, "-"], "".join(line + "\n" for line in lines), capsys, monkeypatch)
+    assert code == 1 and err.startswith(f"spinorlab: line 6: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+    assert out == before[1] and len(out.splitlines()) == 4
 
 
 def test_output_opens_with_the_first_chunk(tmp_path, capsys):

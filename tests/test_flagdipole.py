@@ -39,7 +39,7 @@ from spinorlab import (
     validate_direction,
 )
 from spinorlab.bilinears import covariant_array
-from spinorlab.cli import _random_admissible_direction
+from spinorlab.verify import _random_admissible_direction
 from spinorlab.flagdipole import (
     annihilator_residual_array,
     boomerang_array,
