@@ -32,7 +32,6 @@ from .algebra import (
 from .bilinears import (
     BilinearSet,
     DegenerateProbeError,
-    GammaDictionaryError,
     SpinorC4,
     aggregate,
     aggregate_matrix_residual,

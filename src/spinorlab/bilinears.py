@@ -44,13 +44,7 @@ from .algebra import (
     PSEUDOSCALAR,
     Multivector,
 )
-from .gamma import SIMILARITY, gamma_rep
-
-REP_TAGS = ("chiral", "standard")
-
-
-class GammaDictionaryError(RuntimeError):
-    """A bilinear came out non-real: the gamma set violates its contract."""
+from .gamma import REP_TAGS, SIMILARITY, gamma_rep
 
 
 class DegenerateProbeError(ValueError):
@@ -134,7 +128,7 @@ _FACTORS = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])
 def _rep_matrices(tag: str) -> tuple[np.ndarray, np.ndarray]:
     """The sixteen Hermitian forms gamma0 G_n and Fierz operators f_n G_n of one rep, stacked."""
     rep = gamma_rep(tag)
-    ops = np.array([rep.mv_to_matrix(g) for g in _OPERATORS])
+    ops = rep.matrix_array([g.coeffs for g in _OPERATORS])
     return rep.lower[0] @ ops, _FACTORS[:, None, None] * ops
 
 
@@ -153,32 +147,25 @@ def _components(v) -> np.ndarray:
     return v
 
 
-def covariant_array(components, rep: str = "chiral", tol: float = 1e-10) -> np.ndarray:
+def covariant_array(components, rep: str = "chiral") -> np.ndarray:
     """The sixteen covariants of each row of an (N, 4) component array, as (N, 16).
 
     Row n holds the covariants of spinor n in ``BilinearSet.as_array`` order.
-    Raises GammaDictionaryError, for the first offending row and form, if a
-    quadratic form returns an imaginary residue above ``tol`` times
-    max(1, psi^dagger psi); the forms are Hermitian, so that can only happen
-    on an internal fault.
+    Each form equals its conjugate transpose bit for bit (the test suite checks
+    it for both representations), so the imaginary part of psi^dagger F psi
+    is rounding only, and it is dropped.
     """
     v = _components(components)
     # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
     # so each value is bit for bit the one-form-at-a-time result (einsum is not)
     z = np.vecdot(v[:, None, :], (_MATRICES[rep][0] @ v[:, None, :, None])[..., 0])
-    bad = np.abs(z.imag) > tol * np.maximum(1.0, z[:, 1:2].real)  # J^0 = psi^dagger psi
-    if bad.any():
-        row, n = np.argwhere(bad)[0]
-        raise GammaDictionaryError(
-            f"bilinear {n} has imaginary residue {float(z[row, n].imag):g}; gamma dictionary broken"
-        )
     # unit-stride rows, so row norms run the same BLAS dot as np.linalg.norm on a copy
     return np.ascontiguousarray(z.real)
 
 
-def bilinears(psi: SpinorC4, tol: float = 1e-10) -> BilinearSet:
+def bilinears(psi: SpinorC4) -> BilinearSet:
     """Compute all sixteen bilinear components of ``psi`` (``covariant_array`` for one row)."""
-    values = covariant_array(psi.components[None], psi.rep, tol)[0]
+    values = covariant_array(psi.components[None], psi.rep)[0]
     return BilinearSet(
         sigma=float(values[0]),
         J=values[1:5],
@@ -251,12 +238,6 @@ def is_boomerang(z: Multivector, tol: float = 1e-10) -> bool:
     return diff <= tol * max(1.0, z.norm())
 
 
-def _z_matrices(z, rep: str) -> np.ndarray:
-    """The (N, 4, 4) matrices of an (N, 16) block of Z coefficients, each as ``mv_to_matrix``."""
-    z = np.asarray(z, dtype=np.complex128)
-    return (z[:, None, :] @ gamma_rep(rep).blades.reshape(DIM, 16)).reshape(-1, 4, 4)
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis of a complex array, summed as ``np.linalg.norm``."""
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
@@ -275,7 +256,7 @@ def aggregate_residual_array(components, covariants, rep: str = "chiral") -> np.
     """
     v = np.asarray(components, dtype=np.complex128)
     psibar = v.conj()[:, None, :] @ gamma_rep(rep).lower[0]
-    diff = _z_matrices(aggregate_array(covariants), rep) - 4.0 * (v[:, :, None] * psibar)
+    diff = gamma_rep(rep).matrix_array(aggregate_array(covariants)) - 4.0 * (v[:, :, None] * psibar)
     return _norms(diff.reshape(-1, 16))
 
 
@@ -295,7 +276,7 @@ def generalized_fierz_array(z, covariants, rep: str = "chiral") -> np.ndarray:
     sigma, J^mu, 2 S^{mu nu}, K^mu and -omega.  Row n holds the five
     worst-case Frobenius residuals of spinor n in that order.
     """
-    zm = _z_matrices(z, rep)[:, None]
+    zm = gamma_rep(rep).matrix_array(z)[:, None]
     coeffs = 4.0 * (_FACTORS * np.asarray(covariants, dtype=float))
     residuals = zm @ _MATRICES[rep][1] @ zm - coeffs[:, :, None, None] * zm
     return np.maximum.reduceat(_norms(residuals.reshape(-1, 16, 16)), _FAMILY_STARTS, axis=1)
@@ -315,7 +296,7 @@ def reconstruct_array(z, probes, rep: str = "chiral", tol: float = 1e-10) -> tup
     and positive; masked rows hold no meaningful value.
     """
     g = gamma_rep(rep)
-    zm = _z_matrices(z, rep)
+    zm = g.matrix_array(z)
     xi = np.asarray(probes, dtype=np.complex128)
     w = (zm @ xi[:, :, None])[..., 0]
     n2 = np.vecdot(xi, (g.lower[0] @ w[:, :, None])[..., 0])

@@ -13,8 +13,8 @@ Input is JSON-lines (one object per line with a ``components`` field of four
 [re, im] pairs) or CSV with eight real columns, re/im interleaved.  Output is
 deterministic: fixed key order, byte-identical for identical input and seed.
 Each subcommand imports what it runs when it runs: ``make`` the builders of
-``elko`` and ``flagdipole``, ``hopf`` the route report, ``verify`` the suites,
-so ``classify`` and ``map-check`` load none of these modules.
+its family, ``hopf`` the route report, ``verify`` the suites, so ``classify``
+and ``map-check`` load none of these modules.
 The record subcommands stream: they read, compute and write one chunk of
 ``_CHUNK`` records at a time, so the first records leave after one chunk and
 peak memory does not grow with the input.  Each chunk is parsed straight into
@@ -57,9 +57,9 @@ from .classify import (
     lounesto_class,
     magnitude_array,
 )
+from .gamma import REP_TAGS
 from .mapping import SingularSpinorError, elko_map_conditions, mappability
 
-REP_CHOICES = ("chiral", "standard")
 # largest accepted |psi|: the record code goes up to its eighth power
 _MAX_NORM = np.finfo(float).max ** 0.125
 # smallest accepted nonzero |psi|: its fourth power, the size of the Fierz terms,
@@ -227,7 +227,7 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
             raise CliInputError(f"{where}: expected an object with a 'components' field")
         comp = _components_from_pairs(obj["components"], where)
         rep = obj.get("rep", default_rep)
-        if rep not in REP_CHOICES:
+        if rep not in REP_TAGS:
             raise CliInputError(f"{where}: unknown representation {rep!r}")
         yield comp, rep, obj.get("label")
 
@@ -300,7 +300,7 @@ def _run_records(args, record_fn, table_row, header=None) -> int:
 
 def _rep_blocks(chunk: Chunk) -> Iterator[tuple[str, list[int], np.ndarray]]:
     """Each representation present in a chunk, its rows and their (N, 4) components."""
-    for rep in REP_CHOICES:
+    for rep in REP_TAGS:
         rows = [i for i, r in enumerate(chunk.reps) if r == rep]
         if rows:
             yield rep, rows, chunk.components[rows]
@@ -310,7 +310,7 @@ def _classification_records(chunk: Chunk, tol: float) -> list[dict]:
     """Classify a chunk: the array kernels run once per representation present."""
     records = chunk.heads
     for rep, rows, components in _rep_blocks(chunk):
-        cov = covariant_array(components, rep, tol)
+        cov = covariant_array(components, rep)
         # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
         residual = aggregate_residual_array(components, cov, rep)
         boomerang = residual <= max(tol, 1e-12) * 4 * cov[:, 1]
@@ -445,7 +445,6 @@ def _make_records(args) -> list[dict]:
         majorana_from_weyl,
         weyl_spinor,
     )
-    from .flagdipole import direction_element, projection_spinor
 
     records: list[dict] = []
 
@@ -514,6 +513,7 @@ def _make_records(args) -> list[dict]:
             label = f"dirac:eps={args.epsilon:+d}"
         add(psi, label, momentum=momentum.tolist(), mass=mass)
     else:  # flagdipole
+        from .flagdipole import direction_element, projection_spinor
         if args.u is None:
             raise CliInputError("make flagdipole requires --u ux,uy,uz")
         u = direction_element(_parse_floats(args.u, 3, "--u"))
@@ -563,7 +563,7 @@ def build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser, records: bool = True, table: bool = False) -> None:
         if records:
             p.add_argument("input", help="input file (JSON-lines or CSV), or - for stdin")
-            p.add_argument("--rep", choices=REP_CHOICES, default="chiral",
+            p.add_argument("--rep", choices=REP_TAGS, default="chiral",
                            help="representation for inputs that do not declare one")
         p.add_argument("--tol", type=positive_float, default=1e-10, help="zero-test tolerance")
         fmt = p.add_mutually_exclusive_group()

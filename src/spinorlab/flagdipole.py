@@ -20,9 +20,10 @@ components into (N, 16) unit directions, ``projection_spinor_array`` and
 arithmetic body, its kernel: ``direction_element``, ``projection_spinor``,
 ``validate_direction``, ``frame_from_bilinears``, ``type4_boomerang``,
 ``annihilator_residuals``, ``sigma_projector_matrix`` and ``class_limit`` are
-one-row calls of the kernels, with the same checks and errors.  Products run
-through ``algebra.product_array`` and matrices through
-``bilinears._z_matrices``, so every row equals the ``Multivector``
+one-row calls of the kernels, with the same checks and errors, and so are the
+frame invariants of ``synthetic_frame`` and ``FlagDipoleFrame.hs_residual``.
+Products run through ``algebra.product_array`` and matrices through
+``GammaRep.matrix_array``, so every row equals the ``Multivector``
 computation bit for bit, by the rules of ``spinorlab.bilinears``.
 """
 
@@ -46,7 +47,7 @@ from .algebra import (
     lcontract,
     product_array,
 )
-from .bilinears import BilinearSet, SpinorC4, _norms, _z_matrices, minkowski_square
+from .bilinears import BilinearSet, SpinorC4, _norms
 from .gamma import gamma_rep
 from .hopf import even_to_column_array
 
@@ -174,7 +175,20 @@ class FlagDipoleFrame:
 
     def hs_residual(self) -> float:
         """Residual of h^2 = 1 + s^2 (s^2 the Minkowski square of s)."""
-        return abs(self.h**2 - 1.0 - minkowski_square(self.s))
+        return float(_hs_residuals(self.s.coeffs[None], [self.h])[0][0])
+
+
+def _frame_invariants(J, s) -> tuple:
+    """|J^2|, |J . s|, |J| and |s| of each row of (N, 16) J and s, as (N,) arrays."""
+    null = np.abs(product_array(J, J, PRODUCT_SIGN)[:, 0].real)
+    ortho = np.abs(product_array(J, s, LCONTRACT_SIGN)[:, 0].real)
+    return null, ortho, _norms(J), _norms(s)
+
+
+def _hs_residuals(s, h) -> tuple:
+    """|h^2 - 1 - s^2| and h^2 of each row of (N, 16) s and (N,) h."""
+    h2 = np.float_power(h, 2)
+    return np.abs(h2 - 1.0 - product_array(s, s, PRODUCT_SIGN)[:, 0].real), h2
 
 
 def synthetic_frame(J: Multivector, s: Multivector, h: float, tol: float = 1e-9) -> FlagDipoleFrame:
@@ -183,12 +197,10 @@ def synthetic_frame(J: Multivector, s: Multivector, h: float, tol: float = 1e-9)
     ``h`` is accepted as given; frames violating h^2 = 1 + s^2 are flagged
     via ``consistent=False`` rather than rejected.
     """
-    jsq = abs(minkowski_square(J))
-    scale = max(1.0, J.norm() ** 2)
-    if jsq > tol * scale:
+    jsq, ortho, jnorm, snorm = (float(x[0]) for x in _frame_invariants(J.coeffs[None], s.coeffs[None]))
+    if jsq > tol * max(1.0, jnorm**2):
         raise ValueError(f"J must be null, got J^2 = {jsq:g}")
-    ortho = abs(float(lcontract(J, s).scalar_part().real))
-    if ortho > tol * max(1.0, J.norm() * s.norm()):
+    if ortho > tol * max(1.0, jnorm * snorm):
         raise ValueError(f"s must be orthogonal to J, got J.s = {ortho:g}")
     frame = FlagDipoleFrame(J=J, s=s, h=float(h))
     consistent = frame.hs_residual() <= tol * max(1.0, h**2)
@@ -227,8 +239,7 @@ def frame_array(covariants, tol: float = 1e-9) -> tuple:
     for row, (m, t) in enumerate(zip(rows, target)):
         s[row, 1:5] = np.linalg.lstsq(m, t, rcond=None)[0]
 
-    h2 = np.float_power(h, 2)
-    hs = np.abs(h2 - 1.0 - product_array(s, s, PRODUCT_SIGN)[:, 0])
+    hs, h2 = _hs_residuals(s, h)
     return J, s, h, hs <= tol * np.maximum(1.0, h2)
 
 
@@ -252,11 +263,9 @@ def boomerang_array(J, s, h, tol: float = 1e-9) -> np.ndarray:
     Raises ValueError if a frame's J is not null, or s not orthogonal to J.
     """
     J, s, h = np.asarray(J), np.asarray(s), np.asarray(h)
-    jnorm, snorm = _norms(J), _norms(s)
-    null = np.abs(product_array(J, J, PRODUCT_SIGN)[:, 0].real)
+    null, ortho, jnorm, snorm = _frame_invariants(J, s)
     if np.any(null > tol * np.maximum(1.0, np.float_power(jnorm, 2))):
         raise ValueError("frame violates the null-current invariant")
-    ortho = np.abs(product_array(J, s, LCONTRACT_SIGN)[:, 0].real)
     if np.any(ortho > tol * np.maximum(1.0, jnorm * snorm)):
         raise ValueError("frame violates J . s = 0")
     return product_array(J, _tail(s, h, 1, 1), PRODUCT_SIGN)
@@ -313,7 +322,8 @@ def sigma_projector_matrix_array(s, h, sign: int) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     h = np.asarray(h, dtype=float)
-    op = _z_matrices(s, "standard") + h[:, None, None] * gamma_rep("standard").pseudoscalar
+    rep = gamma_rep("standard")
+    op = rep.matrix_array(s) + h[:, None, None] * rep.pseudoscalar
     return 0.5 * (np.eye(4, dtype=np.complex128) - sign * 1j * op)
 
 

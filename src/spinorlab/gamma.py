@@ -52,8 +52,14 @@ class GammaRep:
         self.blades = blades
         self.pseudoscalar = blades[-1]
 
+    def matrix_array(self, coeffs) -> np.ndarray:
+        """The (N, 4, 4) matrices of an (N, 16) coefficient block, each row's bits independent of N."""
+        z = np.asarray(coeffs, dtype=np.complex128)
+        return (z[:, None, :] @ self.blades.reshape(DIM, 16)).reshape(-1, 4, 4)
+
     def mv_to_matrix(self, mv: Multivector) -> np.ndarray:
-        return np.tensordot(mv.coeffs, self.blades, axes=(0, 0))
+        """The 4x4 matrix of ``mv``: one row of ``matrix_array``."""
+        return self.matrix_array(mv.coeffs[None])[0]
 
 
 def _build_chiral() -> GammaRep:
@@ -72,12 +78,13 @@ def _build_standard() -> GammaRep:
     return GammaRep("standard", g)
 
 
+REP_TAGS = ("chiral", "standard")
 _REPS: dict[str, GammaRep] = {}
 
 
 def gamma_rep(tag: str) -> GammaRep:
     """Look up a representation by tag ('chiral' or 'standard')."""
-    if tag not in ("chiral", "standard"):
+    if tag not in REP_TAGS:
         raise ValueError(f"unknown representation tag {tag!r}; use 'chiral' or 'standard'")
     if tag not in _REPS:
         _REPS[tag] = _build_chiral() if tag == "chiral" else _build_standard()

@@ -35,7 +35,8 @@ are one-row calls of it: ``column_to_quaternions``, ``quaternions_to_column``,
 ``hopf_routes_report`` and ``instanton_obstruction`` of ``hopf_report_array``.
 Each keeps its own representation check and error text.
 ``even_to_quaternions`` has no kernel and reads the even coefficients
-directly.
+directly: through ``even_to_column`` the product ``1j * c`` would change the
+sign of some zero coefficients.
 
 Every kernel row equals the per-column ``Multivector``, ``Quaternion`` and
 complex-scalar arithmetic it replaced bit for bit, by the rules of
@@ -43,11 +44,10 @@ complex-scalar arithmetic it replaced bit for bit, by the rules of
 a real row is ``np.sqrt(np.vecdot(x, x))`` and of a complex row
 ``bilinears._norms``, the scalar ``abs`` of a complex128 is
 ``bilinears._moduli``, and a matrix applied to each row is a stacked matmul
-(``x[:, None, :] @ m`` or ``m @ x[:, :, None]``; for ``mv_to_matrix`` the flat
-(N, 16) @ (16, 16) product rounds differently once N >= 7).  The complex
-product of two arrays runs a SIMD loop that rounds differently from the
-scalar product, so the component route multiplies real and imaginary parts
-out, as the scalar product does.
+(``x[:, None, :] @ m`` or ``m @ x[:, :, None]``), as in
+``GammaRep.matrix_array``.  The complex product of two arrays runs a SIMD
+loop that rounds differently from the scalar product, so the component route
+multiplies real and imaginary parts out, as the scalar product does.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from .algebra import (
     hamilton_product,
     product_array,
 )
-from .bilinears import SpinorC4, _components, _moduli, _norms, _z_matrices, covariant_array
-from .gamma import SIMILARITY
+from .bilinears import SpinorC4, _components, _moduli, _norms, covariant_array
+from .gamma import SIMILARITY, gamma_rep
 
 _EVEN_MASK = (BLADE_GRADES % 2) == 0
 
@@ -380,7 +380,7 @@ def ideal_to_column_array(coeffs, tol: float = 1e-10) -> np.ndarray:
 
     Raises ValueError when a row is not in the ideal.
     """
-    m = _z_matrices(coeffs, "standard")
+    m = gamma_rep("standard").matrix_array(coeffs)
     rest = _norms(m[:, :, 1:].reshape(-1, 12))
     if np.any(rest > tol * np.maximum(1.0, _norms(m.reshape(-1, 16)))):
         raise ValueError("element is not in the minimal left ideal of f")

@@ -33,8 +33,6 @@ import numpy as np
 from .bilinears import SpinorC4, bilinears
 from .classify import classify
 
-SHARED_CONDITION_COUNT = 4
-
 
 class SingularSpinorError(ValueError):
     """Mappability is defined for regular spinors (classes 1-3) only."""

@@ -159,6 +159,8 @@ def _suite_projectors(rng: np.random.Generator, samples: int, tol: float) -> lis
         J, s, h, _ = frame_array(cov)
         K = cov[:, 11:15]
         plus, minus = (sigma_projector_matrix_array(s, h, sign) for sign in (1, -1))
+        # kept as the check that the halving stays exact: the operator's diagonal is real,
+        # so the halves sum to the identity bit for bit unless one half is off by rounding
         matrix_sum_exact &= bool(np.all(plus + minus == eye))
         applied = (plus @ psi[:, :, None] + minus @ psi[:, :, None])[..., 0]
         # both paths are built whole; the suite classifies their t = 0 ends

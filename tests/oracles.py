@@ -62,6 +62,11 @@ def quaternion_to_multivector(q):
     return Multivector(c)
 
 
+def tensordot_matrix(rep, mv):
+    """The blade-dictionary matrix of ``mv`` in ``rep``, one tensordot over the sixteen blades."""
+    return np.tensordot(mv.coeffs, rep.blades, axes=(0, 0))
+
+
 def matrix_to_mv(rep, matrix):
     """The multivector whose blade-dictionary matrix in ``rep`` is ``matrix``."""
     basis = rep.blades.reshape(DIM, 16).T  # the vectorized blade matrices are independent
@@ -75,7 +80,7 @@ def vector_aggregate(b):
 
 def loop_generalized_fierz(z, b, rep="chiral"):
     """The five family maxima of |Z M Z - 4 c(M) Z|, one operator at a time."""
-    zm = gamma_rep(rep).mv_to_matrix(z)
+    zm = tensordot_matrix(gamma_rep(rep), z)
     coeffs = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1]) * b.as_array()
     ops = _MATRICES[rep][1]
     norms = [np.linalg.norm(zm @ m @ zm - 4.0 * c * zm) for m, c in zip(ops, coeffs)]
@@ -85,7 +90,7 @@ def loop_generalized_fierz(z, b, rep="chiral"):
 def scalar_reconstruct(z, probe, tol=1e-10):
     """Crawford's reconstruction of one spinor from Z and a probe."""
     rep = gamma_rep(probe.rep)
-    zm = rep.mv_to_matrix(z)
+    zm = tensordot_matrix(rep, z)
     xi = probe.components
     w = zm @ xi
     n2 = complex(np.vdot(xi, rep.lower[0] @ w))
@@ -164,7 +169,7 @@ def scalar_even_to_ideal(psi_even, tol=1e-10):
 
 def scalar_ideal_to_column(xi, tol=1e-10):
     """The column of an ideal element, read off its one standard-rep matrix."""
-    m = gamma_rep("standard").mv_to_matrix(xi)
+    m = tensordot_matrix(gamma_rep("standard"), xi)
     rest = np.linalg.norm(m[:, 1:])
     if rest > tol * max(1.0, np.linalg.norm(m)):
         raise ValueError("element is not in the minimal left ideal of f")
@@ -387,6 +392,21 @@ def _minkowski_square(v):
     return float((v * v).scalar_part().real)
 
 
+def scalar_hs_residual(frame):
+    return abs(frame.h**2 - 1.0 - _minkowski_square(frame.s))
+
+
+def scalar_synthetic_frame(J, s, h, tol=1e-9):
+    jsq = abs(_minkowski_square(J))
+    if jsq > tol * max(1.0, J.norm() ** 2):
+        raise ValueError(f"J must be null, got J^2 = {jsq:g}")
+    ortho = abs(float(lcontract(J, s).scalar_part().real))
+    if ortho > tol * max(1.0, J.norm() * s.norm()):
+        raise ValueError(f"s must be orthogonal to J, got J.s = {ortho:g}")
+    consistent = scalar_hs_residual(FlagDipoleFrame(J=J, s=s, h=float(h))) <= tol * max(1.0, h**2)
+    return FlagDipoleFrame(J=J, s=s, h=float(h), consistent=consistent)
+
+
 def scalar_frame_from_bilinears(b, tol=1e-9):
     """(J, s, h) of one class-4 bilinear set, with one wedge per matrix entry."""
     jmv = b.current_vector()
@@ -442,7 +462,7 @@ def scalar_annihilator_residuals(frame, z=None):
 
 def scalar_sigma_projector_matrix(s, h, sign):
     rep = gamma_rep("standard")
-    op = rep.mv_to_matrix(s) + h * rep.pseudoscalar
+    op = tensordot_matrix(rep, s) + h * rep.pseudoscalar
     return 0.5 * (np.eye(4, dtype=np.complex128) - sign * 1j * op)
 
 

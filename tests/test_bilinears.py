@@ -11,7 +11,6 @@ from spinorlab import (
     PSEUDOSCALAR,
     BilinearSet,
     DegenerateProbeError,
-    GammaDictionaryError,
     Multivector,
     SpinorC4,
     WeylC2,
@@ -306,19 +305,21 @@ def test_one_row_wrappers_return_their_row_of_the_batch(batch):
         assert _bits(aggregate_matrix_residual(psi, b)) == _bits(residual[k])
 
 
-def test_covariant_array_names_the_first_bad_record_like_bilinears(monkeypatch):
-    module = importlib.import_module("spinorlab.bilinears")
-    forms, fierz_ops = module._MATRICES["chiral"]
-    broken = forms.copy()
-    broken[5, 2, 2] += 1j  # form 5 gains the imaginary residue |psi_2|^2
-    monkeypatch.setitem(module._MATRICES, "chiral", (broken, fierz_ops))
-    rows = np.array([[1, 1j, 0, 0], [0, 1, 3e-5, 0], [0, 0, 2, 0]], dtype=complex)
-    with pytest.raises(GammaDictionaryError) as batch_error:
-        covariant_array(rows, "chiral")
-    with pytest.raises(GammaDictionaryError) as one_error:
-        bilinears(SpinorC4(rows[1], "chiral"))
-    assert str(batch_error.value) == str(one_error.value)
-    assert str(one_error.value).startswith("bilinear 5 has imaginary residue 9e-10;")
+def _exactly_hermitian(forms):
+    return np.array_equal(forms, forms.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("rep", ["chiral", "standard"])
+def test_every_hermitian_form_equals_its_conjugate_transpose_exactly(rep):
+    # covariant_array keeps the real part of psi^dagger F psi: with F = F^dagger
+    # exactly, the imaginary part it drops is rounding, for every spinor
+    forms = importlib.import_module("spinorlab.bilinears")._MATRICES[rep][0]
+    assert forms.shape == (16, 4, 4) and _exactly_hermitian(forms)
+    # faults: an imaginary diagonal entry, and one off-diagonal entry moved by an ulp
+    for n, i, j, value in [(5, 2, 2, 1j), (7, 0, 2, complex(0.0, np.nextafter(-0.5, 0.0)))]:
+        broken = forms.copy()
+        broken[n, i, j] = value
+        assert broken[n, i, j] != forms[n, i, j] and not _exactly_hermitian(broken)
 
 
 def test_covariant_array_rejects_a_block_that_is_not_n_by_4():

@@ -272,7 +272,7 @@ def test_batched_magnitudes_and_rule_match_the_per_record_body():
     for tol in (1e-10, 1e-3, 0.05, 0.3):
         for rep in ("chiral", "standard"):
             block = np.array([psi.components for psi in spinors if psi.rep == rep])
-            cov = np.vstack([covariant_array(block, rep, tol), synthetic])
+            cov = np.vstack([covariant_array(block, rep), synthetic])
             for values, row in zip(cov, magnitude_array(cov).tolist()):
                 b = BilinearSet(sigma=float(values[0]), J=values[1:5], S=values[5:11],
                                 K=values[11:15], omega=float(values[15]), rep=rep)

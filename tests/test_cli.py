@@ -536,6 +536,17 @@ def test_records_keep_their_verdicts_down_to_the_norm_floor(tmp_path, capsys):
     assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+def test_classify_writes_every_record_at_a_tolerance_below_the_rounding_noise(tmp_path, capsys, tol):
+    # verdicts may follow rounding noise down there, but every record is written
+    spinors = [psi for _, psi in mixed_spinors(np.random.default_rng(99), 600)]
+    path = tmp_path / "spinors.jsonl"
+    write_jsonl(path, [spinor_record(psi.components, rep=psi.rep) for psi in spinors])
+    code, out, err = run(["classify", str(path), "--tol", tol], capsys)
+    assert code in (0, 2) and err == ""
+    assert [json.loads(line)["index"] for line in out.splitlines()] == list(range(len(spinors)))
+
+
 def _reject_non_finite(token):
     raise AssertionError(f"non-finite number {token} in the output")
 
@@ -577,8 +588,8 @@ def test_boomerang_fails_when_the_covariants_miss_four_psi_psibar(tmp_path, caps
 
     exact = cli.covariant_array
 
-    def shifted(components, rep, tol=1e-10):
-        cov = exact(components, rep, tol)
+    def shifted(components, rep):
+        cov = exact(components, rep)
         cov[:, 0] += 1e-6 * cov[:, 1]  # sigma moved by 1e-6 J^0
         return cov
 

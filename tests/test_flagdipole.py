@@ -9,8 +9,10 @@ from oracles import (
     scalar_class_limit,
     scalar_direction_element,
     scalar_frame_from_bilinears,
+    scalar_hs_residual,
     scalar_projection_spinor,
     scalar_sigma_projector_matrix,
+    scalar_synthetic_frame,
     scalar_type4_boomerang,
     scalar_validate_direction,
 )
@@ -172,6 +174,40 @@ def test_synthetic_frames_allow_a_free_axial_weight():
     assert frame.hs_residual() > 0.01  # deliberately off the constraint surface
     consistent = synthetic_frame(J, s, h=0.0)
     assert consistent.hs_residual() < 1e-12
+
+
+def test_synthetic_frames_and_hs_residuals_are_the_multivector_arithmetic_bit_for_bit():
+    # null J with s orthogonal to it up to rounding, from 1e-20 to 1e20; every
+    # third J and every third s raw; h on the surface h^2 = 1 + s^2 when |s| < 1
+    rng = np.random.default_rng(129)
+    seen = set()
+    for k in range(900):
+        n = rng.standard_normal(3)
+        J = np.concatenate([[np.linalg.norm(n)], n]) * 10.0 ** rng.uniform(-20, 20)
+        s = np.concatenate([[0.0], np.cross(n, rng.standard_normal(3))])
+        s *= 10.0 ** rng.uniform(-20, 20) if k % 2 else rng.uniform(0.1, 0.9) / np.linalg.norm(s)
+        h = np.sqrt(1.0 - s @ s) if k % 2 == 0 else rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+        if k % 3 == 1:
+            J = rng.standard_normal(4) * 10.0 ** rng.uniform(-20, 20)
+        elif k % 3 == 2:
+            s = rng.standard_normal(4) * 10.0 ** rng.uniform(-20, 20)
+        J, s = Multivector.vector(J), Multivector.vector(s)
+        # x * x and Python's x ** 2 differ in about 1 of 1,600 squares: enough h to see it
+        for weight in (h, -h, *rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)):
+            frame = FlagDipoleFrame(J=J, s=s, h=float(weight))
+            assert np.float64(frame.hs_residual()).tobytes() == np.float64(scalar_hs_residual(frame)).tobytes()
+        try:
+            want = scalar_synthetic_frame(J, s, h)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                synthetic_frame(J, s, h)
+            assert str(got.value) == str(exc)
+            seen.add(str(exc).partition(",")[0])
+            continue
+        got = synthetic_frame(J, s, h)
+        assert got.J is J and got.s is s and got.h == h and got.consistent == want.consistent
+        seen.add(got.consistent)
+    assert seen == {True, False, "J must be null", "s must be orthogonal to J"}
 
 
 def test_projector_matrices_resolve_the_identity_bit_for_bit():

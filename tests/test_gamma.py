@@ -1,10 +1,12 @@
 """Gamma-matrix dictionaries and the change of basis between them."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from conftest import random_multivector
-from oracles import matrix_to_mv
+from oracles import matrix_to_mv, tensordot_matrix
 from spinorlab import (
     METRIC_SIGNS,
     SIMILARITY,
@@ -126,6 +128,22 @@ def test_matrix_dictionary_round_trips(tag):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     again = rep.mv_to_matrix(matrix_to_mv(rep, m))
     np.testing.assert_allclose(again, m, atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["chiral", "standard"])
+def test_matrix_array_rows_are_the_one_row_and_tensordot_matrices_bit_for_bit(tag):
+    # real rows over ten decades, complex rows, and the sixteen bilinear operators
+    rep = gamma_rep(tag)
+    operators = importlib.import_module("spinorlab.bilinears")._OPERATORS
+    rng = np.random.default_rng(45)
+    real = rng.standard_normal((300, DIM)) * 10.0 ** rng.uniform(-5.0, 5.0, (300, 1))
+    rows = [*real, *(random_multivector(rng, complex_coeffs=True).coeffs for _ in range(300)),
+            *(g.coeffs for g in operators)]
+    block = rep.matrix_array(np.array(rows, dtype=np.complex128))
+    assert block.shape == (len(rows), 4, 4)
+    for row, matrix in zip(rows, block):
+        mv = Multivector(row)
+        assert rep.mv_to_matrix(mv).tobytes() == matrix.tobytes() == tensordot_matrix(rep, mv).tobytes()
 
 
 def test_gamma_rep_rejects_unknown_tags():

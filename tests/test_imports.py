@@ -47,7 +47,11 @@ def test_hopf_loads_hopf_but_not_elko_or_verify():
 def test_make_loads_the_builders_and_not_verify():
     modules, code = loaded_by("make", "elko")
     assert code == 0
-    assert {"spinorlab.elko", "spinorlab.flagdipole"} <= modules
+    assert "spinorlab.elko" in modules
+    assert not modules & {"spinorlab.flagdipole", "spinorlab.hopf", "spinorlab.verify"}
+    modules, code = loaded_by("make", "flagdipole", "--u", "0.3,0.4,0.866025403784")
+    assert code == 0
+    assert {"spinorlab.flagdipole", "spinorlab.hopf"} <= modules
     assert "spinorlab.verify" not in modules
 
 

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from conftest import mixed_spinors
 from spinorlab import SpinorC4, cli, mapping
+from spinorlab.gamma import REP_TAGS
 
 CHUNK = 5  # the relations' inputs span several chunks
 SPINORS = 12  # two of each Lounesto class
@@ -165,7 +166,7 @@ def assert_r3(spinors):
     csv = header + "".join(",".join(map(repr, parts(psi))) + "\n" for psi in spinors)
     text = jsonl(spinors, rep=False, label=True)
     for command in ("classify", "map-check", "hopf"):
-        for rep in cli.REP_CHOICES:
+        for rep in REP_TAGS:
             code, from_jsonl = run_main([command, "-", "--rep", rep], text)
             csv_code, from_csv = run_main([command, "-", "--rep", rep], csv)
             assert csv_code == code and len(from_jsonl) == len(from_csv) == len(spinors)
