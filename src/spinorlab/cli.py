@@ -528,14 +528,13 @@ def _make_records(args) -> list[dict]:
 def cmd_verify(args) -> int:
     from .verify import _suite_fierz, _suite_hopf, _suite_mapping, _suite_projectors
 
-    rng = np.random.default_rng(args.seed)
     suites = {
         "fierz": _suite_fierz,
         "hopf": _suite_hopf,
         "projectors": _suite_projectors,
         "mapping": _suite_mapping,
     }
-    results = suites[args.suite](rng, args.samples, args.tol)
+    results = suites[args.suite](args.seed, args.samples, args.tol)
     lines = []
     if args.table:
         for name, value, ok in results:

@@ -1,10 +1,14 @@
 """Randomized identity suites of ``spinorlab verify``: fierz, hopf, projectors, mapping.
 
-Each suite draws its samples from the generator it is given and runs them in
-blocks of ``_VERIFY_BLOCK`` through the array kernels, and returns one
+Each suite draws its samples from a generator of the seed it is given, runs
+them in blocks of ``_VERIFY_BLOCK`` through the array kernels, and returns one
 ``(check, worst, passed)`` triple per check, in a fixed order.  The CLI
-imports this module only for ``verify``, so no other subcommand loads
-``hopf`` or ``flagdipole`` through it; it imports nothing from the CLI.
+imports this module only for ``verify``, and each suite imports the ``hopf``
+or ``flagdipole`` kernels it runs when it runs, so ``verify fierz`` and
+``verify mapping`` load neither module and ``verify hopf`` does not load
+``flagdipole``.  A suite makes its generator after those imports: made before
+them, it raised the projectors suite's peak memory.  This module imports
+nothing from the CLI.
 """
 
 from __future__ import annotations
@@ -24,25 +28,6 @@ from .bilinears import (
     reconstruct_array,
 )
 from .classify import lounesto_class, magnitude_array
-from .flagdipole import (
-    annihilator_residual_array,
-    class_limit_array,
-    direction_array,
-    frame_array,
-    projection_spinor_array,
-    sigma_projector_matrix_array,
-)
-from .hopf import (
-    column_to_even_array,
-    column_to_quaternions_array,
-    even_to_column_array,
-    even_to_ideal_array,
-    fiber_action_array,
-    hopf_map_array,
-    ideal_to_column_array,
-    norm_identity_residual_array,
-    quaternions_to_column_array,
-)
 from .mapping import condition_routes, elko_map_conditions, mappability
 
 
@@ -60,7 +45,8 @@ def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _VERIFY_BLOCK = 64
 
 
-def _suite_fierz(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+def _suite_fierz(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+    rng = np.random.default_rng(seed)
     # worst quadratic, aggregate, generalized and reconstruction residuals
     worst = [0.0] * 4
     recovered = 0
@@ -96,7 +82,20 @@ def _suite_fierz(rng: np.random.Generator, samples: int, tol: float) -> list[tup
     ]
 
 
-def _suite_hopf(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+def _suite_hopf(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+    from .hopf import (
+        column_to_even_array,
+        column_to_quaternions_array,
+        even_to_column_array,
+        even_to_ideal_array,
+        fiber_action_array,
+        hopf_map_array,
+        ideal_to_column_array,
+        norm_identity_residual_array,
+        quaternions_to_column_array,
+    )
+
+    rng = np.random.default_rng(seed)
     # worst norm-identity, fiber and round-trip residuals
     worst = [0.0] * 3
     for start in range(0, samples, _VERIFY_BLOCK):
@@ -145,7 +144,17 @@ def _random_admissible_direction(rng: np.random.Generator) -> np.ndarray:
 _SCALAR_ONE = Multivector.scalar(1.0).coeffs[None]
 
 
-def _suite_projectors(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+    from .flagdipole import (
+        annihilator_residual_array,
+        class_limit_array,
+        direction_array,
+        frame_array,
+        projection_spinor_array,
+        sigma_projector_matrix_array,
+    )
+
+    rng = np.random.default_rng(seed)
     # worst class, ratio, annihilator, idempotency, apply-sum and limit residuals
     worst = [0.0] * 6
     matrix_sum_exact = True
@@ -163,8 +172,9 @@ def _suite_projectors(rng: np.random.Generator, samples: int, tol: float) -> lis
         # so the halves sum to the identity bit for bit unless one half is off by rounding
         matrix_sum_exact &= bool(np.all(plus + minus == eye))
         applied = (plus @ psi[:, :, None] + minus @ psi[:, :, None])[..., 0]
-        # both paths are built whole; the suite classifies their t = 0 ends
-        limits_missed = [_any_class_but(class_limit_array(u, which)[1][-1], terminal)
+        # the suite classifies each path's t = 0 end; every t is built on its own, so the end alone
+        # is the same bytes as the whole path's last slab
+        limits_missed = [_any_class_but(class_limit_array(u, which, ts=(0.0,))[1][0], terminal)
                          for which, terminal in (("h->0", 5), ("s->0", 6))]
         values = (
             np.array([1.0 if _any_class_but(psi, 4) else 0.0]),
@@ -196,7 +206,8 @@ def _any_class_but(columns: np.ndarray, label: int) -> bool:
     return any(lounesto_class(m).label != label for m in mags.tolist())
 
 
-def _suite_mapping(rng: np.random.Generator, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
+    rng = np.random.default_rng(seed)
     worst_route = 0.0
     passes = 0
     witness_fail = 0.0

@@ -373,6 +373,25 @@ def map_check_spinors(seed=98):
     return spinors + [SpinorC4(c, "standard") for c in witnesses]
 
 
+def map_check_decades(seed=97):
+    """Scaled copies, 1e-60 to 1e38, of one unit spinor per class and the three mapping
+    witnesses, the representation switching with each decade and each zero part signed at random."""
+    rng = np.random.default_rng(seed)
+    bases = [psi for _, psi in mixed_spinors(rng, 6)]
+    bases += [SpinorC4(c, "standard") for c in ([2, 0, 1j, 0], [1, 0, 0, 0], [1j, 1j, 1, 1])]
+    spinors = []
+    for k in range(-60, 39):
+        for psi in bases:
+            if k % 2:
+                psi = psi.in_rep("standard" if psi.rep == "chiral" else "chiral")
+            c = psi.components / np.linalg.norm(psi.components) * 10.0**k
+            for part in (c.real, c.imag):
+                zeros = part == 0.0
+                part[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+            spinors.append(SpinorC4(c, psi.rep))
+    return spinors
+
+
 def map_check_against_the_oracle(tmp_path, capsys, spinors, tol):
     """Run ``map-check --json`` on labelled and unlabelled records; compare each line to the oracle."""
     labels = [f"s{k}" if k % 3 == 0 else None for k in range(len(spinors))]
@@ -397,7 +416,8 @@ def test_map_check_records_are_the_per_spinor_oracle_byte_for_byte(tmp_path, cap
                                                                   tol, chunk):
     if chunk:
         monkeypatch.setattr(cli, "_CHUNK", chunk)
-    records = map_check_against_the_oracle(tmp_path, capsys, map_check_spinors(), tol)
+    spinors = map_check_spinors() + map_check_decades()
+    records = map_check_against_the_oracle(tmp_path, capsys, spinors, tol)
     notes = {r.get("note", "").partition(";")[0] for r in records}
     verdicts = {r["mappability"][k] for r in records if r["mappability"] for k in "123"}
     assert {"", "all bilinear covariants vanish"} <= notes and verdicts == {True, False}
@@ -621,7 +641,7 @@ def assert_blocked_suite_prints_the_oracle_bytes(suite, oracle, sample_counts, s
         got = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
         results = oracle(np.random.default_rng(seed), samples, float(tol or 1e-10))
         with monkeypatch.context() as patch:
-            patch.setattr(verify, f"_suite_{suite}", lambda rng, n, t: results)
+            patch.setattr(verify, f"_suite_{suite}", lambda seed, n, t: results)
             want = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
         assert got == want, samples
 
@@ -711,7 +731,7 @@ def _drop_the_factor_2_on_j1(mp):  # J1 = Re(q1* i q2) on the quaternion route
 
 
 def _act_on_the_left(mp):  # the fiber element multiplies u q, not q u
-    mp.setattr(verify, "fiber_action_array",
+    mp.setattr(importlib.import_module("spinorlab.hopf"), "fiber_action_array",
                lambda q1, q2, u: (hamilton_product(u, q1), hamilton_product(u, q2)))
 
 
@@ -747,13 +767,14 @@ def _tilt_gamma_0_in_the_projection(mp):  # Psi (1 + (gamma_0 + 1e-6 gamma_1) u)
 
 
 def _misread_the_axial_ratio(mp):  # h = K/J at J's dominant entry, 1e-6 too large
-    real = verify.frame_array
+    module = importlib.import_module("spinorlab.flagdipole")
+    real = module.frame_array
 
     def misread(covariants):
         J, s, h, consistent = real(covariants)
         return J, s, h * (1 + 1e-6), consistent
 
-    mp.setattr(verify, "frame_array", misread)
+    mp.setattr(module, "frame_array", misread)
 
 
 def _drop_h_from_the_boomerang(mp):  # Z = J (1 + i s), without i h e0123
@@ -763,30 +784,33 @@ def _drop_h_from_the_boomerang(mp):  # Z = J (1 + i s), without i h e0123
 
 
 def _halve_the_projector_operator(mp):  # (1 -/+ i (s + h e0123)/2) / 2
-    real = verify.sigma_projector_matrix_array
-    mp.setattr(verify, "sigma_projector_matrix_array", lambda s, h, sign: real(s / 2, h / 2, sign))
+    module = importlib.import_module("spinorlab.flagdipole")
+    real = module.sigma_projector_matrix_array
+    mp.setattr(module, "sigma_projector_matrix_array", lambda s, h, sign: real(s / 2, h / 2, sign))
 
 
 def _fault_the_minus_half(mp, fault):
     """Replace the sign -1 half-projector matrices of verify projectors by ``fault(s, h)``."""
-    real = verify.sigma_projector_matrix_array
-    mp.setattr(verify, "sigma_projector_matrix_array",
+    module = importlib.import_module("spinorlab.flagdipole")
+    real = module.sigma_projector_matrix_array
+    mp.setattr(module, "sigma_projector_matrix_array",
                lambda s, h, sign: real(s, h, sign) if sign == 1 else fault(s, h))
 
 
 def _stretch_the_minus_half_by_an_ulp(mp):  # the halves sum to (1 + 2^-52) on their minus part
-    real = verify.sigma_projector_matrix_array
+    real = importlib.import_module("spinorlab.flagdipole").sigma_projector_matrix_array
     _fault_the_minus_half(mp, lambda s, h: real(s, h, -1) * (1 + 2.0**-52))
 
 
 def _tilt_h_in_the_minus_half(mp):  # the minus half built with h 1e-12 too large
-    real = verify.sigma_projector_matrix_array
+    real = importlib.import_module("spinorlab.flagdipole").sigma_projector_matrix_array
     _fault_the_minus_half(mp, lambda s, h: real(s, h * (1 + 1e-12), -1))
 
 
 def _stop_the_limit_paths_short(mp):  # the paths end at t = 1e-3, not t = 0
-    real = verify.class_limit_array
-    mp.setattr(verify, "class_limit_array", lambda u, which: real(u, which, ts=(1.0, 0.1, 0.01, 1e-3)))
+    module = importlib.import_module("spinorlab.flagdipole")
+    real = module.class_limit_array
+    mp.setattr(module, "class_limit_array", lambda u, which, ts: real(u, which, ts=(*ts[:-1], 1e-3)))
 
 
 # one small fault per check, in the kernel, table or function that the check covers

@@ -63,6 +63,22 @@ def test_a_verify_suite_run_as_main_never_imports_the_cli_module(suite):
     assert "spinorlab.cli" not in modules  # the running copy is __main__; a second would rerun it
 
 
+# the on-use modules each verify suite loads: the suites, and the kernels it runs
+SUITE_MODULES = {
+    "fierz": {"spinorlab.verify"},
+    "mapping": {"spinorlab.verify"},
+    "hopf": {"spinorlab.verify", "spinorlab.hopf"},
+    "projectors": {"spinorlab.verify", "spinorlab.flagdipole", "spinorlab.hopf"},
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_MODULES))
+def test_each_verify_suite_loads_only_its_own_kernels(suite):
+    modules, code = loaded_by("verify", suite, "--samples", "10")
+    assert code == 0
+    assert modules & ON_USE == SUITE_MODULES[suite]
+
+
 PACKAGE_PROBE = """
 import importlib, json, sys
 import spinorlab
