@@ -18,15 +18,21 @@ and ``map-check`` load none of these modules.
 The record subcommands stream: they read, compute and write one chunk of
 ``_CHUNK`` records at a time, so the first records leave after one chunk and
 peak memory does not grow with the input.  Each chunk is parsed straight into
-one (N, 4) complex block, with each record's representation and head.
+one (N, 4) complex block, with each record's representation and head.  They
+share one path, ``_run_records``: it groups a chunk by representation, calls
+the subcommand's block function (``_classification_block``, ``_hopf_block``,
+``_map_check_block``) once per representation present, which returns one
+dict of fields per row, fills each record after its head and writes the
+records in input order.
 
 Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
 |psi| outside ~1.2e-77..3.4e38, a ``--tol`` that is not a finite number above 0,
 ``make`` parameters its builders refuse and ``make`` spinors outside that range
-included), 2 when a classify or
-hopf record carries an error or a verify suite fails.  map-check notes null and
-singular spinors and exits 0.  A malformed record exits 1 after the records of
-the chunks before it have been written.
+included; input that is not UTF-8, a ``label`` that holds NaN or an infinity,
+which JSON output cannot carry, and output that cannot be written), 2 when a
+classify or hopf record carries an error or a verify suite fails.  map-check
+notes null and singular spinors and exits 0.  A malformed record exits 1 after
+the records of the chunks before it have been written.
 """
 
 from __future__ import annotations
@@ -169,13 +175,44 @@ def _components_from_pairs(pairs, where: str) -> list[float]:
 
 
 def _input_lines(path: str):
-    """The input as a context manager over its lines; ``-`` is stdin, left open."""
+    """The input as a context manager over its lines; ``-`` is stdin, left open.
+
+    Files and stdin read alike: as UTF-8, each byte that is not UTF-8 read as
+    a lone surrogate that ``_check_utf8`` refuses with its line's number, and
+    with universal newlines.  A text stream without ``reconfigure``, such as
+    ``io.StringIO``, is read as it is.
+    """
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
         return contextlib.nullcontext(sys.stdin)
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_utf8(text: str, where: str) -> None:
+    """Refuse text that holds a byte the input could not decode as UTF-8."""
+    if not text.isascii():  # O(1): ASCII text pays nothing
+        try:
+            text.encode("utf-8")  # a lone surrogate does not encode
+        except UnicodeEncodeError:
+            raise CliInputError(f"{where}: invalid UTF-8") from None
+
+
+def _non_finite(value) -> bool:
+    """Whether a parsed JSON value holds NaN or an infinity anywhere, which JSON text cannot."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+        elif isinstance(value, float) and not math.isfinite(value):
+            return True
+    return False
 
 
 def _documents(path: str, default_rep: str) -> Iterator[Chunk]:
@@ -216,6 +253,7 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
         if not line.strip():
             continue
         where = f"line {lineno}"
+        _check_utf8(line, where)
         try:
             obj = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -229,25 +267,34 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
         rep = obj.get("rep", default_rep)
         if rep not in REP_TAGS:
             raise CliInputError(f"{where}: unknown representation {rep!r}")
-        yield comp, rep, obj.get("label")
+        label = obj.get("label")
+        # NaN, Infinity and 1e400 read as floats, but JSON output cannot carry them
+        if isinstance(label, (float, list, dict)) and _non_finite(label):
+            raise CliInputError(f"{where}: non-finite number in 'label'")
+        yield comp, rep, label
 
 
 def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, None]]:
-    for rowno, row in enumerate(csv.reader(lines), start=1):
-        cells = [c.strip() for c in row if c.strip() != ""]
-        if not cells:
-            continue
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            if rowno == 1:  # tolerate a header row
+    rowno = 0
+    try:
+        for rowno, row in enumerate(csv.reader(lines), start=1):
+            cells = [c.strip() for c in row if c.strip() != ""]
+            if not cells:
                 continue
-            raise CliInputError(f"row {rowno}: non-numeric CSV cell")
-        if len(values) != 8:
-            raise CliInputError(
-                f"row {rowno}: need 8 real columns (re/im interleaved), got {len(values)}"
-            )
-        yield _finite(values, f"row {rowno}"), default_rep, None
+            try:
+                values = [float(c) for c in cells]
+            except ValueError:  # a byte that is not UTF-8 fails float() too
+                _check_utf8("".join(cells), f"row {rowno}")
+                if rowno == 1:  # tolerate a header row
+                    continue
+                raise CliInputError(f"row {rowno}: non-numeric CSV cell")
+            if len(values) != 8:
+                raise CliInputError(
+                    f"row {rowno}: need 8 real columns (re/im interleaved), got {len(values)}"
+                )
+            yield _finite(values, f"row {rowno}"), default_rep, None
+    except csv.Error as exc:  # a cell past csv's field size limit, or a NUL before Python 3.11
+        raise CliInputError(f"row {rowno + 1}: {exc}") from exc
 
 
 def _output(path: str | None, source: str = "-"):
@@ -264,21 +311,39 @@ def _output(path: str | None, source: str = "-"):
 
 def _emit(lines: list[str], out: TextIO) -> None:
     """Write ``lines``, each ending in a newline, and flush them."""
-    out.write("".join(line + "\n" for line in lines))
-    out.flush()
+    try:
+        out.write("".join(line + "\n" for line in lines))
+        out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _discard(out)
+        raise CliInputError(f"cannot write {'stdout' if out is sys.stdout else out.name}: {exc}") from exc
+
+
+def _discard(out: TextIO) -> None:
+    """Point ``out`` at the null device: what it still buffers then flushes there on close or exit."""
+    with contextlib.suppress(OSError, ValueError):  # a stream without a file descriptor
+        fd = out.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 # ---- record pipeline: classify, hopf, map-check ----------------------------
 
 
-def _run_records(args, record_fn, table_row, header=None) -> int:
-    """Stream the input through ``record_fn``; exit 2 when a record has an error.
+def _run_records(args, block_fn, table_row, header=None) -> int:
+    """Stream the input through ``block_fn``; exit 2 when a record has an error.
 
-    Each round reads up to ``_CHUNK`` documents, turns them into their records,
-    in order, with ``record_fn(chunk, tol)``, and writes and flushes their lines,
-    so one chunk is held at a time and the first records leave before the input
-    ends.  The output opens with the first chunk: input that fails there leaves
-    no file, and a malformed record later exits 1 after the earlier chunks.
+    Each round reads up to ``_CHUNK`` documents and groups them by
+    representation.  ``block_fn(components, rep, tol)`` runs once per
+    representation present, on that block's (N, 4) components, and returns
+    one dict of fields per row; each record takes its row's fields after its
+    head, and the records are written in input order and flushed, so one chunk
+    is held at a time and the first records leave before the input ends.  The
+    output opens with the first chunk: input that fails there leaves no file,
+    and a malformed record later exits 1 after the earlier chunks.
     """
     lines = [header] if args.table and header else []
     failed = False
@@ -287,7 +352,12 @@ def _run_records(args, record_fn, table_row, header=None) -> int:
         documents = stack.enter_context(contextlib.closing(_documents(args.input, args.rep)))
         while True:
             chunk = read_documents(documents)
-            for record in record_fn(chunk, args.tol):
+            for rep in REP_TAGS:
+                rows = [i for i, r in enumerate(chunk.reps) if r == rep]
+                if rows:
+                    for i, fields in zip(rows, block_fn(chunk.components[rows], rep, args.tol)):
+                        chunk.heads[i].update(fields)
+            for record in chunk.heads:
                 failed = failed or bool(record.get("error"))
                 lines.append(table_row(record) if args.table else json.dumps(record))
             if out is None:
@@ -298,27 +368,15 @@ def _run_records(args, record_fn, table_row, header=None) -> int:
             lines = []
 
 
-def _rep_blocks(chunk: Chunk) -> Iterator[tuple[str, list[int], np.ndarray]]:
-    """Each representation present in a chunk, its rows and their (N, 4) components."""
-    for rep in REP_TAGS:
-        rows = [i for i, r in enumerate(chunk.reps) if r == rep]
-        if rows:
-            yield rep, rows, chunk.components[rows]
-
-
-def _classification_records(chunk: Chunk, tol: float) -> list[dict]:
-    """Classify a chunk: the array kernels run once per representation present."""
-    records = chunk.heads
-    for rep, rows, components in _rep_blocks(chunk):
-        cov = covariant_array(components, rep)
-        # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
-        residual = aggregate_residual_array(components, cov, rep)
-        boomerang = residual <= max(tol, 1e-12) * 4 * cov[:, 1]
-        columns = zip(cov.tolist(), magnitude_array(cov).tolist(),
-                      fierz_array(cov).tolist(), boomerang.tolist())
-        for i, (c, mags, residuals, boom) in zip(rows, columns):
-            records[i].update(_classification_fields(c, mags, residuals, boom, tol))
-    return records
+def _classification_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:
+    """Classify one representation block: the array kernels run once on all its rows."""
+    cov = covariant_array(components, rep)
+    # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
+    residual = aggregate_residual_array(components, cov, rep)
+    boomerang = residual <= max(tol, 1e-12) * 4 * cov[:, 1]
+    columns = zip(cov.tolist(), magnitude_array(cov).tolist(),
+                  fierz_array(cov).tolist(), boomerang.tolist())
+    return [_classification_fields(*column, tol) for column in columns]
 
 
 def _classification_fields(c: list, mags: list, residuals: list, boomerang: bool,
@@ -363,17 +421,13 @@ def _classification_row(rec: dict) -> str:
     )
 
 
-def _hopf_records(chunk: Chunk, tol: float) -> list[dict]:
-    """Route reports of a chunk: ``hopf_report_array`` runs once per representation present."""
+def _hopf_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:
+    """Route reports of one representation block: ``hopf_report_array`` runs once on its rows."""
     from .hopf import _NULL_COLUMN, hopf_report_array
 
-    records = chunk.heads
     null = {"error": _NULL_COLUMN, "error_kind": "null-spinor"}
-    for rep, rows, components in _rep_blocks(chunk):
-        reports = hopf_report_array(components, rep)
-        for i, nonzero, report in zip(rows, components.any(axis=1), reports):
-            records[i].update(report if nonzero else null)
-    return records
+    reports = hopf_report_array(components, rep)
+    return [report if nonzero else null for nonzero, report in zip(components.any(axis=1), reports)]
 
 
 def _hopf_row(rec: dict) -> str:
@@ -387,26 +441,26 @@ def _hopf_row(rec: dict) -> str:
     )
 
 
-def _map_check_records(chunk: Chunk, tol: float) -> list[dict]:
-    """Mapping reports of a chunk, one spinor at a time."""
-    for record, rep, components in zip(*chunk):
-        spinor = SpinorC4(components, rep)
+def _map_check_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:
+    """Mapping reports of one representation block, one spinor at a time."""
+    records = []
+    for row in components:
+        spinor = SpinorC4(row, rep)
         report = elko_map_conditions(spinor)
-        record.update(
-            {
-                "shared_residuals": report.shared.tolist(),
-                "extra_class2": float(report.extra_class2),
-                "extra_class3": float(report.extra_class3),
-                "route_disagreement": float(report.route_disagreement()),
-                "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
-            }
-        )
+        fields = {
+            "shared_residuals": report.shared.tolist(),
+            "extra_class2": float(report.extra_class2),
+            "extra_class3": float(report.extra_class3),
+            "route_disagreement": float(report.route_disagreement()),
+            "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
+        }
         try:
-            record["mappability"] = {str(k): v for k, v in mappability(spinor, tol).items()}
+            fields["mappability"] = {str(k): v for k, v in mappability(spinor, tol).items()}
         except (SingularSpinorError, NullSpinorError, BilinearInconsistencyError) as exc:
-            record["mappability"] = None
-            record["note"] = str(exc)
-    return chunk.heads
+            fields["mappability"] = None
+            fields["note"] = str(exc)
+        records.append(fields)
+    return records
 
 
 def _map_check_row(rec: dict) -> str:
@@ -575,7 +629,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="Lounesto-classify each input spinor")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_classification_records,
+    p.set_defaults(func=partial(_run_records, block_fn=_classification_block,
                                 table_row=_classification_row, header=CLASSIFY_HEADER))
 
     p = sub.add_parser("make", help="construct a named spinor family")
@@ -607,11 +661,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hopf", help="compare fibration routes per input spinor")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_hopf_records, table_row=_hopf_row))
+    p.set_defaults(func=partial(_run_records, block_fn=_hopf_block, table_row=_hopf_row))
 
     p = sub.add_parser("map-check", help="evaluate ELKO mapping conditions per input")
     common(p)
-    p.set_defaults(func=partial(_run_records, record_fn=_map_check_records,
+    p.set_defaults(func=partial(_run_records, block_fn=_map_check_block,
                                 table_row=_map_check_row))
 
     return parser

@@ -2,6 +2,7 @@
 
 import importlib
 import io
+import contextlib
 import itertools
 import json
 import math
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import class_spinor, mixed_spinors
 from oracles import (
@@ -1136,3 +1139,68 @@ def test_an_unwritable_output_is_an_input_error(tmp_path, capsys):
         code, out, err = run([*argv, "--output", str(target)], capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"spinorlab: cannot write {target}: ") and err.count("\n") == 1
+
+
+# ---- no traceback and strict JSON on any input and any output failure ----------
+
+
+ONE = b'{"components": [[1, 0], [0, 0.5], [-0.3, 0], [0.2, 0.1]]}\n'
+PROBES = {  # argv ({file} is the input written to a file, - is stdin), input, the one stderr line
+    "json-lines-file-not-utf8": (["classify", "{file}"], ONE + b'{"label": "\xff"}\n{"components": 1}\n',
+                                 "line 2: invalid UTF-8"),
+    "csv-file-not-utf8": (["map-check", "{file}"], b"1,0,0,0,0,0,0,0\n1,0,\xff0,0,0,0,0,0\n",
+                          "row 2: invalid UTF-8"),
+    "stdin-not-utf8": (["hopf", "-"], ONE + b'{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], '
+                                            b'"label": "\xff"}\n', "line 2: invalid UTF-8"),
+    "csv-header-on-stdin-not-utf8": (["classify", "-"], b"re\xff,im\n1,0,0,0,0,0,0,0\n",
+                                     "row 1: invalid UTF-8"),
+    "output-file-full": (["classify", "{file}", "--output", "/dev/full"], ONE,
+                         "cannot write /dev/full: [Errno 28] No space left on device"),
+    "stdout-full": (["make", "elko", ">", "/dev/full"], b"",
+                    "cannot write stdout: [Errno 28] No space left on device"),
+    "nan-label": (["classify", "-"], ONE.replace(b"}", b', "label": NaN}'),
+                  "line 1: non-finite number in 'label'"),
+    "overflowing-label-in-a-list": (["map-check", "-"], ONE.replace(b"}", b', "label": {"a": [1, -1e400]}}'),
+                                    "line 1: non-finite number in 'label'"),
+}
+
+
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_input_that_is_not_utf8_a_write_error_and_a_nan_label_exit_1_with_one_line(tmp_path, probe):
+    """In a child process: real stdin bytes, a real stdout and the interpreter's final flush."""
+    argv, data, message = PROBES[probe]
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    full = argv[-2:] == [">", "/dev/full"]
+    src = Path(cli.__file__).resolve().parents[1]
+    with open("/dev/full", "wb") if full else contextlib.nullcontext(subprocess.PIPE) as stdout:
+        proc = subprocess.run([sys.executable, "-m", "spinorlab.cli", *argv[:-2 if full else None]],
+                              input=data if "-" in argv else b"", stdout=stdout, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr.decode()) == (1, f"spinorlab: {message}\n")
+    assert not proc.stdout  # each fault is in the first chunk, so no record was written
+
+
+LINES = [ONE.strip(), ONE.strip().replace(b"}", b', "label": "x", "rep": "standard"}'),
+         b'{"components": [[0, 0], [0, 0], [0, 0], [0, 0]]}', b"re,im", b"1,0,0,0,0,0,0,0",
+         ONE.strip().replace(b"}", b', "label": [Infinity]}')]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.lists(st.one_of(st.binary(max_size=20), st.sampled_from(LINES)), max_size=6).map(b"\n".join))
+def test_any_bytes_give_exit_0_1_or_2_one_message_line_and_strict_json(tmp_path, capsys, monkeypatch, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    for command in ("classify", "map-check", "hopf"):
+        # stdin as a process gets it: bytes under a text layer, here one that reads only ASCII
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        for argv in ([command, str(path)], [command, "-"]):
+            code, out, err = run(argv, capsys)
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.startswith("spinorlab: ") and err.count("\n") == 1 and err.endswith("\n")
+            for line in out.splitlines():
+                json.loads(line, parse_constant=_reject_non_finite)

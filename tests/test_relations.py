@@ -20,6 +20,11 @@ fibre action of its Hopf map.
 R3: the same spinors as JSON-lines and as CSV give the same records, apart
 from the label that only JSON-lines carries.
 
+R4: each ``map-check`` record of a chunk that mixes both representations is
+that spinor's record run alone, its index aside.  The records of a chunk are
+computed one representation block at a time and written in input order.
+(``test_cli.py`` checks the same of ``classify`` and ``hopf``.)
+
 Each relation runs across chunk seams, and each has a fault row in
 ``RELATION_FAULTS`` that makes it fail.
 """
@@ -181,6 +186,24 @@ def test_r3_json_lines_and_csv_give_the_same_records(seed):
     assert_r3(corpus(seed))
 
 
+def assert_r4(spinors):
+    # both representations in every chunk, and a zero spinor at the end of the first
+    spinors = [psi.in_rep(REP_TAGS[k % 2]) for k, psi in enumerate(spinors)]
+    spinors[CHUNK - 1] = spinors[CHUNK - 1].scaled(0.0)
+    _, together = run_main(["map-check", "-"], jsonl(spinors))
+    assert [record.pop("index") for record in together] == list(range(len(spinors)))
+    for psi, record in zip(spinors, together):
+        _, (alone,) = run_main(["map-check", "-"], jsonl([psi]))
+        assert alone.pop("index") == 0
+        assert json.dumps(record) == json.dumps(alone)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=SEEDS)
+def test_r4_each_map_check_record_of_a_mixed_chunk_is_its_record_alone(seed):
+    assert_r4(corpus(seed))
+
+
 # ---- each relation fails on a fault in what it covers -------------------------
 
 
@@ -214,11 +237,17 @@ def _csv_read_as_four_re_then_four_im(mp):  # the columns taken in split, not in
                lambda lines, rep: ((v[0::2] + v[1::2], r, label) for v, r, label in read(lines, rep)))
 
 
+def _rows_filled_from_the_end_of_their_block(mp):  # each block's fields in reverse row order
+    block = cli._map_check_block
+    mp.setattr(cli, "_map_check_block", lambda components, rep, tol: block(components, rep, tol)[::-1])
+
+
 RELATION_FAULTS = {
     "R1": (_threshold_from_the_chunks_largest_j0,
            lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
     "R2": (_re_formed_without_the_conjugate, assert_r2),
     "R3": (_csv_read_as_four_re_then_four_im, assert_r3),
+    "R4": (_rows_filled_from_the_end_of_their_block, assert_r4),
 }
 
 
