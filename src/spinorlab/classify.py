@@ -39,6 +39,10 @@ class LounestoClass:
 
 
 _FIELDS = ("sigma", "omega", "K", "S")
+# Lounesto's table: a regular class from which of (sigma, omega) are nonzero, and a
+# singular class (sigma = omega = 0) from which of (K, S) are; K = S = 0 has no entry
+_REGULAR_CLASS = {(True, True): 1, (True, False): 2, (False, True): 3}
+_SINGULAR_CLASS = {(True, True): 4, (False, True): 5, (True, False): 6}
 
 
 def magnitude_array(covariants) -> np.ndarray:
@@ -78,35 +82,22 @@ def lounesto_class(magnitudes, tol: float = 1e-10) -> LounestoClass:
     if jnorm <= threshold and all(v <= threshold for v in values):
         raise NullSpinorError("all bilinear covariants vanish; cannot classify the zero spinor")
 
-    nz = dict(zip(_FIELDS, [v > threshold for v in values]))
+    flags = [v > threshold for v in values]
     low, high = threshold / 10.0, threshold * 10.0
     marginal_fields = tuple([k for k, v in zip(_FIELDS, values) if low < v < high])
 
-    if nz["sigma"] or nz["omega"]:
-        if nz["sigma"] and nz["omega"]:
-            label = 1
-        elif nz["sigma"]:
-            label = 2
-        else:
-            label = 3
-        regular = True
-    else:
-        if nz["K"] and nz["S"]:
-            label = 4
-        elif nz["S"]:
-            label = 5
-        elif nz["K"]:
-            label = 6
-        else:
-            raise BilinearInconsistencyError(
-                "sigma = omega = 0 with K = S = 0 but J != 0: no spinor produces this pattern"
-            )
-        regular = False
+    sigma, omega, k, s = flags
+    regular = sigma or omega
+    label = _REGULAR_CLASS[sigma, omega] if regular else _SINGULAR_CLASS.get((k, s))
+    if label is None:
+        raise BilinearInconsistencyError(
+            "sigma = omega = 0 with K = S = 0 but J != 0: no spinor produces this pattern"
+        )
 
     return LounestoClass(
         label=label,
         regular=regular,
-        witness=nz,
+        witness=dict(zip(_FIELDS, flags)),
         marginal=bool(marginal_fields),
         marginal_fields=marginal_fields,
     )

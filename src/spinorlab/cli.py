@@ -26,13 +26,14 @@ dict of fields per row, fills each record after its head and writes the
 records in input order.
 
 Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
-|psi| outside ~1.2e-77..3.4e38, a ``--tol`` that is not a finite number above 0,
-``make`` parameters its builders refuse and ``make`` spinors outside that range
-included; input that is not UTF-8, a ``label`` that holds NaN or an infinity,
-which JSON output cannot carry, and output that cannot be written), 2 when a
-classify or hopf record carries an error or a verify suite fails.  map-check
-notes null and singular spinors and exits 0.  A malformed record exits 1 after
-the records of the chunks before it have been written.
+component entries that are not JSON numbers, |psi| outside ~1.2e-77..3.4e38,
+a ``--tol`` that is not a finite number above 0, ``make`` parameters its
+builders refuse and ``make`` spinors outside that range included; input that
+is not UTF-8, a ``label`` that holds NaN or an infinity, which JSON output
+cannot carry, a closed stdin or stdout, and output that cannot be written), 2
+when a classify or hopf record carries an error or a verify suite fails.
+map-check notes null and singular spinors and exits 0.  A malformed record
+exits 1 after the records of the chunks before it have been written.
 """
 
 from __future__ import annotations
@@ -157,20 +158,24 @@ def _finite(values: list[float], where: str) -> list[float]:
     return values
 
 
+# the JSON values a component entry may be; float() would also read a string or a boolean
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _components_from_pairs(pairs, where: str) -> list[float]:
     if not isinstance(pairs, list) or len(pairs) != 4:
         raise CliInputError(f"{where}: 'components' must be a list of four [re, im] pairs")
     values = []
-    try:
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise CliInputError(f"{where}: each component must be a [re, im] pair")
-            try:
-                values += (float(pair[0]), float(pair[1]))
-            except OverflowError:  # an integer past the double range is non-finite, as 1e400 is
-                values += (math.inf if isinstance(x, int) else float(x) for x in pair)
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(f"{where}: non-numeric component entry") from exc
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CliInputError(f"{where}: each component must be a [re, im] pair")
+        re, im = pair
+        if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
+            raise CliInputError(f"{where}: non-numeric component entry")
+        try:
+            values += (float(re), float(im))
+        except OverflowError:  # an integer past the double range is non-finite, as 1e400 is
+            values += (math.inf if isinstance(x, int) else float(x) for x in pair)
     return _finite(values, where)
 
 
@@ -183,6 +188,8 @@ def _input_lines(path: str):
     ``io.StringIO``, is read as it is.
     """
     if path == "-":
+        if sys.stdin is None:  # the interpreter started with file descriptor 0 closed
+            raise CliInputError("cannot read stdin: it is closed")
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
         return contextlib.nullcontext(sys.stdin)
@@ -300,6 +307,8 @@ def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[flo
 def _output(path: str | None, source: str = "-"):
     """Where output lines go: stdout, or the file ``path`` opened for writing."""
     if path is None or path == "-":
+        if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
+            raise CliInputError("cannot write stdout: it is closed")
         return contextlib.nullcontext(sys.stdout)
     if source != "-" and os.path.exists(path) and os.path.samefile(source, path):
         raise CliInputError(f"cannot write {path}: it is the input, which is still being read")
@@ -414,10 +423,13 @@ def _classification_row(rec: dict) -> str:
         return (f"{rec['index']:>4} {'-':>5} {'-':>7} {'-':>8} "
                 f"{'-':>12} {'-':>12} {'-':>10}  {rec['error']}")
     b = rec["bilinears"]
+    label = rec.get("label", "")
+    if not (isinstance(label, str) and label.isprintable()):
+        label = json.dumps(label)  # keeps the row to one line and shows 0 and false
     return (
         f"{rec['index']:>4} {rec['class']:>5} {str(rec['regular']):>7} "
         f"{str(rec['marginal']):>8} {b['sigma']:>12.4e} {b['omega']:>12.4e} "
-        f"{max(rec['fierz_residuals']):>10.2e}  {rec.get('label') or ''}"
+        f"{max(rec['fierz_residuals']):>10.2e}  {label}"
     )
 
 

@@ -39,6 +39,10 @@ class SingularSpinorError(ValueError):
     """Mappability is defined for regular spinors (classes 1-3) only."""
 
 
+# the extra conditions each regular class adds to the shared block
+_EXTRAS = {1: ("extra_class2", "extra_class3"), 2: ("extra_class2",), 3: ("extra_class3",)}
+
+
 def condition_routes(a, b) -> tuple[list, list]:
     """Every condition's signed residual by both arithmetic routes.
 
@@ -124,19 +128,13 @@ class ConditionReport:
         ``tol * |psi|^2`` and the verdict does not change when psi is rescaled.
         A NaN residual holds at no tolerance.
         """
+        extras = _EXTRAS.get(label)
+        if extras is None:
+            raise ValueError("mappability is defined for labels 1, 2 and 3")
         threshold = tol * self.scale
-        shared_ok = all(x <= threshold for x in self.shared.tolist())
-        if label == 2:
-            return shared_ok and self.extra_class2 <= threshold
-        if label == 3:
-            return shared_ok and self.extra_class3 <= threshold
-        if label == 1:
-            return (
-                shared_ok
-                and self.extra_class2 <= threshold
-                and self.extra_class3 <= threshold
-            )
-        raise ValueError("mappability is defined for labels 1, 2 and 3")
+        return all([x <= threshold for x in self.shared.tolist()]) and all(
+            [getattr(self, extra) <= threshold for extra in extras]
+        )
 
 
 def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
@@ -167,14 +165,9 @@ def mappability(psi: SpinorC4, tol: float = 1e-10) -> dict:
     # the classify kernels on one row: the values and decision rule of classify(bilinears(psi))
     magnitudes = magnitude_array(covariant_array(psi.components[None], psi.rep))[0]
     label = lounesto_class(magnitudes.tolist(), tol).label
-    if label not in (1, 2, 3):
+    if label not in _EXTRAS:
         raise SingularSpinorError(
             f"spinor is class {label}; mapping conditions apply to classes 1-3"
         )
     report = elko_map_conditions(psi)
-    return {
-        "class": label,
-        1: report.satisfied(1, tol),
-        2: report.satisfied(2, tol),
-        3: report.satisfied(3, tol),
-    }
+    return {"class": label, **{k: report.satisfied(k, tol) for k in _EXTRAS}}

@@ -28,7 +28,7 @@ from .bilinears import (
     reconstruct_array,
 )
 from .classify import lounesto_class, magnitude_array
-from .mapping import condition_routes, elko_map_conditions, mappability
+from .mapping import condition_routes, mappability
 
 
 def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,11 +222,7 @@ def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float
     for label, comp in witnesses.items():
         scale = float(rng.uniform(0.5, 2.0))
         phase = np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
-        psi = SpinorC4(comp * scale * phase, "standard")
-        report = elko_map_conditions(psi)
-        if not report.satisfied(label, tol):
-            witness_fail = 1.0
-        verdict = mappability(psi, tol)
+        verdict = mappability(SpinorC4(comp * scale * phase, "standard"), tol)
         if verdict["class"] != label or not verdict[label]:
             witness_fail = 1.0
     for start in range(0, samples, _VERIFY_BLOCK):

@@ -107,6 +107,19 @@ def test_classify_table_output(tmp_path, capsys):
     assert " 2 " in out.splitlines()[1]
 
 
+@pytest.mark.parametrize("label, shown", [
+    ("elko:self:rest", "elko:self:rest"), ("two words", "two words"), ("", ""), (None, ""),
+    ("a\nb", '"a\\nb"'), ("tab\there", '"tab\\there"'), (0, "0"), (False, "false"),
+    (["x", 1], '["x", 1]'), ({"k": None}, '{"k": null}'),
+], ids=["text", "spaces", "empty", "null", "newline", "tab", "zero", "false", "list", "object"])
+def test_classify_table_rows_show_every_label_on_their_one_line(tmp_path, capsys, label, shown):
+    path = tmp_path / "two.jsonl"
+    write_jsonl(path, [spinor_record(GENERIC), spinor_record(GENERIC, label=label)])
+    code, out, _ = run(["classify", str(path), "--table"], capsys)
+    _, unlabelled, labelled = out.splitlines()  # the header, then one row per record
+    assert code == 0 and labelled == unlabelled.replace("   0 ", "   1 ", 1) + shown
+
+
 def test_classify_flags_the_zero_spinor_and_exits_two(tmp_path, capsys):
     path = tmp_path / "zero.jsonl"
     write_jsonl(path, [spinor_record([0, 0, 0, 0]), spinor_record([1, 0, 0, 0])])
@@ -459,6 +472,15 @@ def test_non_finite_json_components_are_malformed_input(tmp_path, capsys, entry)
         code, out, err = run([command, str(path), "--json"], capsys)
         assert (code, out) == (1, "")
         assert "line 1: non-finite component" in err
+
+
+@pytest.mark.parametrize("entry", ['"1_0"', '"1e5"', '"nan"', "true", "false"])
+def test_json_components_that_are_not_json_numbers_are_malformed_input(tmp_path, capsys, entry):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"components": [[1, 0], [0, %s], [0, 0], [0, 0]]}\n' % entry)
+    for command in ("classify", "hopf", "map-check"):
+        code, out, err = run([command, str(path), "--json"], capsys)
+        assert (code, out, err) == (1, "", "spinorlab: line 1: non-numeric component entry\n")
 
 
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
@@ -1145,7 +1167,8 @@ def test_an_unwritable_output_is_an_input_error(tmp_path, capsys):
 
 
 ONE = b'{"components": [[1, 0], [0, 0.5], [-0.3, 0], [0.2, 0.1]]}\n'
-PROBES = {  # argv ({file} is the input written to a file, - is stdin), input, the one stderr line
+PROBES = {  # argv ({file} is the input written to a file, - is stdin, a last "> /dev/full", "<&-" or
+    # ">&-" redirects the child's stdout or closes its stdin or stdout), input, the one stderr line
     "json-lines-file-not-utf8": (["classify", "{file}"], ONE + b'{"label": "\xff"}\n{"components": 1}\n',
                                  "line 2: invalid UTF-8"),
     "csv-file-not-utf8": (["map-check", "{file}"], b"1,0,0,0,0,0,0,0\n1,0,\xff0,0,0,0,0,0\n",
@@ -1162,6 +1185,9 @@ PROBES = {  # argv ({file} is the input written to a file, - is stdin), input, t
                   "line 1: non-finite number in 'label'"),
     "overflowing-label-in-a-list": (["map-check", "-"], ONE.replace(b"}", b', "label": {"a": [1, -1e400]}}'),
                                     "line 1: non-finite number in 'label'"),
+    "stdin-closed": (["classify", "-", "<&-"], ONE, "cannot read stdin: it is closed"),
+    "stdout-closed": (["make", "elko", ">&-"], b"", "cannot write stdout: it is closed"),
+    "stdout-closed-after-a-chunk": (["map-check", "{file}", ">&-"], ONE, "cannot write stdout: it is closed"),
 }
 
 
@@ -1175,11 +1201,14 @@ def test_input_that_is_not_utf8_a_write_error_and_a_nan_label_exit_1_with_one_li
     path.write_bytes(data)
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
     full = argv[-2:] == [">", "/dev/full"]
+    closed = {"<&-": 0, ">&-": 1}.get(argv[-1])  # the file descriptor the child starts without
+    argv = argv[:-2] if full else argv[:-1] if closed is not None else argv
     src = Path(cli.__file__).resolve().parents[1]
     with open("/dev/full", "wb") if full else contextlib.nullcontext(subprocess.PIPE) as stdout:
-        proc = subprocess.run([sys.executable, "-m", "spinorlab.cli", *argv[:-2 if full else None]],
+        proc = subprocess.run([sys.executable, "-m", "spinorlab.cli", *argv],
                               input=data if "-" in argv else b"", stdout=stdout, stderr=subprocess.PIPE,
-                              env=dict(os.environ, PYTHONPATH=str(src)))
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              preexec_fn=None if closed is None else lambda: os.close(closed))
     assert (proc.returncode, proc.stderr.decode()) == (1, f"spinorlab: {message}\n")
     assert not proc.stdout  # each fault is in the first chunk, so no record was written
 

@@ -115,6 +115,17 @@ def test_satisfied_rejects_singular_labels():
         report.satisfied(5)
 
 
+@pytest.mark.parametrize("shared, extra2, extra3", [
+    (s, e2, e3) for s in (0.0, 1.0) for e2 in (0.0, 1.0) for e3 in (0.0, 1.0)])
+def test_each_label_needs_the_shared_block_and_its_own_extra_conditions(shared, extra2, extra3):
+    """Class 1 needs both extras, class 2 the class-2 one, class 3 the class-3 one."""
+    report = ConditionReport(np.array([0.0, shared, 0.0, 0.0]), extra2, extra3,
+                             np.zeros(4), 0.0, 0.0, 0.0, scale=1.0)
+    ok, ok2, ok3 = shared == 0.0, extra2 == 0.0, extra3 == 0.0
+    assert [report.satisfied(label) for label in (1, 2, 3)] == [ok and ok2 and ok3, ok and ok2,
+                                                                ok and ok3]
+
+
 def spinors_across_decades(seed=96):
     """Standard spinors from 1e-60 to 1e60, with exact zeros and negative zeros among the parts."""
     rng = np.random.default_rng(seed)
