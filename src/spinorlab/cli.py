@@ -33,7 +33,15 @@ is not UTF-8, a ``label`` that holds NaN or an infinity, which JSON output
 cannot carry, a closed stdin or stdout, and output that cannot be written), 2
 when a classify or hopf record carries an error or a verify suite fails.
 map-check notes null and singular spinors and exits 0.  A malformed record
-exits 1 after the records of the chunks before it have been written.
+exits 1 after the records of the chunks before it have been written.  With
+stderr closed at start an error writes no message, to stderr or stdout, and
+still exits 1.
+
+The console script and ``python -m spinorlab.cli`` enter through ``run``: the
+process ends with ``os._exit`` as soon as its output is flushed and closed,
+which skips the interpreter's teardown.  Atexit handlers and finalizers do not
+run; spinorlab and numpy register none.  ``main(argv)`` still returns its exit
+code normally, for callers in the same process.
 """
 
 from __future__ import annotations
@@ -84,8 +92,9 @@ class CliInputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; reserve 2 for math faults
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        if sys.stderr is not None:  # closed at start: print(file=None) would write to stdout
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -323,10 +332,10 @@ def _emit(lines: list[str], out: TextIO) -> None:
     try:
         out.write("".join(line + "\n" for line in lines))
         out.flush()
-    except BrokenPipeError:
-        raise
     except OSError as exc:
         _discard(out)
+        if isinstance(exc, BrokenPipeError):  # the reader is gone: ``main`` exits 0
+            raise
         raise CliInputError(f"cannot write {'stdout' if out is sys.stdout else out.name}: {exc}") from exc
 
 
@@ -692,11 +701,31 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliInputError as exc:
-        print(f"spinorlab: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # closed at start: print(file=None) would write to stdout
+            print(f"spinorlab: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0
 
 
+def run() -> None:
+    """The console script: run ``main``, then end the process once its output is flushed.
+
+    ``os._exit`` skips the interpreter's teardown, some 25 ms of finalizing
+    numpy and every other module after the last byte; atexit handlers and
+    finalizers do not run.  Every file ``main`` opens is closed when it
+    returns, and stdout and stderr are flushed here.  A flush that fails
+    leaves the exit to ``sys.exit``, whose final flush reports the failure.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # a descriptor closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

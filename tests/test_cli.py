@@ -30,6 +30,13 @@ from spinorlab import SpinorC4, cli, verify
 from spinorlab.algebra import hamilton_product
 
 
+# the CLI as a fresh interpreter runs it: ``python -m spinorlab.cli``, the package from this tree,
+# and stdout block-buffered as it is by default, so a byte left unflushed at exit would be lost
+CHILD = [sys.executable, "-m", "spinorlab.cli"]
+CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -976,10 +983,8 @@ def run_text(argv, text, capsys, monkeypatch):
 
 
 def test_records_leave_before_the_input_ends():
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     chunk = "".join(json.dumps(r) + "\n" for r in corpus_records(cli._CHUNK)).encode()
-    with subprocess.Popen([sys.executable, "-m", "spinorlab.cli", "map-check", "-"], env=env,
+    with subprocess.Popen([*CHILD, "map-check", "-"], env=CHILD_ENV,
                           bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as proc:
         try:
@@ -1203,11 +1208,10 @@ def test_input_that_is_not_utf8_a_write_error_and_a_nan_label_exit_1_with_one_li
     full = argv[-2:] == [">", "/dev/full"]
     closed = {"<&-": 0, ">&-": 1}.get(argv[-1])  # the file descriptor the child starts without
     argv = argv[:-2] if full else argv[:-1] if closed is not None else argv
-    src = Path(cli.__file__).resolve().parents[1]
     with open("/dev/full", "wb") if full else contextlib.nullcontext(subprocess.PIPE) as stdout:
-        proc = subprocess.run([sys.executable, "-m", "spinorlab.cli", *argv],
+        proc = subprocess.run([*CHILD, *argv],
                               input=data if "-" in argv else b"", stdout=stdout, stderr=subprocess.PIPE,
-                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              env=CHILD_ENV,
                               preexec_fn=None if closed is None else lambda: os.close(closed))
     assert (proc.returncode, proc.stderr.decode()) == (1, f"spinorlab: {message}\n")
     assert not proc.stdout  # each fault is in the first chunk, so no record was written
@@ -1233,3 +1237,136 @@ def test_any_bytes_give_exit_0_1_or_2_one_message_line_and_strict_json(tmp_path,
                 assert err.startswith("spinorlab: ") and err.count("\n") == 1 and err.endswith("\n")
             for line in out.splitlines():
                 json.loads(line, parse_constant=_reject_non_finite)
+
+
+# ---- the process entry: run() ends the process once its output is flushed ------
+
+
+class _Stream:
+    """A text stream that logs its flushes by name; ``fault`` is raised by each flush."""
+
+    def __init__(self, name, log, fault=None):
+        self.name, self.log, self.fault = name, log, fault
+
+    def flush(self):
+        self.log.append(self.name)
+        if self.fault:
+            raise self.fault
+
+
+@pytest.mark.parametrize("closed", [None, "stdout", "stderr"])
+def test_run_flushes_stdout_and_stderr_then_ends_the_process_with_the_code_of_main(monkeypatch, closed):
+    flushed, ended = [], []
+    for name in ("stdout", "stderr"):
+        monkeypatch.setattr(f"sys.{name}", None if name == closed else _Stream(name, flushed))
+    monkeypatch.setattr(cli, "main", lambda: 2)
+    monkeypatch.setattr(cli.os, "_exit", ended.append)
+    cli.run()
+    assert ended == [2]
+    assert flushed == [name for name in ("stdout", "stderr") if name != closed]
+
+
+def test_run_leaves_a_failed_flush_and_an_exception_to_the_interpreter(monkeypatch):
+    flushed = []
+    monkeypatch.setattr("sys.stdout", _Stream("stdout", flushed, BrokenPipeError(32, "Broken pipe")))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail(f"os._exit({code})"))
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    with pytest.raises(SystemExit) as exc:  # the interpreter's final flush then reports the failure
+        cli.run()
+    assert (exc.value.code, flushed) == (1, ["stdout"])
+    monkeypatch.setattr(cli, "main", lambda: [][0])
+    with pytest.raises(IndexError):  # a traceback and exit 1, as from any script
+        cli.run()
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {"spinorlab": "spinorlab.cli:run"}
+
+
+CLOSED_STDERR = {  # argv, the file descriptors the child starts without
+    "stdin-closed": (["classify", "-"], (0, 2)),
+    "tol-0": (["classify", "-", "--tol", "0"], (2,)),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_STDERR))
+def test_with_stderr_closed_an_error_writes_nothing_and_exits_1(capsys, monkeypatch, case):
+    argv, closed = CLOSED_STDERR[case]
+    proc = subprocess.run([*CHILD, *argv], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, env=CHILD_ENV,
+                          preexec_fn=lambda: [os.close(fd) for fd in closed])
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    # in-process: the interpreter sets the stream of a descriptor closed at start to None
+    for fd, name in ((0, "sys.stdin"), (2, "sys.stderr")):
+        monkeypatch.setattr(name, None if fd in closed else io.StringIO())
+    assert run(argv, capsys)[:2] == (1, "")
+
+
+@pytest.fixture(scope="module")
+def parity_inputs(tmp_path_factory):
+    """A 600-record corpus, the same with a short line in its third chunk, and with a zero spinor."""
+    root = tmp_path_factory.mktemp("parity")
+    lines = [json.dumps(r) for r in corpus_records(600, seed=18)]
+    texts = {
+        "{corpus}": lines,
+        "{bad}": lines[:2 * cli._CHUNK + 4] + [SHORT_LINE] + lines[2 * cli._CHUNK + 4:],
+        "{zero}": lines + [json.dumps(spinor_record(np.zeros(4)))],
+    }
+    paths = {}
+    for key, text in texts.items():
+        paths[key] = root / f"{key.strip('{}')}.jsonl"
+        paths[key].write_text("\n".join(text) + "\n")
+    return paths
+
+
+PARITY = {  # argv, and the exit code
+    **{f"{command}{name}": ([command, "{corpus}", *options], 0)
+       for command in ("classify", "map-check", "hopf")
+       for name, options in (("", []), ("-table", ["--table"]), ("-output", ["--output", "{out}"]))},
+    "make-elko": (["make", "elko"], 0),
+    "make-majorana": (["make", "majorana"], 0),
+    "verify-mapping-json": (["verify", "mapping", "--json"], 0),
+    "verify-mapping-table": (["verify", "mapping", "--table"], 0),
+    "help": (["classify", "--help"], 0),  # printed, not flushed, when main returns
+    "version": (["--version"], 0),
+    "malformed-in-the-third-chunk": (["map-check", "{bad}"], 1),
+    "zero-spinor": (["classify", "{zero}"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY))
+def test_a_child_process_writes_the_bytes_of_an_in_process_run(parity_inputs, tmp_path, capsys, case):
+    """Stdout, stderr, exit code and output file: no byte is lost when the child skips teardown."""
+    argv, expected = PARITY[case]
+    child, own = ([str({**parity_inputs, "{out}": tmp_path / name}.get(arg, arg)) for arg in argv]
+                  for name in ("child.out", "in-process.out"))
+    proc = subprocess.run([*CHILD, *child], stdin=subprocess.DEVNULL, capture_output=True, env=CHILD_ENV)
+    code, out, err = run(own, capsys)
+    assert code == expected and (out or "--output" in argv) and bool(err) == (code == 1)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+    if "--output" in argv:
+        text = (tmp_path / "in-process.out").read_bytes()
+        assert text and (tmp_path / "child.out").read_bytes() == text
+
+
+@pytest.fixture(scope="module")
+def corpus_2000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pipe") / "corpus.jsonl"
+    write_jsonl(path, corpus_records(2000, seed=19))
+    return path
+
+
+@pytest.mark.parametrize("reads", [1, 0], ids=["after-the-first-line", "before-the-first-line"])
+@pytest.mark.parametrize("argv", [["classify", "{corpus}"], ["verify", "fierz", "--samples", "2000", "--table"]],
+                         ids=["classify-2000", "verify-fierz-2000"])
+def test_a_reader_that_closes_the_pipe_on_stdout_leaves_exit_0_and_no_message(corpus_2000, argv, reads):
+    argv = [str(corpus_2000) if arg == "{corpus}" else arg for arg in argv]
+    with subprocess.Popen([*CHILD, *argv], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=CHILD_ENV) as proc:
+        lines = [proc.stdout.readline() for _ in range(reads)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert all(lines)
+    assert (proc.returncode, err) == (0, b"")
