@@ -8,6 +8,7 @@ current J never vanishes for a physical spinor.  Classes 1-3 are the regular
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,17 @@ def magnitude_array(covariants) -> np.ndarray:
     Each row is first scaled by the power of two that brings J^0 into
     [0.5, 1).  That scaling is exact, so every comparison against
     ``tol * J^0`` comes out as for the unscaled row, but the squares inside
-    the norms stay normal doubles however small psi is.
+    the norms stay normal doubles however small psi is.  A one-row block
+    skips the block's reshaping: the same ``ldexp`` of the row, and ``np.dot``,
+    the BLAS dot that ``vecdot`` runs on each row, so its bits are those of
+    the block path.
     """
     c = np.asarray(covariants, dtype=float)
+    if len(c) == 1:  # one row, as ``mappability`` asks per record: the same operations, less set-up
+        row = np.ldexp(c[0], -math.frexp(c[0, 1])[1])
+        j, k, s = row[1:5], row[11:15], row[5:11]
+        return np.array([[abs(row[1]), math.sqrt(np.dot(j, j)), abs(row[0]), abs(row[15]),
+                          math.sqrt(np.dot(k, k)), math.sqrt(np.dot(s, s))]])
     c = np.ldexp(c, -np.frexp(c[:, 1:2])[1])
     out = np.empty((len(c), 6))
     for col, k in ((0, 1), (2, 0), (3, 15)):

@@ -262,6 +262,32 @@ def read_documents(documents: Iterator[Chunk]) -> Chunk:
     return next(documents)
 
 
+# the scanner inside json.loads, without the whitespace matches around it
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _decode(line: str, where: str):
+    """The JSON value of ``line``: one scan at offset 0 when it takes the whole line.
+
+    Anything else (whitespace at either end, a BOM, trailing data, a value
+    the scanner refuses) goes to ``json.loads``, which accepts or refuses the
+    line and words the message.
+    """
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):  # no value at 0, or a refused one
+        pass
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise CliInputError(f"{where}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer of more than 4,300 digits
+        # keep the limit and the length, not Python's advice to raise the limit
+        raise CliInputError(f"{where}: invalid JSON: {str(exc).partition(';')[0]}") from exc
+
+
 def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, str | None]]:
     # a file splits only on newlines; splitlines also breaks at \v, \f, U+2028 and the like
     texts = (text for line in lines for text in line.splitlines())
@@ -270,13 +296,7 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
             continue
         where = f"line {lineno}"
         _check_utf8(line, where)
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise CliInputError(f"{where}: invalid JSON: {exc}") from exc
-        except ValueError as exc:  # an integer of more than 4,300 digits
-            # keep the limit and the length, not Python's advice to raise the limit
-            raise CliInputError(f"{where}: invalid JSON: {str(exc).partition(';')[0]}") from exc
+        obj = _decode(line, where)
         if not isinstance(obj, dict) or "components" not in obj:
             raise CliInputError(f"{where}: expected an object with a 'components' field")
         comp = _components_from_pairs(obj["components"], where)
@@ -470,13 +490,14 @@ def _map_check_block(components: np.ndarray, rep: str, tol: float) -> list[dict]
         report = elko_map_conditions(spinor)
         fields = {
             "shared_residuals": report.shared.tolist(),
-            "extra_class2": float(report.extra_class2),
-            "extra_class3": float(report.extra_class3),
-            "route_disagreement": float(report.route_disagreement()),
-            "line3_vs_class3_gap": float(report.line3_vs_class3_gap),
+            "extra_class2": report.extra_class2,
+            "extra_class3": report.extra_class3,
+            "route_disagreement": report.route_disagreement(),
+            "line3_vs_class3_gap": report.line3_vs_class3_gap,
         }
         try:
-            fields["mappability"] = {str(k): v for k, v in mappability(spinor, tol).items()}
+            # json.dumps writes the int keys 1, 2 and 3 as "1", "2" and "3"
+            fields["mappability"] = mappability(spinor, tol)
         except (SingularSpinorError, NullSpinorError, BilinearInconsistencyError) as exc:
             fields["mappability"] = None
             fields["note"] = str(exc)

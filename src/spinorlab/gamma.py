@@ -79,15 +79,14 @@ def _build_standard() -> GammaRep:
 
 
 REP_TAGS = ("chiral", "standard")
-_REPS: dict[str, GammaRep] = {}
+# both are built at import: ``bilinears`` needs both for its Hermitian forms anyway
+_REPS = {"chiral": _build_chiral(), "standard": _build_standard()}
 
 
 def gamma_rep(tag: str) -> GammaRep:
     """Look up a representation by tag ('chiral' or 'standard')."""
     if tag not in REP_TAGS:
         raise ValueError(f"unknown representation tag {tag!r}; use 'chiral' or 'standard'")
-    if tag not in _REPS:
-        _REPS[tag] = _build_chiral() if tag == "chiral" else _build_standard()
     return _REPS[tag]
 
 

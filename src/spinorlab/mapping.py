@@ -121,20 +121,25 @@ class ConditionReport:
             abs(self.extra_class3 - self.extra_class3_components),
         )
 
-    def satisfied(self, label: int, tol: float = 1e-10) -> bool:
-        """Whether the condition set selecting ``label`` holds at tolerance.
+    def _verdicts(self, tol: float) -> dict:
+        """Whether the condition set selecting each regular label holds at tolerance.
 
-        The residuals are quadratic in psi, so they are compared against
-        ``tol * |psi|^2`` and the verdict does not change when psi is rescaled.
-        A NaN residual holds at no tolerance.
+        Returns ``{1: bool, 2: bool, 3: bool}``.  The residuals are quadratic
+        in psi, so they are compared against ``tol * |psi|^2`` and the verdicts
+        do not change when psi is rescaled.  A NaN residual holds at no
+        tolerance.
         """
-        extras = _EXTRAS.get(label)
-        if extras is None:
-            raise ValueError("mappability is defined for labels 1, 2 and 3")
         threshold = tol * self.scale
-        return all([x <= threshold for x in self.shared.tolist()]) and all(
-            [getattr(self, extra) <= threshold for extra in extras]
-        )
+        shared = all([x <= threshold for x in self.shared.tolist()])
+        holds = {"extra_class2": self.extra_class2 <= threshold,
+                 "extra_class3": self.extra_class3 <= threshold}
+        return {label: shared and all([holds[e] for e in extras]) for label, extras in _EXTRAS.items()}
+
+    def satisfied(self, label: int, tol: float = 1e-10) -> bool:
+        """Whether the condition set selecting ``label`` holds at tolerance (one of ``_verdicts``)."""
+        if label not in _EXTRAS:
+            raise ValueError("mappability is defined for labels 1, 2 and 3")
+        return self._verdicts(tol)[label]
 
 
 def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
@@ -169,5 +174,4 @@ def mappability(psi: SpinorC4, tol: float = 1e-10) -> dict:
         raise SingularSpinorError(
             f"spinor is class {label}; mapping conditions apply to classes 1-3"
         )
-    report = elko_map_conditions(psi)
-    return {"class": label, **{k: report.satisfied(k, tol) for k in _EXTRAS}}
+    return {"class": label, **elko_map_conditions(psi)._verdicts(tol)}

@@ -79,3 +79,22 @@ def mixed_spinors(rng, count):
             psi = psi.in_rep("standard" if psi.rep == "chiral" else "chiral")
         out.append((label, psi))
     return out
+
+
+def map_check_decades(seed=97):
+    """Scaled copies, 1e-60 to 1e38, of one unit spinor per class and the three mapping
+    witnesses, the representation switching with each decade and each zero part signed at random."""
+    rng = np.random.default_rng(seed)
+    bases = [psi for _, psi in mixed_spinors(rng, 6)]
+    bases += [SpinorC4(c, "standard") for c in ([2, 0, 1j, 0], [1, 0, 0, 0], [1j, 1j, 1, 1])]
+    spinors = []
+    for k in range(-60, 39):
+        for psi in bases:
+            if k % 2:
+                psi = psi.in_rep("standard" if psi.rep == "chiral" else "chiral")
+            c = psi.components / np.linalg.norm(psi.components) * 10.0**k
+            for part in (c.real, c.imag):
+                zeros = part == 0.0
+                part[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+            spinors.append(SpinorC4(c, psi.rep))
+    return spinors

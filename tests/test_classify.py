@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_spinor, mixed_spinors, random_spinor
+from conftest import class_spinor, map_check_decades, mixed_spinors, random_spinor
 from spinorlab import (
     BilinearInconsistencyError,
     BilinearSet,
@@ -292,3 +292,31 @@ def test_batched_magnitudes_and_rule_match_the_per_record_body():
                     assert got.marginal == bool(expected[2]) and got.regular == (got.label < 4)
                     seen.update([got.label, "marginal"] if got.marginal else [got.label])
     assert seen == {1, 2, 3, 4, 5, 6, "marginal", NullSpinorError, BilinearInconsistencyError}
+
+
+def _sum_of_squares_magnitudes(c):
+    """Fault: the one-row path with its norms as a Python sum of squares, not the BLAS dot."""
+    row = np.ldexp(c[0], -np.frexp(c[0, 1])[1]).tolist()
+    norm = lambda part: np.sqrt(sum(x * x for x in part))
+    return np.array([[abs(row[1]), norm(row[1:5]), abs(row[0]), abs(row[15]),
+                      norm(row[11:15]), norm(row[5:11])]])
+
+
+@pytest.mark.parametrize("rep", ["chiral", "standard"])
+@pytest.mark.parametrize("magnitudes, exact", [(magnitude_array, True),
+                                               (_sum_of_squares_magnitudes, False)],
+                         ids=["kernel", "fault-python-sum-of-squares"])
+def test_one_row_kernels_are_their_row_of_the_block_bit_for_bit(rep, magnitudes, exact):
+    # |psi| from 1e-60 to 1e38 with signed zeros, read in either representation, then the zero spinor
+    v = np.array([psi.components for psi in map_check_decades()] + [[0.0] * 4, [complex(-0.0, -0.0)] * 4])
+    cov = covariant_array(v, rep)
+    mags = magnitude_array(cov)
+    assert cov.flags.c_contiguous and mags.shape == (len(v), 6)
+    bits = lambda x: np.asarray(x).view(np.int64)
+    differ = 0
+    for i in range(len(v)):
+        row = covariant_array(v[i:i + 1], rep)
+        assert row.shape == (1, 16) and row.flags.c_contiguous
+        assert np.array_equal(bits(row), bits(cov[i:i + 1]))
+        differ += not np.array_equal(bits(magnitudes(cov[i:i + 1])), bits(mags[i:i + 1]))
+    assert (differ == 0) == exact

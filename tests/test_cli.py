@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import class_spinor, mixed_spinors
+from conftest import class_spinor, map_check_decades, mixed_spinors
 from oracles import (
     per_sample_suite_fierz,
     per_sample_suite_hopf,
@@ -394,25 +394,6 @@ def map_check_spinors(seed=98):
     spinors += [psi for _, psi in mixed_spinors(rng, 60)]
     witnesses = ([2, 0, 1j, 0], [1, 0, 0, 0], [1j, 1j, 1, 1], [0, 0, 0, 0])
     return spinors + [SpinorC4(c, "standard") for c in witnesses]
-
-
-def map_check_decades(seed=97):
-    """Scaled copies, 1e-60 to 1e38, of one unit spinor per class and the three mapping
-    witnesses, the representation switching with each decade and each zero part signed at random."""
-    rng = np.random.default_rng(seed)
-    bases = [psi for _, psi in mixed_spinors(rng, 6)]
-    bases += [SpinorC4(c, "standard") for c in ([2, 0, 1j, 0], [1, 0, 0, 0], [1j, 1j, 1, 1])]
-    spinors = []
-    for k in range(-60, 39):
-        for psi in bases:
-            if k % 2:
-                psi = psi.in_rep("standard" if psi.rep == "chiral" else "chiral")
-            c = psi.components / np.linalg.norm(psi.components) * 10.0**k
-            for part in (c.real, c.imag):
-                zeros = part == 0.0
-                part[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
-            spinors.append(SpinorC4(c, psi.rep))
-    return spinors
 
 
 def map_check_against_the_oracle(tmp_path, capsys, spinors, tol):
@@ -1093,6 +1074,37 @@ def test_a_line_json_cannot_read_is_malformed_input_with_one_line_of_message(cap
     assert code == 1 and err.startswith(f"spinorlab: line 6: {message}") and err.count("\n") == 1
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert out == before[1] and len(out.splitlines()) == 4
+
+
+GOOD = '{"components": [[1, 0], [0, 0.5], [-0.3, 0], [0.2, 0.1]]}'
+DECODER_ROWS = {  # a second line after GOOD, and the message json.loads gives it (None: it reads)
+    "leading-spaces-and-tabs": (" \t " + GOOD, None),
+    "trailing-spaces-and-tabs": (GOOD + "\t  ", None),
+    "bom": ("\ufeff" + GOOD,
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "two-objects": (GOOD + GOOD, "invalid JSON: Extra data: line 1 column 58 (char 57)"),
+    "unterminated-string": (GOOD[:-1] + ', "label": "abc',
+                            "invalid JSON: Unterminated string starting at: line 1 column 68 (char 67)"),
+    "5000-digit-integer": (GOOD.replace("0.5", "1" * 5000),
+                           "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+                           " value has 5000 digits"),
+    "nesting-past-the-recursion-limit": (GOOD[:-1] + ', "label": %s}' % DEEP,
+                                         "invalid JSON: maximum recursion depth exceeded"
+                                         " while decoding a JSON array from a unicode string"),
+    "bare-list": ("[1]", "expected an object with a 'components' field"),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check"])
+@pytest.mark.parametrize("row", list(DECODER_ROWS))
+def test_each_line_gets_the_verdict_and_message_of_json_loads(capsys, monkeypatch, command, row):
+    text, message = DECODER_ROWS[row]
+    code, out, err = run_text([command, "-"], f"{GOOD}\n{text}\n", capsys, monkeypatch)
+    if message is None:  # whitespace around an object: the line reads as that object
+        assert (code, out, err) == run_text([command, "-"], f"{GOOD}\n{GOOD}\n", capsys, monkeypatch)
+        assert code == 0 and len(out.splitlines()) == 2
+    else:
+        assert (code, out, err) == (1, "", f"spinorlab: line 2: {message}\n")
 
 
 def test_output_opens_with_the_first_chunk(tmp_path, capsys):
