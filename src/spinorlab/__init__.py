@@ -26,7 +26,6 @@ from .algebra import (
     Quaternion,
     basis_vectors,
     lcontract,
-    scalar_product,
     wedge,
 )
 from .bilinears import (
@@ -49,13 +48,11 @@ from .classify import (
     LounestoClass,
     NullSpinorError,
     classify,
-    is_singular,
     verify_class_relations,
 )
 from .gamma import (
     SIMILARITY,
     GammaRep,
-    chiral_to_standard,
     gamma_rep,
 )
 from .mapping import (
@@ -80,9 +77,8 @@ _LAZY = {
     **dict.fromkeys((
         "FlagDipoleFrame", "annihilator_residuals", "class_limit", "direction_class",
         "direction_element", "doran_h", "elko_mixture_direction", "frame_from_bilinears",
-        "is_admissible_flag_dipole_direction", "projection_spinor",
-        "projector_idempotency_residual", "sigma_projector", "sigma_projector_matrix",
-        "synthetic_frame", "type4_boomerang", "validate_direction",
+        "projection_spinor", "projector_idempotency_residual", "sigma_projector",
+        "sigma_projector_matrix", "synthetic_frame", "type4_boomerang", "validate_direction",
     ), "flagdipole"),
     **dict.fromkeys((
         "HopfPoint", "QuaternionPair", "column_fiber_action", "column_to_even",

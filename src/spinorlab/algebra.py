@@ -5,8 +5,8 @@ grade-major and lexicographically within each grade:
 
     1;  e0 e1 e2 e3;  e01 e02 e03 e12 e13 e23;  e012 e013 e023 e123;  e0123
 
-The full product structure is generated once from the metric by counting
-index transpositions, so every operation (geometric product, wedge, left
+The full product structure is generated once from the metric by the closed
+form of a blade product, so every operation (geometric product, wedge, left
 contraction, reversion) is table-driven.  Coefficients may be real or
 complex; complex coefficients give the complexified algebra.
 """
@@ -14,6 +14,7 @@ complex; complex coefficients give the complexified algebra.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 
 import numpy as np
@@ -33,43 +34,14 @@ DIM = len(BLADES)
 GRADE_2_PAIRS = tuple(idx for idx in BLADES if len(idx) == 2)
 
 
-def _multiply_basis(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Product of two basis blades: (sign, sorted index tuple)."""
-    seq = list(a + b)
-    sign = 1
-    # bubble sort; each transposition of distinct generators flips the sign
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                sign = -sign
-                swapped = True
-    out: list[int] = []
-    i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == seq[i + 1]:
-            sign *= METRIC_SIGNS[seq[i]]
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return sign, tuple(out)
+def _sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Sign of e_a e_b: one flip per pair i in a, j in b with i > j, and g_ii per shared index i."""
+    return (-1) ** sum(i > j for i in a for j in b) * math.prod(METRIC_SIGNS[i] for i in set(a) & set(b))
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    index = np.zeros((DIM, DIM), dtype=np.intp)
-    sign = np.zeros((DIM, DIM))
-    for i, a in enumerate(BLADES):
-        for j, b in enumerate(BLADES):
-            s, idx = _multiply_basis(a, b)
-            index[i, j] = BLADE_INDEX[idx]
-            sign[i, j] = s
-    return index, sign
-
-
-PRODUCT_INDEX, PRODUCT_SIGN = _build_tables()
+# e_a e_b = sign * e_c, with c the indices in exactly one of a and b
+PRODUCT_INDEX = np.array([[BLADE_INDEX[tuple(sorted(set(a) ^ set(b)))] for b in BLADES] for a in BLADES])
+PRODUCT_SIGN = np.array([[_sign(a, b) for b in BLADES] for a in BLADES], dtype=float)
 
 _GRADE_OUT = BLADE_GRADES[PRODUCT_INDEX]
 _GA = BLADE_GRADES[:, None]
@@ -244,11 +216,6 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
 def lcontract(a: Multivector, b: Multivector) -> Multivector:
     """Left contraction a ⌟ b (lowers grade; a inside b)."""
     return Multivector(_product(a.coeffs, b.coeffs, LCONTRACT_SIGN))
-
-
-def scalar_product(a: Multivector, b: Multivector):
-    """Metric pairing <reverse(a) b>_0."""
-    return (a.reverse() * b).scalar_part()
 
 
 def basis_vectors() -> tuple[Multivector, Multivector, Multivector, Multivector]:

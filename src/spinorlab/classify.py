@@ -117,12 +117,6 @@ def classify(b: BilinearSet, tol: float = 1e-10) -> LounestoClass:
     return lounesto_class(magnitude_array(b.as_array()[None])[0].tolist(), tol)
 
 
-def is_singular(b: BilinearSet, tol: float = 1e-10) -> bool:
-    """True when both sigma and omega vanish (classes 4-6), against ``tol * |J^0|``."""
-    threshold = tol * abs(b.J[0])
-    return abs(b.sigma) <= threshold and abs(b.omega) <= threshold
-
-
 def verify_class_relations(b: BilinearSet, label: int) -> dict:
     """Residuals of the structural identities specific to one class.
 

@@ -143,6 +143,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -234,17 +241,20 @@ def _non_finite(value) -> bool:
 def _documents(path: str, default_rep: str) -> Iterator[Chunk]:
     """Parse the input lazily, one chunk at a time, each line checked as it is read.
 
-    The first non-blank line picks the format: JSON-lines when it starts with
-    ``{``, CSV otherwise.  A blank input reads as CSV without rows.  The last
-    chunk holds fewer than ``_CHUNK`` documents, and may hold none.
+    One U+FEFF at the start of the input is a byte order mark and is dropped,
+    as ``utf-8-sig`` drops it.  The first non-blank line picks the format:
+    JSON-lines when it starts with ``{`` (past any other U+FEFF, which the
+    JSON decoder then refuses), CSV otherwise.  A blank input reads as CSV
+    without rows.  The last chunk holds fewer than ``_CHUNK`` documents, and
+    may hold none.
     """
     with _input_lines(path) as lines:
         head = []
         for line in lines:
-            head.append(line)
-            if line.strip():
+            head.append(line if head else line.removeprefix("\ufeff"))
+            if head[-1].strip():
                 break
-        jsonl = "".join(head[-1:]).lstrip().startswith("{")
+        jsonl = "".join(head[-1:]).replace("\ufeff", "").lstrip().startswith("{")
         docs = (_read_jsonl if jsonl else _read_csv)(itertools.chain(head, lines), default_rep)
         for start in itertools.count(0, _CHUNK):
             chunk = list(itertools.islice(docs, _CHUNK))
@@ -655,12 +665,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"spinorlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, records: bool = True, table: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, records: bool = True, table: bool = False,
+               tol_help: str = "zero-test tolerance") -> None:
         if records:
             p.add_argument("input", help="input file (JSON-lines or CSV), or - for stdin")
             p.add_argument("--rep", choices=REP_TAGS, default="chiral",
                            help="representation for inputs that do not declare one")
-        p.add_argument("--tol", type=positive_float, default=1e-10, help="zero-test tolerance")
+        p.add_argument("--tol", type=positive_float, default=1e-10, help=tol_help)
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false",
                          help="JSON-lines output" + ("" if table else " (default)"))
@@ -697,12 +708,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a randomized identity suite")
     p.add_argument("suite", choices=("fierz", "hopf", "projectors", "mapping"))
     p.add_argument("--samples", type=positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     common(p, records=False, table=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hopf", help="compare fibration routes per input spinor")
-    common(p)
+    common(p, tol_help="not read: hopf applies no tolerance")
     p.set_defaults(func=partial(_run_records, block_fn=_hopf_block, table_row=_hopf_row))
 
     p = sub.add_parser("map-check", help="evaluate ELKO mapping conditions per input")

@@ -138,10 +138,6 @@ def direction_class(u: Multivector, tol: float = 1e-10) -> int:
     return 4
 
 
-def is_admissible_flag_dipole_direction(u: Multivector, tol: float = 1e-10) -> bool:
-    return direction_class(u, tol) == 4
-
-
 def projection_spinor_array(psi_even, u, tol: float = 1e-10) -> np.ndarray:
     """The (N, 4) standard columns of Psi (1 + gamma_0 u)/2 for (N, 16) even elements and directions.
 

@@ -12,6 +12,8 @@ matrices by an algebra isomorphism.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .algebra import BLADES, DIM, METRIC_SIGNS, Multivector
@@ -36,21 +38,14 @@ class GammaRep:
     def __init__(self, tag: str, gamma_upper: np.ndarray) -> None:
         self.tag = tag
         self.upper = gamma_upper  # shape (4, 4, 4); index = spacetime index
-        lower = gamma_upper.copy()
-        for k in range(4):
-            lower[k] = METRIC_SIGNS[k] * gamma_upper[k]
-        self.lower = lower
+        self.lower = np.array(METRIC_SIGNS)[:, None, None] * gamma_upper
         g = self.upper
         self.gamma5 = 1j * g[0] @ g[1] @ g[2] @ g[3]
-
-        blades = np.empty((DIM, 4, 4), dtype=np.complex128)
-        for n, idx in enumerate(BLADES):
-            m = np.eye(4, dtype=np.complex128)
-            for i in idx:
-                m = m @ self.lower[i]
-            blades[n] = m
-        self.blades = blades
-        self.pseudoscalar = blades[-1]
+        eye = np.eye(4, dtype=np.complex128)
+        # e_idx = product of the lower gammas of idx, in canonical order; a list of views, as
+        # fancy indexing at import maps some 0.1 MB more resident memory
+        self.blades = np.array([reduce(np.matmul, [self.lower[i] for i in idx], eye) for idx in BLADES])
+        self.pseudoscalar = self.blades[-1]
 
     def matrix_array(self, coeffs) -> np.ndarray:
         """The (N, 4, 4) matrices of an (N, 16) coefficient block, each row's bits independent of N."""
@@ -62,25 +57,19 @@ class GammaRep:
         return self.matrix_array(mv.coeffs[None])[0]
 
 
-def _build_chiral() -> GammaRep:
-    g = np.empty((4, 4, 4), dtype=np.complex128)
-    g[0] = _block(_Z2, _I2, _I2, _Z2)
-    for k in range(3):
-        g[k + 1] = _block(_Z2, -PAULI[k], PAULI[k], _Z2)
-    return GammaRep("chiral", g)
-
-
-def _build_standard() -> GammaRep:
-    g = np.empty((4, 4, 4), dtype=np.complex128)
-    g[0] = np.diag([1, 1, -1, -1]).astype(np.complex128)
-    for k in range(3):
-        g[k + 1] = _block(_Z2, PAULI[k], -PAULI[k], _Z2)
-    return GammaRep("standard", g)
+def _build(tag: str, g0: np.ndarray, flip: bool) -> GammaRep:
+    """gamma^0 = g0 and gamma^k = [[0, -s_k], [s_k, 0]], or [[0, s_k], [-s_k, 0]] when ``flip``."""
+    # -s flips the sign of every part of every entry, zeros included; -1 * s would not
+    spatial = [_block(_Z2, s, -s, _Z2) if flip else _block(_Z2, -s, s, _Z2) for s in PAULI]
+    return GammaRep(tag, np.array([g0, *spatial]))
 
 
 REP_TAGS = ("chiral", "standard")
 # both are built at import: ``bilinears`` needs both for its Hermitian forms anyway
-_REPS = {"chiral": _build_chiral(), "standard": _build_standard()}
+_REPS = {
+    "chiral": _build("chiral", _block(_Z2, _I2, _I2, _Z2), flip=False),
+    "standard": _build("standard", np.diag([1, 1, -1, -1]).astype(np.complex128), flip=True),
+}
 
 
 def gamma_rep(tag: str) -> GammaRep:
@@ -93,7 +82,3 @@ def gamma_rep(tag: str) -> GammaRep:
 # Hermitian involution taking chiral matrices to standard ones and back:
 # U gamma_chiral U = gamma_standard with U^2 = 1.
 SIMILARITY = _block(_I2, _I2, _I2, -_I2) / np.sqrt(2.0)
-
-
-def chiral_to_standard(matrix: np.ndarray) -> np.ndarray:
-    return SIMILARITY @ matrix @ SIMILARITY

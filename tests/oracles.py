@@ -5,6 +5,7 @@ for bit."""
 import numpy as np
 
 from spinorlab import (
+    METRIC_SIGNS,
     PSEUDOSCALAR,
     QUAT_I,
     QUAT_J,
@@ -30,6 +31,7 @@ from spinorlab import (
 from spinorlab.algebra import (
     BLADE_GRADES,
     BLADE_INDEX,
+    BLADES,
     DIM,
     GRADE_2_PAIRS,
     PRODUCT_INDEX,
@@ -60,6 +62,124 @@ def quaternion_to_multivector(q):
     c[BLADE_INDEX[(1, 3)]] = -q.y
     c[BLADE_INDEX[(1, 2)]] = q.z
     return Multivector(c)
+
+
+# ---- structure tables --------------------------------------------------------
+
+
+def bubble_multiply_basis(a, b):
+    """Product of two basis blades, (sign, sorted index tuple), by bubble-sorting the indices of a + b."""
+    seq = list(a + b)
+    sign = 1
+    # each transposition of distinct generators flips the sign
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(len(seq) - 1):
+            if seq[i] > seq[i + 1]:
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                sign = -sign
+                swapped = True
+    out = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and seq[i] == seq[i + 1]:
+            sign *= METRIC_SIGNS[seq[i]]
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return sign, tuple(out)
+
+
+_PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+_I2 = np.eye(2, dtype=np.complex128)
+_Z2 = np.zeros((2, 2), dtype=np.complex128)
+
+
+def loop_gamma_upper(tag, negate=np.negative):
+    """gamma^mu of ``tag``, one spatial matrix at a time, each -s_k block made by ``negate(s_k)``."""
+    g = np.empty((4, 4, 4), dtype=np.complex128)
+    if tag == "chiral":
+        g[0] = np.block([[_Z2, _I2], [_I2, _Z2]])
+        for k in range(3):
+            g[k + 1] = np.block([[_Z2, negate(_PAULI[k])], [_PAULI[k], _Z2]])
+    else:
+        g[0] = np.diag([1, 1, -1, -1]).astype(np.complex128)
+        for k in range(3):
+            g[k + 1] = np.block([[_Z2, _PAULI[k]], [negate(_PAULI[k]), _Z2]])
+    return g
+
+
+def loop_structure_tables(negate=np.negative):
+    """Every Cl(1,3) structure table, by the explicit loops: product signs by bubble sort, one
+    lower gamma and one blade matrix at a time, and the tables built on them by the library's
+    expressions on these.  Keys name the library's tables; ``negate`` is ``loop_gamma_upper``'s."""
+    index = np.zeros((DIM, DIM), dtype=np.intp)
+    sign = np.zeros((DIM, DIM))
+    for i, a in enumerate(BLADES):
+        for j, b in enumerate(BLADES):
+            s, idx = bubble_multiply_basis(a, b)
+            index[i, j] = BLADE_INDEX[idx]
+            sign[i, j] = s
+    grade_out, ga, gb = BLADE_GRADES[index], BLADE_GRADES[:, None], BLADE_GRADES[None, :]
+    source = np.argsort(index, axis=1)  # each row is a permutation; its inverse
+    tables = {
+        "PRODUCT_INDEX": index,
+        "PRODUCT_SIGN": sign,
+        "WEDGE_SIGN": np.where(grade_out == ga + gb, sign, 0.0),
+        "LCONTRACT_SIGN": np.where(grade_out == gb - ga, sign, 0.0),
+        "_PRODUCT_SOURCE": source,
+        "SIMILARITY": np.block([[_I2, _I2], [_I2, -_I2]]) / np.sqrt(2.0),
+    }
+
+    def mul(x, y):  # a one-row product_array on these tables
+        terms = x[:, None] * y[None, :]
+        terms *= sign
+        by_slot = terms[np.arange(DIM)[:, None], source]
+        out = np.zeros(DIM, dtype=terms.dtype)
+        for i in range(DIM):
+            out += by_slot[i]
+        return out
+
+    def blade(n, coeff=1.0):  # Multivector.blade
+        c = np.zeros(DIM)
+        c[n] = coeff
+        return c
+
+    # bilinears._OPERATORS, each Multivector expression evaluated left to right
+    upper_e = [blade(1 + mu, float(METRIC_SIGNS[mu])) for mu in range(4)]
+    ps = blade(DIM - 1)
+    ops = ([blade(0)] + upper_e + [mul(upper_e[mu] * 0.5j, upper_e[nu]) for mu, nu in GRADE_2_PAIRS]
+           + [mul(ps * 1j, e) for e in upper_e] + [-ps])
+    tables["_INVERSES"] = np.array([g / mul(g, g)[0] for g in ops])
+    factors = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])  # bilinears._FACTORS
+    for tag in ("chiral", "standard"):
+        upper = loop_gamma_upper(tag, negate)
+        lower = upper.copy()
+        for k in range(4):
+            lower[k] = METRIC_SIGNS[k] * upper[k]
+        blades = np.empty((DIM, 4, 4), dtype=np.complex128)
+        for n, idx in enumerate(BLADES):
+            m = np.eye(4, dtype=np.complex128)
+            for i in idx:
+                m = m @ lower[i]
+            blades[n] = m
+        matrices = (np.asarray(ops, dtype=np.complex128)[:, None, :] @ blades.reshape(DIM, 16)).reshape(-1, 4, 4)
+        tables |= {
+            f"{tag}.upper": upper,
+            f"{tag}.lower": lower,
+            f"{tag}.gamma5": 1j * upper[0] @ upper[1] @ upper[2] @ upper[3],
+            f"{tag}.blades": blades,
+            f"{tag}.pseudoscalar": blades[-1],
+            f"_MATRICES.{tag}.forms": lower[0] @ matrices,
+            f"_MATRICES.{tag}.operators": factors[:, None, None] * matrices,
+        }
+    return tables
 
 
 def tensordot_matrix(rep, mv):

@@ -38,7 +38,6 @@ from spinorlab.algebra import (
     WEDGE_SIGN,
     _product,
     product_array,
-    scalar_product,
 )
 
 SIGMA = (
@@ -187,14 +186,6 @@ def test_wedge_of_vectors_is_antisymmetric():
         wedge(u, v).coeffs, -wedge(v, u).coeffs, atol=1e-14
     )
     assert wedge(u, u).norm() < 1e-14
-
-
-def test_scalar_product_is_the_reversed_pairing():
-    # reverse(e01) = -e01 and e01 squares to +1, so the pairing is negative
-    a = Multivector.blade(0, 1, coeff=2.0)
-    assert scalar_product(a, a) == pytest.approx(-4.0)
-    assert scalar_product(E1, E1) == pytest.approx(-1.0)
-    assert scalar_product(E0, E0) == pytest.approx(1.0)
 
 
 def test_division_by_scalar_and_subtraction():

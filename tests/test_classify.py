@@ -21,7 +21,6 @@ from spinorlab import (
     direction_element,
     elko_rest,
     helicity_eigenspinor,
-    is_singular,
     majorana_from_weyl,
     pq_operators,
     projection_spinor,
@@ -63,8 +62,9 @@ def test_each_class_has_a_constructed_witness(label):
 def test_classification_survives_scale_and_phase(label):
     for scale in (1e-120, 1e-80, 1e-60, 1e-5, 3.2e3, 1e38):
         psi = witness(label).scaled(scale * np.exp(1.9j))
-        assert classify(bilinears(psi)).label == label
-        assert is_singular(bilinears(psi)) == (label > 3)
+        verdict = classify(bilinears(psi))
+        assert verdict.label == label
+        assert (not verdict.regular) == (label > 3)
 
 
 # one Lorentz generator: a gamma pair (mu, nu) and an amount in [-1, 1]
@@ -119,9 +119,9 @@ def test_witness_pattern_reports_which_covariants_vanish():
 
 
 def test_singularity_means_both_scalars_vanish():
-    assert not is_singular(bilinears(witness(1)))
-    assert is_singular(bilinears(witness(5)))
-    assert is_singular(bilinears(witness(6)))
+    assert classify(bilinears(witness(1))).regular
+    assert not classify(bilinears(witness(5))).regular
+    assert not classify(bilinears(witness(6))).regular
 
 
 def test_zero_spinor_cannot_be_classified():

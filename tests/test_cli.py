@@ -488,6 +488,22 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     assert "--samples" in err
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(["verify", "fierz", "--seed", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: spinorlab verify ")
+    assert err.endswith("spinorlab verify: error: argument --seed: must be at least 0, got -1\n")
+
+
+@pytest.mark.parametrize("tol", ["0.9", "1", "2", "1e10"])
+def test_verify_mapping_fails_its_witnesses_at_a_tolerance_near_1_or_above(capsys, tol):
+    # the tolerance reads a regular witness as singular, so mappability refuses it
+    code, out, err = run(["verify", "mapping", "--samples", "50", "--tol", tol, "--json"], capsys)
+    checks = {row["check"]: row["pass"] for row in map(json.loads, out.splitlines())}
+    assert (code, err) == (2, "")
+    assert checks["constructed_families_pass"] is False
+
+
 RECORD_OPTIONS = {"-h", "--help", "--rep", "--tol", "--json", "--table", "--output"}
 HELP_OPTIONS = {
     "classify": RECORD_OPTIONS,
@@ -1105,6 +1121,42 @@ def test_each_line_gets_the_verdict_and_message_of_json_loads(capsys, monkeypatc
         assert code == 0 and len(out.splitlines()) == 2
     else:
         assert (code, out, err) == (1, "", f"spinorlab: line 2: {message}\n")
+
+
+BOM_INPUTS = {  # each without its byte order mark
+    "jsonl-one-line": GOOD + "\n",
+    "jsonl-two-lines": GOOD + "\n" + GOOD + "\n",
+    "csv-with-header": "re1,im1,re2,im2,re3,im3,re4,im4\n1,0,0,0,0,0,0,0\n0,0,0,1,1,0,0,0\n",
+    "csv-without-header": "1,0,0,0,0,0,0,0\n0,0,0,1,1,0,0,0\n",
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "stringio"])
+@pytest.mark.parametrize("name", list(BOM_INPUTS))
+def test_a_byte_order_mark_at_the_start_of_the_input_is_dropped(tmp_path, capsys, monkeypatch,
+                                                                 name, source):
+    def classify(text):
+        if source == "file":
+            path = tmp_path / "in.txt"
+            path.write_bytes(text.encode())
+            return run(["classify", str(path)], capsys)
+        if source == "stringio":
+            return run_text(["classify", "-"], text, capsys, monkeypatch)
+        done = subprocess.run([*CHILD, "classify", "-"], input=text.encode(), capture_output=True,
+                              env=CHILD_ENV, timeout=120)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    plain = classify(BOM_INPUTS[name])
+    assert plain[0] == 0 and len(plain[1].splitlines()) == 1 + ("two" in name or "csv" in name)
+    assert classify("\ufeff" + BOM_INPUTS[name]) == plain
+
+
+@pytest.mark.parametrize("text, line", [("\n\ufeff" + GOOD, 2), ("\ufeff\ufeff" + GOOD, 1)],
+                         ids=["after-a-blank-line", "a-second-mark"])
+def test_a_byte_order_mark_past_the_start_of_the_input_is_malformed(capsys, monkeypatch, text, line):
+    code, out, err = run_text(["classify", "-"], text + "\n", capsys, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == f"spinorlab: line {line}: {DECODER_ROWS['bom'][1]}\n"
 
 
 def test_output_opens_with_the_first_chunk(tmp_path, capsys):

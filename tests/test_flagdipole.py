@@ -29,7 +29,6 @@ from spinorlab import (
     doran_h,
     elko_mixture_direction,
     frame_from_bilinears,
-    is_admissible_flag_dipole_direction,
     lcontract,
     minkowski_square,
     projection_spinor,
@@ -84,7 +83,6 @@ def test_direction_element_must_be_a_unit_spatial_vector():
 def test_direction_classes(components, expected):
     u = direction_element(components)
     assert direction_class(u) == expected
-    assert is_admissible_flag_dipole_direction(u) == (expected == 4)
     # the classifier agrees with the bilinears of the projected spinor
     psi = projection_spinor(Multivector.scalar(1.0), u)
     assert classify(bilinears(psi)).label == expected

@@ -12,7 +12,6 @@ from spinorlab import (
     SIMILARITY,
     Multivector,
     SpinorC4,
-    chiral_to_standard,
     gamma_rep,
 )
 from spinorlab.algebra import DIM, PRODUCT_INDEX, PRODUCT_SIGN
@@ -88,11 +87,11 @@ def test_similarity_takes_chiral_matrices_to_standard_ones():
     standard = gamma_rep("standard")
     for mu in range(4):
         np.testing.assert_allclose(
-            chiral_to_standard(chiral.upper[mu]), standard.upper[mu], atol=1e-15
+            SIMILARITY @ chiral.upper[mu] @ SIMILARITY, standard.upper[mu], atol=1e-15
         )
         # SIMILARITY is an involution, so the same conjugation maps back
         np.testing.assert_allclose(
-            chiral_to_standard(standard.upper[mu]), chiral.upper[mu], atol=1e-15
+            SIMILARITY @ standard.upper[mu] @ SIMILARITY, chiral.upper[mu], atol=1e-15
         )
 
 
