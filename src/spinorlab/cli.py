@@ -320,6 +320,14 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
         yield comp, rep, label
 
 
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, None]]:
     rowno = 0
     try:
@@ -331,7 +339,7 @@ def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[flo
                 values = [float(c) for c in cells]
             except ValueError:  # a byte that is not UTF-8 fails float() too
                 _check_utf8("".join(cells), f"row {rowno}")
-                if rowno == 1:  # tolerate a header row
+                if rowno == 1 and not any(map(_reads_as_float, cells)):  # a header: names only
                     continue
                 raise CliInputError(f"row {rowno}: non-numeric CSV cell")
             if len(values) != 8:

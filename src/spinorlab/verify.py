@@ -1,17 +1,18 @@
 """Randomized identity suites of ``spinorlab verify``: fierz, hopf, projectors, mapping.
 
-Each suite draws its samples from a generator of the seed it is given, runs
-them in blocks of ``_VERIFY_BLOCK`` through the array kernels, and returns one
-``(check, worst, passed)`` triple per check, in a fixed order.  The CLI
-imports this module only for ``verify``, and each suite imports the ``hopf``
-or ``flagdipole`` kernels it runs when it runs, so ``verify fierz`` and
-``verify mapping`` load neither module and ``verify hopf`` does not load
-``flagdipole``.  A suite makes its generator after those imports: made before
-them, it raised the projectors suite's peak memory.  This module imports
-nothing from the CLI.
+Each suite draws its samples from a ``_SampleStream`` of the seed it is
+given, runs them in blocks of ``_VERIFY_BLOCK`` through the array kernels, and
+returns one ``(check, worst, passed)`` triple per check, in a fixed order.  The
+CLI imports this module only for ``verify``, and each suite imports the
+``hopf`` or ``flagdipole`` kernels it runs when it runs, so ``verify fierz``
+and ``verify mapping`` load neither module and ``verify hopf`` does not load
+``flagdipole``.  No suite loads ``numpy.random``.  This module imports nothing
+from the CLI.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -31,6 +32,48 @@ from .classify import BilinearInconsistencyError, NullSpinorError, lounesto_clas
 from .mapping import SingularSpinorError, condition_routes, mappability
 
 
+class _SampleStream:
+    """The seeded draws of a verify suite: 53-bit uniforms and Box-Muller normals.
+
+    The bits come from ``random.Random(seed).randbytes``, eight little-endian
+    bytes per uniform, whose top 53 bits are its numerator over 2^53.  Normals
+    are made in pairs from two consecutive uniforms, and a draw that uses only
+    the first normal of its last pair keeps the second for the next draw, so a
+    block draw is the same values as its samples drawn one at a time.
+    """
+
+    __slots__ = ("_randbytes", "_spare")
+
+    def __init__(self, seed: int) -> None:
+        self._randbytes = random.Random(seed).randbytes
+        self._spare: float | None = None
+
+    def uniform(self, low: float, high: float) -> float:
+        """One float in [low, high)."""
+        return low + (high - low) * ((int.from_bytes(self._randbytes(8), "little") >> 11) * 2.0**-53)
+
+    def standard_normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        """Standard normal floats of the given shape, in C order."""
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        start = 0
+        if self._spare is not None and flat.size:
+            flat[0], self._spare, start = self._spare, None, 1
+        pairs = (flat.size - start + 1) // 2
+        if pairs:
+            words = np.frombuffer(self._randbytes(16 * pairs), dtype="<u8") >> 11
+            # 1 - u in (0, 1], so the logarithm is finite
+            radius = np.sqrt(-2.0 * np.log((2**53 - words[0::2]) * 2.0**-53))
+            angle = words[1::2] * (2.0**-53 * 2.0 * np.pi)
+            normals = np.empty((pairs, 2))
+            np.multiply(radius, np.cos(angle), out=normals[:, 0])
+            np.multiply(radius, np.sin(angle), out=normals[:, 1])
+            flat[start:] = normals.ravel()[:flat.size - start]
+            if (flat.size - start) % 2:
+                self._spare = float(normals[-1, 1])
+        return out
+
+
 def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise |a e^(i phi) - b| with the phase phi that aligns a with b."""
     inner = np.vecdot(a, b)
@@ -46,7 +89,7 @@ _VERIFY_BLOCK = 64
 
 
 def _suite_fierz(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
-    rng = np.random.default_rng(seed)
+    rng = _SampleStream(seed)
     # worst quadratic, aggregate, generalized and reconstruction residuals
     worst = [0.0] * 4
     recovered = 0
@@ -95,7 +138,7 @@ def _suite_hopf(seed: int, samples: int, tol: float) -> list[tuple[str, float, b
         quaternions_to_column_array,
     )
 
-    rng = np.random.default_rng(seed)
+    rng = _SampleStream(seed)
     # worst norm-identity, fiber and round-trip residuals
     worst = [0.0] * 3
     for start in range(0, samples, _VERIFY_BLOCK):
@@ -129,7 +172,7 @@ def _suite_hopf(seed: int, samples: int, tol: float) -> list[tuple[str, float, b
     ]
 
 
-def _random_admissible_direction(rng: np.random.Generator) -> np.ndarray:
+def _random_admissible_direction(rng: _SampleStream) -> np.ndarray:
     """A random unit 3-vector clear of the class-5 plane and the class-6 axis."""
     while True:
         raw = rng.standard_normal(3)
@@ -154,7 +197,7 @@ def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, fl
         sigma_projector_matrix_array,
     )
 
-    rng = np.random.default_rng(seed)
+    rng = _SampleStream(seed)
     # worst class, ratio, annihilator, idempotency, apply-sum and limit residuals
     worst = [0.0] * 6
     matrix_sum_exact = True
@@ -207,7 +250,7 @@ def _any_class_but(columns: np.ndarray, label: int) -> bool:
 
 
 def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
-    rng = np.random.default_rng(seed)
+    rng = _SampleStream(seed)
     worst_route = 0.0
     passes = 0
     witness_fail = 0.0

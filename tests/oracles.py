@@ -477,7 +477,8 @@ def scalar_direction_element(components3):
 def per_sample_random_admissible_direction(rng):
     """One ``verify projectors`` direction, drawn and built as a ``Multivector``."""
     while True:
-        raw = rng.standard_normal(3)
+        # one normal at a time, so every second one is the stream's spare
+        raw = np.array([rng.standard_normal(1)[0] for _ in range(3)])
         norm = np.linalg.norm(raw)
         if norm < 1e-6:
             continue

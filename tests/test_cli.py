@@ -668,7 +668,7 @@ def assert_blocked_suite_prints_the_oracle_bytes(suite, oracle, sample_counts, s
         argv = ["verify", suite, "--samples", str(samples), "--seed", str(seed)]
         argv += ["--tol", tol] if tol else []
         got = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
-        results = oracle(np.random.default_rng(seed), samples, float(tol or 1e-10))
+        results = oracle(verify._SampleStream(seed), samples, float(tol or 1e-10))
         with monkeypatch.context() as patch:
             patch.setattr(verify, f"_suite_{suite}", lambda seed, n, t: results)
             want = [run([*argv, fmt], capsys) for fmt in ("--json", "--table")]
@@ -1149,6 +1149,29 @@ def test_a_byte_order_mark_at_the_start_of_the_input_is_dropped(tmp_path, capsys
     plain = classify(BOM_INPUTS[name])
     assert plain[0] == 0 and len(plain[1].splitlines()) == 1 + ("two" in name or "csv" in name)
     assert classify("\ufeff" + BOM_INPUTS[name]) == plain
+
+
+CSV_ROWS = "1,0,0,0,0,0,0,0\n0,0,0,1,1,0,0,0\n"
+CSV_FIRST_ROWS = {  # the first row, and whether it is read as a header
+    "header": ("re1,im1,re2,im2,re3,im3,re4,im4", True),
+    "bom-first-header": ("\ufeffre1,im1,re2,im2,re3,im3,re4,im4", True),
+    "short-header": ("re,im", True),
+    "one-bad-cell": ("1,0,0,x,0,0,0,0", False),
+    "one-number-among-names": ("re1,im1,re2,im2,re3,im3,re4,0", False),
+    "bom-first-bad-cell": ("\ufeff1,0,0,x,0,0,0,0", False),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+@pytest.mark.parametrize("row", list(CSV_FIRST_ROWS))
+def test_a_csv_first_row_is_a_header_only_when_no_cell_is_a_number(capsys, monkeypatch, command, row):
+    first, header = CSV_FIRST_ROWS[row]
+    got = run_text([command, "-"], f"{first}\n{CSV_ROWS}", capsys, monkeypatch)
+    if header:
+        assert got == run_text([command, "-"], CSV_ROWS, capsys, monkeypatch)
+        assert got[0] == 0 and len(got[1].splitlines()) == 2
+    else:
+        assert got == (1, "", "spinorlab: row 1: non-numeric CSV cell\n")
 
 
 @pytest.mark.parametrize("text, line", [("\n\ufeff" + GOOD, 2), ("\ufeff\ufeff" + GOOD, 1)],

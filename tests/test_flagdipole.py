@@ -40,7 +40,7 @@ from spinorlab import (
     validate_direction,
 )
 from spinorlab.bilinears import covariant_array
-from spinorlab.verify import _random_admissible_direction
+from spinorlab.verify import _SampleStream, _random_admissible_direction
 from spinorlab.flagdipole import (
     annihilator_residual_array,
     boomerang_array,
@@ -414,7 +414,7 @@ def test_flag_dipole_kernels_raise_the_per_sample_errors():
 
 def direction_rows():
     """The projectors suite's draws for seeds 0-19, then non-unit, axial, planar and signed-zero rows."""
-    rngs = [np.random.default_rng(seed) for seed in range(20)]
+    rngs = [_SampleStream(seed) for seed in range(20)]
     rows = [_random_admissible_direction(rng) for rng in rngs for _ in range(50)]
     rows += [[3.0, 4.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -2.5], [1.0, 0.0, 0.0], [0.6, -0.8, 0.0],
              [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -3.0, -0.0], [1e-300, 0.0, 1.0],

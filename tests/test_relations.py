@@ -25,14 +25,25 @@ that spinor's record run alone, its index aside.  The records of a chunk are
 computed one representation block at a time and written in input order.
 (``test_cli.py`` checks the same of ``classify`` and ``hopf``.)
 
+R5: re-expressing a spinor in the other gamma representation
+(``SpinorC4.in_rep``) leaves its ``class``, ``witness``, ``marginal``,
+``error_kind`` and ``mappability.class`` as they were, and its covariants
+within 4 eps J^0 (at most 2.9 eps J^0 on the benchmark's seed 0-3 corpora).
+The covariants are the same numbers in either representation, but the
+similarity's 1/sqrt(2) entries round.  The mapping verdicts may differ: the
+conditions act on the raw components.
+
 Each relation runs across chunk seams, and each has a fault row in
 ``RELATION_FAULTS`` that makes it fail.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,11 +70,11 @@ DEGREE = {  # field -> degree in psi, as the probe in test_r1_degrees_are_the_fi
 }
 
 
-def run_main(argv, text):
+def run_main(argv, text, chunk=CHUNK):
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sys.stdin", io.StringIO(text))
-        mp.setattr(cli, "_CHUNK", CHUNK)
+        mp.setattr(cli, "_CHUNK", chunk)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     return code, [json.loads(line) for line in out.getvalue().splitlines()]
@@ -204,6 +215,49 @@ def test_r4_each_map_check_record_of_a_mixed_chunk_is_its_record_alone(seed):
     assert_r4(corpus(seed))
 
 
+def benchmark_corpus(seed):
+    """The records of ``perfbench/corpus.py``'s corpus for ``seed``: 2,000, ten of them zero."""
+    if "benchmark_corpus" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("benchmark_corpus", path)
+        # registered before it runs: its dataclass looks its module up there
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    text = sys.modules["benchmark_corpus"].make_corpus(seed, 2000).text
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def in_other_rep(record):
+    psi = SpinorC4(np.array([complex(re, im) for re, im in record["components"]]), record["rep"])
+    psi = psi.in_rep(REP_TAGS[1 - REP_TAGS.index(psi.rep)])
+    return {"components": [[z.real, z.imag] for z in psi.components.tolist()], "rep": psi.rep}
+
+
+R5_UNCHANGED = ("class", "witness", "marginal", "error_kind")
+R5_EPS = 4  # covariants agree within R5_EPS * eps * J^0
+
+
+def assert_r5(records):
+    texts = ["".join(json.dumps(r) + "\n" for r in rs) for rs in (records, map(in_other_rep, records))]
+    for command in ("classify", "map-check"):
+        # at the CLI's own chunk size: 2,000 records still cross seven seams
+        (code, plain), (moved_code, moved) = (run_main([command, "-"], t, cli._CHUNK) for t in texts)
+        assert code == moved_code and len(plain) == len(records)
+        for a, b in zip(plain, moved, strict=True):
+            if command == "map-check":
+                assert (a["mappability"] or {}).get("class") == (b["mappability"] or {}).get("class")
+                continue
+            assert [a.get(f) for f in R5_UNCHANGED] == [b.get(f) for f in R5_UNCHANGED], a["index"]
+            if "bilinears" in a:
+                gap = np.max(np.abs(numbers(a["bilinears"]) - numbers(b["bilinears"])))
+                assert gap <= R5_EPS * np.finfo(float).eps * a["bilinears"]["J"][0], a["index"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r5_the_other_representation_keeps_each_class_and_the_covariants(seed):
+    assert_r5(benchmark_corpus(seed))
+
+
 # ---- each relation fails on a fault in what it covers -------------------------
 
 
@@ -242,12 +296,20 @@ def _rows_filled_from_the_end_of_their_block(mp):  # each block's fields in reve
     mp.setattr(cli, "_map_check_block", lambda components, rep, tol: block(components, rep, tol)[::-1])
 
 
+def _similarity_with_one_sign_flipped(mp):  # the chiral <-> standard map, one entry negated
+    module = importlib.import_module("spinorlab.bilinears")  # the package's name is the function
+    flipped = module.SIMILARITY.copy()
+    flipped[0, 2] *= -1
+    mp.setattr(module, "SIMILARITY", flipped)
+
+
 RELATION_FAULTS = {
     "R1": (_threshold_from_the_chunks_largest_j0,
            lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
     "R2": (_re_formed_without_the_conjugate, assert_r2),
     "R3": (_csv_read_as_four_re_then_four_im, assert_r3),
     "R4": (_rows_filled_from_the_end_of_their_block, assert_r4),
+    "R5": (_similarity_with_one_sign_flipped, lambda spinors: assert_r5(benchmark_corpus(0)[:200])),
 }
 
 
