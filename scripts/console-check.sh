@@ -55,6 +55,9 @@ test "$(echo "$out" | grep -c '"class": 6')" -eq 1
 code=0
 printf '1,0,0,0,0,0,0,0\n1,0,0\n' | spinorlab classify - || code=$?
 test "$code" -eq 1
+# blank lines before the header: the header is the first row that has cells
+out=$(printf '\nre1,im1,re2,im2,re3,im3,re4,im4\n1,0,0,0,0,0,0,0\n' | spinorlab classify -)
+test "$(echo "$out" | grep -c '"class": 6')" -eq 1
 # bytes that are not UTF-8, a write error and a NaN label: exit 1 with one "spinorlab: " line
 one_line_exit_1() { code=0; err=$("$@" 2>&1 > /dev/null) || code=$?; test "$code" -eq 1 && test "$(echo "$err" | wc -l)" -eq 1 && test "${err#spinorlab: }" != "$err"; }
 printf '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": "\377"}\n' > "$tmp/not-utf8.jsonl"

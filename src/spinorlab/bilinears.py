@@ -153,14 +153,10 @@ def covariant_array(components, rep: str = "chiral") -> np.ndarray:
     Row n holds the covariants of spinor n in ``BilinearSet.as_array`` order.
     Each form equals its conjugate transpose bit for bit (the test suite checks
     it for both representations), so the imaginary part of psi^dagger F psi
-    is rounding only, and it is dropped.  A one-row block skips the block's
-    reshaping: ``forms @ v`` and ``vecdot`` on the row itself make the same
-    BLAS calls per form, so its bits are those of the block path.
+    is rounding only, and it is dropped.
     """
     v = _components(components)
     forms = _MATRICES[rep][0]
-    if len(v) == 1:  # one row, as ``mappability`` asks per record: the same BLAS calls, less set-up
-        return np.ascontiguousarray(np.vecdot(v[0], forms @ v[0]).real)[None]
     # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
     # so each value is bit for bit the one-form-at-a-time result (einsum is not)
     z = np.vecdot(v[:, None, :], (forms @ v[:, None, :, None])[..., 0])

@@ -60,7 +60,9 @@ def magnitude_array(covariants) -> np.ndarray:
     the block path.
     """
     c = np.asarray(covariants, dtype=float)
-    if len(c) == 1:  # one row, as ``mappability`` asks per record: the same operations, less set-up
+    # chosen by input size, about 5 us less per map-check record: ``mappability`` is the one
+    # caller with a one-row block, and a map-check that runs whole blocks would remove it
+    if len(c) == 1:
         row = np.ldexp(c[0], -math.frexp(c[0, 1])[1])
         j, k, s = row[1:5], row[11:15], row[5:11]
         return np.array([[abs(row[1]), math.sqrt(np.dot(j, j)), abs(row[0]), abs(row[15]),

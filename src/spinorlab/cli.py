@@ -329,17 +329,18 @@ def _reads_as_float(text: str) -> bool:
 
 
 def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, None]]:
-    rowno = 0
+    rowno = filled = 0
     try:
         for rowno, row in enumerate(csv.reader(lines), start=1):
             cells = [c.strip() for c in row if c.strip() != ""]
             if not cells:
                 continue
+            filled += 1  # rows with cells: the first, past any blank lines, may be a header
             try:
                 values = [float(c) for c in cells]
             except ValueError:  # a byte that is not UTF-8 fails float() too
                 _check_utf8("".join(cells), f"row {rowno}")
-                if rowno == 1 and not any(map(_reads_as_float, cells)):  # a header: names only
+                if filled == 1 and not any(map(_reads_as_float, cells)):  # a header: names only
                     continue
                 raise CliInputError(f"row {rowno}: non-numeric CSV cell")
             if len(values) != 8:

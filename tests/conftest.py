@@ -12,6 +12,7 @@ from spinorlab import (
     projection_spinor,
     weyl_spinor,
 )
+from spinorlab.gamma import gamma_rep
 
 
 def random_spinor(rng, rep="chiral", scale=1.0):
@@ -62,6 +63,29 @@ def class_spinor(rng, label):
     if label == 5:
         return elko_rest(phi, ("self", "anti")[rng.integers(2)]).spinor
     return weyl_spinor(phi, ("left", "right")[rng.integers(2)])
+
+
+# the generator planes (mu, nu) of spin_matrix: three boosts, then three rotations
+LORENTZ_PLANES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def spin_matrix(rep, generators):
+    """A proper orthochronous Lorentz spin matrix, a product of closed-form exponentials.
+
+    (g^0 g^i)^2 = 1 gives the boost cosh(eta/2) + sinh(eta/2) g^0 g^i, |eta| <= 2;
+    (g^i g^j)^2 = -1 gives the rotation cos(theta/2) + sin(theta/2) g^i g^j.
+    """
+    g = gamma_rep(rep).upper
+    spin = np.eye(4, dtype=complex)
+    for (mu, nu), amount in generators:
+        if mu == 0:
+            half = amount  # eta / 2
+            factor = np.cosh(half) * np.eye(4) + np.sinh(half) * (g[0] @ g[nu])
+        else:
+            half = amount * np.pi / 2  # theta / 2
+            factor = np.cos(half) * np.eye(4) + np.sin(half) * (g[mu] @ g[nu])
+        spin = factor @ spin
+    return spin
 
 
 def mixed_spinors(rng, count):

@@ -1,11 +1,21 @@
 """Lounesto classification: witnesses for all six classes and the class algebra."""
 
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_spinor, map_check_decades, mixed_spinors, random_spinor
+from conftest import (
+    LORENTZ_PLANES,
+    class_spinor,
+    map_check_decades,
+    mixed_spinors,
+    random_spinor,
+    spin_matrix,
+)
 from spinorlab import (
     BilinearInconsistencyError,
     BilinearSet,
@@ -28,7 +38,6 @@ from spinorlab import (
     weyl_spinor,
 )
 from spinorlab.bilinears import covariant_array
-from spinorlab.gamma import gamma_rep
 from spinorlab.classify import lounesto_class, magnitude_array
 
 PHI = helicity_eigenspinor((0.0, 0.0, 1.0), +1)
@@ -68,27 +77,7 @@ def test_classification_survives_scale_and_phase(label):
 
 
 # one Lorentz generator: a gamma pair (mu, nu) and an amount in [-1, 1]
-GENERATOR = st.tuples(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-                      st.floats(-1.0, 1.0))
-
-
-def spin_matrix(rep, generators):
-    """A proper orthochronous Lorentz spin matrix, a product of closed-form exponentials.
-
-    (g^0 g^i)^2 = 1 gives the boost cosh(eta/2) + sinh(eta/2) g^0 g^i, |eta| <= 2;
-    (g^i g^j)^2 = -1 gives the rotation cos(theta/2) + sin(theta/2) g^i g^j.
-    """
-    g = gamma_rep(rep).upper
-    spin = np.eye(4, dtype=complex)
-    for (mu, nu), amount in generators:
-        if mu == 0:
-            half = amount  # eta / 2
-            factor = np.cosh(half) * np.eye(4) + np.sinh(half) * (g[0] @ g[nu])
-        else:
-            half = amount * np.pi / 2  # theta / 2
-            factor = np.cos(half) * np.eye(4) + np.sin(half) * (g[mu] @ g[nu])
-        spin = factor @ spin
-    return spin
+GENERATOR = st.tuples(st.sampled_from(LORENTZ_PLANES), st.floats(-1.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,3 +309,23 @@ def test_one_row_kernels_are_their_row_of_the_block_bit_for_bit(rep, magnitudes,
         assert np.array_equal(bits(row), bits(cov[i:i + 1]))
         differ += not np.array_equal(bits(magnitudes(cov[i:i + 1])), bits(mags[i:i + 1]))
     assert (differ == 0) == exact
+
+
+def assert_built_spinors_classify_as_built():
+    """Five ``class_spinor`` witnesses of each label classify as that label."""
+    rng = np.random.default_rng(17)
+    for label in range(1, 7):
+        for _ in range(5):
+            assert classify(bilinears(class_spinor(rng, label))).label == label, label
+
+
+@pytest.mark.parametrize("a, b", list(itertools.combinations(range(1, 7), 2)))
+def test_each_swap_of_two_labels_in_lounesto_table_fails_a_class_check(monkeypatch, a, b):
+    module = importlib.import_module("spinorlab.classify")  # the package's name is the function
+    assert_built_spinors_classify_as_built()
+    swap = {a: b, b: a}
+    for name in ("_REGULAR_CLASS", "_SINGULAR_CLASS"):
+        table = getattr(module, name)
+        monkeypatch.setattr(module, name, {flags: swap.get(v, v) for flags, v in table.items()})
+    with pytest.raises(AssertionError):
+        assert_built_spinors_classify_as_built()

@@ -1159,6 +1159,10 @@ CSV_FIRST_ROWS = {  # the first row, and whether it is read as a header
     "one-bad-cell": ("1,0,0,x,0,0,0,0", False),
     "one-number-among-names": ("re1,im1,re2,im2,re3,im3,re4,0", False),
     "bom-first-bad-cell": ("\ufeff1,0,0,x,0,0,0,0", False),
+    "blank-line-then-header": ("\nre1,im1,re2,im2,re3,im3,re4,im4", True),
+    "two-blank-lines-then-header": ("\n \nre1,im1,re2,im2,re3,im3,re4,im4", True),
+    "blank-line-then-bad-cell": ("\n1,0,0,x,0,0,0,0", False),
+    "two-blank-lines-then-bad-cell": ("\n\n1,0,0,x,0,0,0,0", False),
 }
 
 
@@ -1171,7 +1175,8 @@ def test_a_csv_first_row_is_a_header_only_when_no_cell_is_a_number(capsys, monke
         assert got == run_text([command, "-"], CSV_ROWS, capsys, monkeypatch)
         assert got[0] == 0 and len(got[1].splitlines()) == 2
     else:
-        assert got == (1, "", "spinorlab: row 1: non-numeric CSV cell\n")
+        rowno = first.count("\n") + 1  # the blank lines before the bad row count
+        assert got == (1, "", f"spinorlab: row {rowno}: non-numeric CSV cell\n")
 
 
 @pytest.mark.parametrize("text, line", [("\n\ufeff" + GOOD, 2), ("\ufeff\ufeff" + GOOD, 1)],

@@ -33,6 +33,14 @@ The covariants are the same numbers in either representation, but the
 similarity's 1/sqrt(2) entries round.  The mapping verdicts may differ: the
 conditions act on the raw components.
 
+R6: moving a spinor by a proper orthochronous Lorentz spin matrix (a seeded
+product of one to four boosts, |eta| <= 2 each, and rotations) leaves its
+``class``, ``witness`` and ``error_kind`` as they were.  sigma and omega are
+Lorentz scalars and the zero pattern of K and S is Lorentz invariant, so only a
+record flagged ``marginal`` before or after the move, where the zero tests
+against ``tol * J^0`` sit on their threshold, may read otherwise; the test
+counts those records.
+
 Each relation runs across chunk seams, and each has a fault row in
 ``RELATION_FAULTS`` that makes it fail.
 """
@@ -50,7 +58,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mixed_spinors
+from conftest import LORENTZ_PLANES, mixed_spinors, spin_matrix
 from spinorlab import SpinorC4, cli, mapping
 from spinorlab.gamma import REP_TAGS
 
@@ -258,6 +266,40 @@ def test_r5_the_other_representation_keeps_each_class_and_the_covariants(seed):
     assert_r5(benchmark_corpus(seed))
 
 
+R6_UNCHANGED = ("class", "witness", "error_kind")
+R6_SKIPPED = 0  # records marginal in either run, on each of the seed 0-3 corpora
+
+
+def lorentz_moved(records, seed):
+    """Each record moved by its own seeded Lorentz spin matrix, in the record's representation."""
+    rng = np.random.default_rng(seed)
+    moved = []
+    for record in records:
+        generators = [(LORENTZ_PLANES[rng.integers(6)], rng.uniform(-1.0, 1.0))
+                      for _ in range(rng.integers(1, 5))]
+        psi = spin_matrix(record["rep"], generators) @ [complex(*z) for z in record["components"]]
+        moved.append({"components": [[z.real, z.imag] for z in psi.tolist()], "rep": record["rep"]})
+    return moved
+
+
+def assert_r6(records, seed):
+    texts = ["".join(json.dumps(r) + "\n" for r in rs) for rs in (records, lorentz_moved(records, seed))]
+    (code, plain), (moved_code, moved) = (run_main(["classify", "-"], t, cli._CHUNK) for t in texts)
+    assert code == moved_code and len(plain) == len(moved) == len(records)
+    skipped = 0
+    for a, b in zip(plain, moved):
+        if a.get("marginal") or b.get("marginal"):
+            skipped += 1
+            continue
+        assert [a.get(f) for f in R6_UNCHANGED] == [b.get(f) for f in R6_UNCHANGED], a["index"]
+    return skipped
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r6_a_lorentz_transformation_keeps_each_class_and_witness(seed):
+    assert assert_r6(benchmark_corpus(seed), seed) == R6_SKIPPED
+
+
 # ---- each relation fails on a fault in what it covers -------------------------
 
 
@@ -303,6 +345,10 @@ def _similarity_with_one_sign_flipped(mp):  # the chiral <-> standard map, one e
     mp.setattr(module, "SIMILARITY", flipped)
 
 
+def _a_matrix_outside_the_spin_group(mp):  # psi_1 doubled: not a Lorentz transformation
+    mp.setattr(sys.modules[__name__], "spin_matrix", lambda rep, generators: np.diag([2.0, 1, 1, 1]))
+
+
 RELATION_FAULTS = {
     "R1": (_threshold_from_the_chunks_largest_j0,
            lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
@@ -310,6 +356,7 @@ RELATION_FAULTS = {
     "R3": (_csv_read_as_four_re_then_four_im, assert_r3),
     "R4": (_rows_filled_from_the_end_of_their_block, assert_r4),
     "R5": (_similarity_with_one_sign_flipped, lambda spinors: assert_r5(benchmark_corpus(0)[:200])),
+    "R6": (_a_matrix_outside_the_spin_group, lambda spinors: assert_r6(benchmark_corpus(0)[:200], 0)),
 }
 
 
