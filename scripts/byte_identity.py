@@ -7,10 +7,11 @@ Runs ``python -m spinorlab.cli`` with PYTHONPATH set to each tree: ``classify``,
 ``map-check`` and ``hopf`` on the seed 0-3 ``perfbench/corpus.py`` corpora and
 ``map_check_decades()`` (JSON-lines from a file and stdin, CSV with a header
 and without; each plain, ``--table``, ``--rep standard``, ``--tol`` 1e-10, 1e-3,
-1e-16), CSV with leading blank lines, the ``verify`` suites at seeds 1-3 as
-JSON and table, and the README ``make`` pipelines.  Inputs are built once, with
-PARENT_SRC.  It prints each run whose exit codes, stdout SHA-256 or stderr
-differ, and exits 1 if any does.  Standard library only.
+1e-16), CSV with leading blank lines, the ``verify`` suites at seeds 1-3 and
+at ``--samples`` 1 and 65 as JSON and table, and the README ``make``
+pipelines.  Inputs are built once, with PARENT_SRC.  It prints each run whose
+exit codes, stdout SHA-256 or stderr differ, and exits 1 if any does.
+Standard library only.
 """
 
 import hashlib
@@ -67,9 +68,12 @@ def runs(texts: dict, tmp: Path):
         for command in ("classify", "map-check", "hopf"):
             yield f"{command} {name}", [[command, "-"]], data
     for suite in ("fierz", "hopf", "projectors", "mapping"):
-        for seed in ("1", "2", "3"):
+        # the default sample count at seeds 1-3, then one sample and a block plus one at seed 1
+        sizes = [["--seed", seed] for seed in ("1", "2", "3")]
+        sizes += [["--seed", "1", "--samples", samples] for samples in ("1", "65")]
+        for size in sizes:
             for fmt in ("--json", "--table"):
-                argv = ["verify", suite, "--seed", seed, fmt]
+                argv = ["verify", suite, *size, fmt]
                 yield " ".join(argv), [argv], ""
     for stages in PIPELINES:
         yield " | ".join(" ".join(argv) for argv in stages), stages, ""

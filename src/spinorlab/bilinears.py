@@ -133,6 +133,8 @@ def _rep_matrices(tag: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MATRICES = {tag: _rep_matrices(tag) for tag in REP_TAGS}
+# the sixteen Fierz operators of each rep side by side, as one 4 x 64 matrix
+_FIERZ_ROW = {tag: ops.transpose(1, 0, 2).reshape(4, 64) for tag, (_, ops) in _MATRICES.items()}
 # e0123 e_ab = s e_cd, with cd the pair complementary to ab: slot and sign from the product table
 _DUAL = PRODUCT_INDEX[-1, 5:11] - 5
 _DUAL_SIGN = PRODUCT_SIGN[-1, 5:11]
@@ -275,11 +277,17 @@ def generalized_fierz_array(z, covariants, rep: str = "chiral") -> np.ndarray:
     matching (N, 16) covariants.  For M running over 1, gamma^mu,
     i gamma^mu gamma^nu, i e0123 gamma^mu and e0123, the coefficient c(M) is
     sigma, J^mu, 2 S^{mu nu}, K^mu and -omega.  Row n holds the five
-    worst-case Frobenius residuals of spinor n in that order.
+    worst-case Frobenius residuals of spinor n in that order.  Z M Z takes two
+    stacked products per row: Z times the sixteen operators side by side
+    (4 x 64), its blocks stacked (64 x 4), times Z.  Each entry is the same
+    length-4 sum as one operator at a time, with the same bits.
     """
-    zm = gamma_rep(rep).matrix_array(z)[:, None]
-    coeffs = 4.0 * (_FACTORS * np.asarray(covariants, dtype=float))
-    residuals = zm @ _MATRICES[rep][1] @ zm - coeffs[:, :, None, None] * zm
+    zm = gamma_rep(rep).matrix_array(z)
+    n = len(zm)
+    left = (zm @ _FIERZ_ROW[rep]).reshape(n, 4, 16, 4).transpose(0, 2, 1, 3).reshape(n, 64, 4)
+    residuals = (left @ zm).reshape(n, 16, 4, 4)
+    del left  # one block fewer alive while the c(M) Z terms are subtracted
+    residuals -= (4.0 * (_FACTORS * np.asarray(covariants, dtype=float)))[:, :, None, None] * zm[:, None]
     return np.maximum.reduceat(_norms(residuals.reshape(-1, 16, 16)), _FAMILY_STARTS, axis=1)
 
 

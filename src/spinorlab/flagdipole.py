@@ -42,7 +42,6 @@ from .algebra import (
     LCONTRACT_SIGN,
     PRODUCT_SIGN,
     PSEUDOSCALAR,
-    WEDGE_SIGN,
     Multivector,
     lcontract,
     product_array,
@@ -52,12 +51,13 @@ from .gamma import gamma_rep
 from .hopf import even_to_column_array
 
 _IDX_VEC = [BLADE_INDEX[(i,)] for i in range(4)]
-# coefficient rows: the scalars 1 and 1 + 0i, gamma_0, e0123, and the basis vectors e_0..e_3
+# coefficient rows: the scalars 1 and 1 + 0i, gamma_0 and e0123
 _ONE = Multivector.scalar(1.0).coeffs
 _ONE_C = Multivector.scalar(1.0 + 0.0j).coeffs
 _E0 = E0.coeffs[None]
+# e_0 of the frame's closed form, apart from the projection's _E0
+_TIME_AXIS = E0.coeffs[None]
 _PS = PSEUDOSCALAR.coeffs
-_BASIS = np.eye(4, DIM, 1)
 
 
 def direction_array(components) -> np.ndarray:
@@ -208,32 +208,27 @@ def frame_array(covariants, tol: float = 1e-9) -> tuple:
 
     Returns J and s as (N, 16) vector coefficients, h as (N,) and an (N,)
     mask, true where h^2 = 1 + s^2 holds to ``tol * max(1, h^2)``.  h is the
-    component ratio K/J read at J's dominant entry; s solves S_bold = J wedge s
-    with J . s = 0 in the least-squares sense, taking the minimum-norm
-    representative of the null gauge family s -> s + c J.  The wedge and
-    contraction rows come from ``product_array``; numpy has no stacked lstsq,
-    so each row's 7 x 4 system is solved on its own.
+    component ratio K/J read at J's dominant entry.  s is closed form: for null
+    J, e0 _| S_bold = (e0 . J) s - (e0 . s) J, so dividing by e0 . J = J^0 gives
+    a member of the null gauge family s -> s + c J, and subtracting its
+    Euclidean projection on J's coefficients leaves the minimum-norm member,
+    the least-squares solution of S_bold = J wedge s with J . s = 0.  Raises
+    ValueError where the divisor J^0 is within ``tol`` of zero; J^0 is J's
+    dominant entry for null J, so there J vanishes.
     """
     c = np.asarray(covariants, dtype=float)
+    if np.any(np.abs(c[:, 1]) <= tol):
+        raise ValueError("current J vanishes; not a flag-dipole bilinear set")
     n = np.arange(len(c))
     lead = np.argmax(np.abs(c[:, 1:5]), axis=1)
-    j_lead = c[n, 1 + lead]
-    if np.any(np.abs(j_lead) <= tol):
-        raise ValueError("current J vanishes; not a flag-dipole bilinear set")
-    h = c[n, 11 + lead] / j_lead
+    h = c[n, 11 + lead] / c[n, 1 + lead]
 
     J = np.zeros((len(c), DIM))
     J[:, 1:5] = c[:, 1:5]
-    # rows = the 6 bivector coefficients of J ^ e_c, then J . e_c; target = S_bold, then 0
-    rows = np.zeros((len(c), 7, 4))
-    for k, e in enumerate(_BASIS):
-        rows[:, :6, k] = product_array(J, e[None], WEDGE_SIGN)[:, 5:11]
-        rows[:, 6, k] = product_array(J, e[None], LCONTRACT_SIGN)[:, 0]
-    target = np.zeros((len(c), 7))
-    target[:, :6] = 2.0 * c[:, 5:11]
-    s = np.zeros((len(c), DIM))
-    for row, (m, t) in enumerate(zip(rows, target)):
-        s[row, 1:5] = np.linalg.lstsq(m, t, rcond=None)[0]
+    s_bold = np.zeros((len(c), DIM))
+    s_bold[:, 5:11] = 2.0 * c[:, 5:11]
+    s = product_array(_TIME_AXIS, s_bold, LCONTRACT_SIGN) / c[:, 1:2]
+    s -= (np.vecdot(s, J) / np.vecdot(J, J))[:, None] * J
 
     hs, h2 = _hs_residuals(s, h)
     return J, s, h, hs <= tol * np.maximum(1.0, h2)

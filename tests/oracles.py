@@ -529,29 +529,33 @@ def scalar_synthetic_frame(J, s, h, tol=1e-9):
 
 
 def scalar_frame_from_bilinears(b, tol=1e-9):
-    """(J, s, h) of one class-4 bilinear set, with one wedge per matrix entry."""
+    """(J, s, h) of one class-4 bilinear set: s from e0 _| S_bold over J^0, less its projection on J."""
     jmv = b.current_vector()
-    lead = int(np.argmax(np.abs(b.J)))
-    if abs(b.J[lead]) <= tol:
+    if abs(b.J[0]) <= tol:
         raise ValueError("current J vanishes; not a flag-dipole bilinear set")
+    lead = int(np.argmax(np.abs(b.J)))
     h = float(b.K[lead] / b.J[lead])
-    rows = np.zeros((7, 4))
-    target = np.zeros(7)
-    for r, pair in enumerate(GRADE_2_PAIRS):
-        for c in range(4):
-            basis = np.zeros(4)
-            basis[c] = 1.0
-            w = wedge(jmv, Multivector.vector(basis))
-            rows[r, c] = w.coeffs[BLADE_INDEX[pair]]
-        target[r] = 2.0 * b.S[r]
-    for c in range(4):
-        basis = np.zeros(4)
-        basis[c] = 1.0
-        rows[6, c] = float(lcontract(jmv, Multivector.vector(basis)).scalar_part().real)
-    solution, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    smv = Multivector.vector(solution)
+    member = lcontract(Multivector.blade(0), b.spin_bivector()) / float(b.J[0])
+    smv = member - jmv * (np.dot(member.coeffs, jmv.coeffs) / np.dot(jmv.coeffs, jmv.coeffs))
     hs = abs(h**2 - 1.0 - _minkowski_square(smv))
     return FlagDipoleFrame(J=jmv, s=smv, h=h, consistent=hs <= tol * max(1.0, h**2))
+
+
+def least_squares_flag_direction(covariants):
+    """The (N, 4) s of a block of class-4 covariants as the minimum-norm ``np.linalg.lstsq``
+    solution of S_bold = J wedge s with J . s = 0: one 7 x 4 system per row, its rows the six
+    bivector coefficients of J wedge e_c and the contraction J . e_c."""
+    cov = np.asarray(covariants, dtype=float)
+    solutions = []
+    for row in cov:
+        jmv = Multivector.vector(row[1:5])
+        basis = [Multivector.blade(c) for c in range(4)]
+        system = np.zeros((7, 4))
+        system[:6] = np.array([wedge(jmv, e).coeffs[5:11] for e in basis]).T
+        system[6] = [float(lcontract(jmv, e).scalar_part()) for e in basis]
+        target = np.concatenate([2.0 * row[5:11], [0.0]])
+        solutions.append(np.linalg.lstsq(system, target, rcond=None)[0])
+    return np.array(solutions)
 
 
 def scalar_type4_boomerang(frame, tol=1e-9):

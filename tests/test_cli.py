@@ -875,6 +875,18 @@ def test_each_verify_check_fails_on_a_fault_in_what_it_covers(suite, check, caps
     assert verdict() == (2, False)
 
 
+@pytest.mark.parametrize("suite", ["fierz", "hopf", "projectors", "mapping"])
+def test_no_verify_suite_calls_a_numpy_solver(suite, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verify suite called a numpy.linalg solver")
+
+    for name in ("lstsq", "pinv", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    code, out, _ = run(["verify", suite, "--samples", "65", "--seed", "1", "--json"], capsys)
+    assert code == 0
+    assert all(rec["pass"] is True for rec in map(json.loads, out.splitlines()))
+
+
 def test_classify_gives_a_tiny_spinor_its_class(tmp_path, capsys):
     # thresholds scale with J^0, so [1e-9, 0, 0, 0] is the Weyl spinor [1, 0, 0, 0] rescaled
     path = tmp_path / "tiny.jsonl"

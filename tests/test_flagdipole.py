@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_even
 from oracles import (
+    least_squares_flag_direction,
     scalar_annihilator_residuals,
     scalar_class_limit,
     scalar_direction_element,
@@ -42,6 +43,7 @@ from spinorlab import (
 from spinorlab.bilinears import covariant_array
 from spinorlab.verify import _SampleStream, _random_admissible_direction
 from spinorlab.flagdipole import (
+    _E0,
     annihilator_residual_array,
     boomerang_array,
     class_limit_array,
@@ -328,6 +330,46 @@ def test_frame_kernel_rows_are_the_scalar_frames_bit_for_bit():
         Multivector(J[5]), Multivector(s[5]), float(h[5]), bool(consistent[5]))
 
 
+# 16 eps (3.6e-15) on the reference difference and on the cosine between s and J;
+# the largest seen are 1.0e-15 and 5e-17
+FRAME_BOUND = 16 * np.finfo(np.float64).eps
+
+
+def reference_covariants():
+    """The covariants of ``kernel_block``, then of 2,000 projections of the projectors suite's directions."""
+    _, _, psis, _, _ = kernel_block()
+    rng = _SampleStream(23)
+    u = direction_array([_random_admissible_direction(rng) for _ in range(2000)])
+    columns = np.concatenate([[p.components for p in psis],
+                              projection_spinor_array(Multivector.scalar(1.0).coeffs[None], u)])
+    return covariant_array(columns, "standard")
+
+
+def assert_minimum_norm_direction(J, s, reference):
+    assert np.max(np.abs(s[:, 1:5] - reference)) <= FRAME_BOUND
+    cosine = np.vecdot(s, J) / (np.linalg.norm(s, axis=1) * np.linalg.norm(J, axis=1))
+    assert np.max(np.abs(cosine)) <= FRAME_BOUND
+
+
+def test_frame_kernel_s_is_the_minimum_norm_least_squares_solution():
+    cov = reference_covariants()
+    J, s, _, _ = frame_array(cov)
+    reference = least_squares_flag_direction(cov)
+    assert_minimum_norm_direction(J, s, reference)
+    # another member of the gauge family s + c J: Z and the projectors do not see it
+    with pytest.raises(AssertionError):
+        assert_minimum_norm_direction(J, s + 0.37 * J, reference)
+
+
+def test_the_frame_kernel_takes_e0_from_its_own_constant(monkeypatch):
+    # verify's projection fault tilts flagdipole._E0; the frames must not move with it
+    _, _, psis, _, _ = kernel_block()
+    cov = covariant_array([p.components for p in psis], "standard")
+    want = frame_array(cov)
+    monkeypatch.setattr("spinorlab.flagdipole._E0", _E0 + 1e-6 * np.eye(1, 16, 2))
+    assert [x.tobytes() for x in frame_array(cov)] == [x.tobytes() for x in want]
+
+
 def test_boomerang_and_annihilator_kernels_are_the_scalar_bodies_bit_for_bit():
     _, _, _, frames, rows = kernel_block()
     J, s, h = rows(f.J for f in frames), rows(f.s for f in frames), np.array([f.h for f in frames])
@@ -399,6 +441,10 @@ def test_flag_dipole_kernels_raise_the_per_sample_errors():
     # a vanishing current, a current off the light cone, and an s not orthogonal to J
     cov = covariant_array([p.components for p in psis], "standard")
     cov[3, 1:5] = 0.0
+    with pytest.raises(ValueError, match="current J vanishes"):
+        frame_array(cov)
+    # J^0, the divisor of the closed form, zero under a spatial current
+    cov[3, 2] = 1.0
     with pytest.raises(ValueError, match="current J vanishes"):
         frame_array(cov)
     J, s, h = rows(f.J for f in frames), rows(f.s for f in frames), np.array([f.h for f in frames])
