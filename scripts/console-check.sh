@@ -66,6 +66,9 @@ one_line_exit_1 spinorlab map-check - < "$tmp/not-utf8.jsonl"
 one_line_exit_1 spinorlab make elko --output /dev/full
 one_line_exit_1 bash -c 'spinorlab make elko > /dev/full'
 one_line_exit_1 spinorlab hopf - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": NaN}'
+# an empty CSV cell before a filled one: the same, and no cells shift left; a trailing comma reads
+one_line_exit_1 spinorlab classify - <<< '1,,2,0,0,0,0,0,0'
+test "$(printf '1,0,0,0,0,0,0,0,\n' | spinorlab classify - | grep -c '"class": 6')" -eq 1
 # a closed stdin or stdout, and a component entry that is not a JSON number: the same
 one_line_exit_1 bash -c 'spinorlab classify - <&-'
 one_line_exit_1 bash -c 'spinorlab make elko >&-'

@@ -198,10 +198,8 @@ class Multivector:
             return NotImplemented
         return Multivector(_product(self.coeffs, other.coeffs, PRODUCT_SIGN))
 
-    def __rmul__(self, other) -> "Multivector":
-        if isinstance(other, numbers.Number):
-            return Multivector(self.coeffs * other)
-        return NotImplemented
+    # reached only when the left operand is not a Multivector, so only as a scalar product
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Multivector":
         if isinstance(other, numbers.Number):
@@ -296,10 +294,7 @@ class Quaternion:
         a, b = self, other
         return Quaternion(*hamilton_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar on the left: a product with a real number commutes
 
 
 QUAT_I = Quaternion(0, 1, 0, 0)

@@ -3,7 +3,8 @@
 The six classes are decided by which of (sigma, omega, K, S) vanish; the
 current J never vanishes for a physical spinor.  Classes 1-3 are the regular
 (Dirac) sectors, classes 4-6 the singular ones: flag-dipole, flagpole
-(Majorana/ELKO), and dipole (Weyl).
+(Majorana/ELKO), and dipole (Weyl).  ``lounesto_rule`` decides it from one
+16-entry table, for one spinor or a block; ``lounesto_class`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -40,10 +41,17 @@ class LounestoClass:
 
 
 _FIELDS = ("sigma", "omega", "K", "S")
-# Lounesto's table: a regular class from which of (sigma, omega) are nonzero, and a
-# singular class (sigma = omega = 0) from which of (K, S) are; K = S = 0 has no entry
-_REGULAR_CLASS = {(True, True): 1, (True, False): 2, (False, True): 3}
-_SINGULAR_CLASS = {(True, True): 4, (False, True): 5, (True, False): 6}
+# Lounesto's table by the nonzero flags of (sigma, omega, K, S) as the bits 8, 4, 2 and 1:
+# classes 1-3 where sigma or omega is nonzero, else 4-6 from K and S, and no class (0) for
+# K = S = 0; object entries, so one row reads a Python int
+_CLASS_TABLE = np.array([0, 5, 6, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1], dtype=object)
+# a row of label 0 by its null flag: the zero spinor, or a pattern that no spinor produces
+_REFUSALS = {
+    True: (NullSpinorError, "null-spinor",
+           "all bilinear covariants vanish; cannot classify the zero spinor"),
+    False: (BilinearInconsistencyError, "inconsistency",
+            "sigma = omega = 0 with K = S = 0 but J != 0: no spinor produces this pattern"),
+}
 
 
 def magnitude_array(covariants) -> np.ndarray:
@@ -76,42 +84,36 @@ def magnitude_array(covariants) -> np.ndarray:
     return out
 
 
-def lounesto_class(magnitudes, tol: float = 1e-10) -> LounestoClass:
-    """Decide the class from one row of ``magnitude_array``.
+def lounesto_rule(magnitudes, tol: float = 1e-10) -> tuple:
+    """Lounesto's decision on the six ``magnitude_array`` columns: six floats or six (N,) arrays.
 
-    Zero tests compare against ``tol * J^0``, so the verdict does not change
-    when psi is rescaled, as long as ``tol * J^0`` is a normal double; in the
-    range the CLI accepts, 1.2e-77 <= |psi| <= 3.4e38, that holds for any
-    tol above 1e-150.  J^0 = psi^dagger psi is positive for every
-    nonzero psi, and only the zero spinor (J^0 = 0) leaves nothing above it.
-    Quantities landing within a factor 10 of the threshold (either side) set
-    the marginal flag.
+    Returns (label, flags, marginal, null): the label from ``_CLASS_TABLE``,
+    the nonzero tests of (sigma, omega, K, S) against ``tol * J^0``, the same
+    four within a factor 10 of it (either side), and, where the label is 0,
+    whether J vanishes too (the zero spinor).  The verdict does not change
+    when psi is rescaled while ``tol * J^0`` is a normal double: in the CLI's
+    range, 1.2e-77 <= |psi| <= 3.4e38, for any tol above 1e-150 (J^0 =
+    psi^dagger psi > 0 for nonzero psi).  Only Python operators, so six
+    floats give Python ints and bools.
     """
     j0, jnorm, *values = magnitudes
     threshold = tol * j0
-
-    if jnorm <= threshold and all(v <= threshold for v in values):
-        raise NullSpinorError("all bilinear covariants vanish; cannot classify the zero spinor")
-
-    flags = [v > threshold for v in values]
     low, high = threshold / 10.0, threshold * 10.0
-    marginal_fields = tuple([k for k, v in zip(_FIELDS, values) if low < v < high])
+    sigma, omega, k, s = flags = [v > threshold for v in values]
+    label = _CLASS_TABLE[sigma * 8 + omega * 4 + k * 2 + s]
+    marginal = [(low < v) & (v < high) for v in values]
+    return label, flags, marginal, (label == 0) & (jnorm <= threshold)
 
-    sigma, omega, k, s = flags
-    regular = sigma or omega
-    label = _REGULAR_CLASS[sigma, omega] if regular else _SINGULAR_CLASS.get((k, s))
-    if label is None:
-        raise BilinearInconsistencyError(
-            "sigma = omega = 0 with K = S = 0 but J != 0: no spinor produces this pattern"
-        )
 
-    return LounestoClass(
-        label=label,
-        regular=regular,
-        witness=dict(zip(_FIELDS, flags)),
-        marginal=bool(marginal_fields),
-        marginal_fields=marginal_fields,
-    )
+def lounesto_class(magnitudes, tol: float = 1e-10) -> LounestoClass:
+    """``lounesto_rule`` on one row of six floats, as a verdict; a row without a class raises."""
+    label, flags, marginal, null = lounesto_rule(magnitudes, tol)
+    if not label:
+        error, _, message = _REFUSALS[null]
+        raise error(message)
+    fields = tuple([name for name, m in zip(_FIELDS, marginal) if m])
+    return LounestoClass(label=label, regular=label < 4, witness=dict(zip(_FIELDS, flags)),
+                         marginal=bool(fields), marginal_fields=fields)
 
 
 def classify(b: BilinearSet, tol: float = 1e-10) -> LounestoClass:

@@ -67,9 +67,11 @@ from .algebra import Multivector
 # ``bilinears`` is not called here; perfbench's tracer checks that it wraps this binding
 from .bilinears import SpinorC4, aggregate_residual_array, bilinears, covariant_array, fierz_array
 from .classify import (
+    _FIELDS,
+    _REFUSALS,
     BilinearInconsistencyError,
     NullSpinorError,
-    lounesto_class,
+    lounesto_rule,
     magnitude_array,
 )
 from .gamma import REP_TAGS
@@ -332,7 +334,9 @@ def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[flo
     rowno = filled = 0
     try:
         for rowno, row in enumerate(csv.reader(lines), start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
+            cells = [c.strip() for c in row]
+            while cells and not cells[-1]:  # trailing commas; an earlier empty cell fails below
+                cells.pop()
             if not cells:
                 continue
             filled += 1  # rows with cells: the first, past any blank lines, may be a header
@@ -426,33 +430,29 @@ def _run_records(args, block_fn, table_row, header=None) -> int:
 
 
 def _classification_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:
-    """Classify one representation block: the array kernels run once on all its rows."""
+    """Classify one representation block: the kernels and the rule run once on all its rows."""
     cov = covariant_array(components, rep)
     # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
     residual = aggregate_residual_array(components, cov, rep)
     boomerang = residual <= max(tol, 1e-12) * 4 * cov[:, 1]
-    columns = zip(cov.tolist(), magnitude_array(cov).tolist(),
-                  fierz_array(cov).tolist(), boomerang.tolist())
-    return [_classification_fields(*column, tol) for column in columns]
+    label, flags, marginal, null = lounesto_rule(magnitude_array(cov).T, tol)
+    columns = zip(label.tolist(), np.transpose(flags).tolist(), np.transpose(marginal).tolist(),
+                  null.tolist(), cov.tolist(), fierz_array(cov).tolist(), boomerang.tolist())
+    return [_classification_fields(*column) for column in columns]
 
 
-def _classification_fields(c: list, mags: list, residuals: list, boomerang: bool,
-                           tol: float) -> dict:
-    try:
-        verdict = lounesto_class(mags, tol)
-    except (NullSpinorError, BilinearInconsistencyError) as exc:
-        return {
-            "class": None,
-            "error": str(exc),
-            "error_kind": "null-spinor" if isinstance(exc, NullSpinorError) else "inconsistency",
-        }
+def _classification_fields(label: int, flags: list, marginal: list, null: bool, c: list,
+                           residuals: list, boomerang: bool) -> dict:
+    if not label:
+        _, kind, message = _REFUSALS[null]
+        return {"class": None, "error": message, "error_kind": kind}
     return {
-        "class": verdict.label,
-        "regular": verdict.regular,
-        "singular": not verdict.regular,
-        "marginal": verdict.marginal,
-        "marginal_fields": list(verdict.marginal_fields),
-        "witness": verdict.witness,
+        "class": label,
+        "regular": label < 4,
+        "singular": label > 3,
+        "marginal": any(marginal),
+        "marginal_fields": [name for name, m in zip(_FIELDS, marginal) if m],
+        "witness": dict(zip(_FIELDS, flags)),
         "bilinears": {"sigma": c[0], "J": c[1:5], "S": c[5:11], "K": c[11:15], "omega": c[15]},
         "fierz_residuals": residuals,
         "boomerang": boomerang,

@@ -198,8 +198,7 @@ def synthetic_frame(J: Multivector, s: Multivector, h: float, tol: float = 1e-9)
         raise ValueError(f"J must be null, got J^2 = {jsq:g}")
     if ortho > tol * max(1.0, jnorm * snorm):
         raise ValueError(f"s must be orthogonal to J, got J.s = {ortho:g}")
-    frame = FlagDipoleFrame(J=J, s=s, h=float(h))
-    consistent = frame.hs_residual() <= tol * max(1.0, h**2)
+    consistent = float(_hs_residuals(s.coeffs[None], [float(h)])[0][0]) <= tol * max(1.0, h**2)
     return FlagDipoleFrame(J=J, s=s, h=float(h), consistent=consistent)
 
 

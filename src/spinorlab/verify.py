@@ -28,7 +28,7 @@ from .bilinears import (
     generalized_fierz_array,
     reconstruct_array,
 )
-from .classify import BilinearInconsistencyError, NullSpinorError, lounesto_class, magnitude_array
+from .classify import BilinearInconsistencyError, NullSpinorError, lounesto_rule, magnitude_array
 from .mapping import SingularSpinorError, condition_routes, mappability
 
 
@@ -244,9 +244,9 @@ def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, fl
 
 
 def _any_class_but(columns: np.ndarray, label: int) -> bool:
-    """Whether a standard column of the block is not of Lounesto class ``label``."""
-    mags = magnitude_array(covariant_array(columns, "standard"))
-    return any(lounesto_class(m).label != label for m in mags.tolist())
+    """Whether a standard column of the block is not of class ``label``; one of no class is not."""
+    labels = lounesto_rule(magnitude_array(covariant_array(columns, "standard")).T)[0]
+    return bool(np.any(labels != label))
 
 
 def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:

@@ -38,7 +38,7 @@ from spinorlab import (
     weyl_spinor,
 )
 from spinorlab.bilinears import covariant_array
-from spinorlab.classify import lounesto_class, magnitude_array
+from spinorlab.classify import lounesto_class, lounesto_rule, magnitude_array
 
 PHI = helicity_eigenspinor((0.0, 0.0, 1.0), +1)
 MOMENTUM = np.array([0.3, -0.2, 0.5])
@@ -324,8 +324,52 @@ def test_each_swap_of_two_labels_in_lounesto_table_fails_a_class_check(monkeypat
     module = importlib.import_module("spinorlab.classify")  # the package's name is the function
     assert_built_spinors_classify_as_built()
     swap = {a: b, b: a}
-    for name in ("_REGULAR_CLASS", "_SINGULAR_CLASS"):
-        table = getattr(module, name)
-        monkeypatch.setattr(module, name, {flags: swap.get(v, v) for flags, v in table.items()})
+    table = np.array([swap.get(v, v) for v in module._CLASS_TABLE], dtype=object)
+    assert len(table) == 16
+    monkeypatch.setattr(module, "_CLASS_TABLE", table)
     with pytest.raises(AssertionError):
         assert_built_spinors_classify_as_built()
+
+
+def _rule_rows(rep):
+    """``magnitude_array`` of the ``mixed_spinors`` in ``rep``, then of the zero row and J alone."""
+    spinors = [psi.components for _, psi in mixed_spinors(np.random.default_rng(73), 240) if psi.rep == rep]
+    synthetic = np.zeros((2, 16))
+    synthetic[1, 1] = 1.0
+    return magnitude_array(np.vstack([covariant_array(np.array(spinors), rep), synthetic]))
+
+
+def test_the_block_rule_is_lounesto_class_row_by_row():
+    seen = set()
+    for tol in (1e-10, 1e-3, 1e-16, 1e-20, 0.5):
+        for rep in ("chiral", "standard"):
+            mags = _rule_rows(rep)
+            label, flags, marginal, null = lounesto_rule(mags.T, tol)
+            assert label.shape == null.shape == (len(mags),)
+            flags, marginal = np.transpose(flags), np.transpose(marginal)
+            for i, row in enumerate(mags.tolist()):
+                if not label[i]:
+                    error = NullSpinorError if null[i] else BilinearInconsistencyError
+                    with pytest.raises(error):
+                        lounesto_class(row, tol)
+                    seen.add(error)
+                    continue
+                assert not null[i]
+                got = lounesto_class(row, tol)
+                fields = tuple(f for f, m in zip(("sigma", "omega", "K", "S"), marginal[i]) if m)
+                assert got.label == label[i] and got.marginal_fields == fields
+                assert list(got.witness.values()) == flags[i].tolist()
+                seen.update([got.label, "marginal"] if got.marginal else [got.label])
+    assert seen == {1, 2, 3, 4, 5, 6, "marginal", NullSpinorError, BilinearInconsistencyError}
+
+
+def test_one_row_results_are_python_ints_and_bools():
+    for row in _rule_rows("chiral").tolist():
+        for tol in (1e-10, 0.5):
+            label, flags, marginal, null = lounesto_rule(row, tol)
+            assert type(label) is int and type(null) is bool
+            assert all(type(x) is bool for x in [*flags, *marginal])
+            if label:
+                got = lounesto_class(row, tol)
+                assert type(got.label) is int
+                assert all(type(x) is bool for x in [got.regular, got.marginal, *got.witness.values()])

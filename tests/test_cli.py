@@ -1191,6 +1191,34 @@ def test_a_csv_first_row_is_a_header_only_when_no_cell_is_a_number(capsys, monke
         assert got == (1, "", f"spinorlab: row {rowno}: non-numeric CSV cell\n")
 
 
+CSV_EMPTY_CELL_ROWS = {  # a row with empty cells, and whether it reads as the spinor (1, 0, 0, 0)
+    "empty-cell-inside": ("1,,2,0,0,0,0,0,0", False),
+    "empty-first-cell": (",1,0,0,0,0,0,0,0", False),
+    "trailing-comma": ("1,0,0,0,0,0,0,0,", True),
+    "blank-cells-then-row": (" , \n1,0,0,0,0,0,0,0", True),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+@pytest.mark.parametrize("row", list(CSV_EMPTY_CELL_ROWS))
+def test_an_empty_csv_cell_before_a_filled_one_is_malformed(tmp_path, capsys, monkeypatch,
+                                                            row, command, source):
+    text, reads = CSV_EMPTY_CELL_ROWS[row]
+    if source == "file":
+        path = tmp_path / "in.csv"
+        path.write_text(text + "\n")
+        got = run([command, str(path)], capsys)
+    else:
+        got = run_text([command, "-"], text + "\n", capsys, monkeypatch)
+    if reads:
+        assert got == run_text([command, "-"], "1,0,0,0,0,0,0,0\n", capsys, monkeypatch)
+        assert got[0] == 0 and len(got[1].splitlines()) == 1
+        assert command != "classify" or json.loads(got[1])["class"] == 6
+    else:  # the cells after the empty one are not shifted left into its place
+        assert got == (1, "", "spinorlab: row 1: non-numeric CSV cell\n")
+
+
 @pytest.mark.parametrize("text, line", [("\n\ufeff" + GOOD, 2), ("\ufeff\ufeff" + GOOD, 1)],
                          ids=["after-a-blank-line", "a-second-mark"])
 def test_a_byte_order_mark_past_the_start_of_the_input_is_malformed(capsys, monkeypatch, text, line):

@@ -1,4 +1,4 @@
-"""The seeded stream the verify suites draw from."""
+"""The seeded stream the verify suites draw from, and the projector suite's class check."""
 
 import math
 import random
@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from spinorlab.verify import _SampleStream
+from spinorlab.verify import _SampleStream, _any_class_but
 
 SPLITS = [(0, 0), (0, 5), (1, 1), (1, 2), (2, 1), (3, 3), (3, 4), (5, 7), (16, 3), (1023, 1), (1024, 1025)]
 
@@ -78,3 +78,10 @@ def test_the_normals_have_the_standard_moments_and_the_uniforms_their_range():
     assert abs(x.mean()) < 0.01 and abs(x.std() - 1) < 0.01 and abs(np.mean(x**4) - 3) < 0.05
     u = [stream.uniform(0.5, 2.0) for _ in range(2000)]
     assert 0.5 <= min(u) and max(u) < 2.0 and abs(np.mean(u) - 1.25) < 0.03
+
+
+def test_a_null_column_is_not_of_any_class_and_fails_the_class_check():
+    flagpole = np.array([[1.0, 0.0, 0.0, 1j]])  # standard column of a Majorana spinor: class 5
+    assert not _any_class_but(flagpole, 5) and _any_class_but(flagpole, 4)
+    assert _any_class_but(np.vstack([flagpole, np.zeros((1, 4))]), 5)
+    assert _any_class_but(np.zeros((3, 4), dtype=complex), 5)
