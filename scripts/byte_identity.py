@@ -7,7 +7,8 @@ Runs ``python -m spinorlab.cli`` with PYTHONPATH set to each tree: ``classify``,
 ``map-check`` and ``hopf`` on the seed 0-3 ``perfbench/corpus.py`` corpora and
 ``map_check_decades()`` (JSON-lines from a file and stdin, CSV with a header
 and without; each plain, ``--table``, ``--rep standard``, ``--tol`` 1e-10, 1e-3,
-1e-16, 1e-20 and 0.5), CSV with leading blank lines, the ``verify`` suites at
+1e-16, 1e-20 and 0.5), CSV with leading blank lines, the seed-1 corpus with a
+malformed ``{`` line in and just past the first chunk, the ``verify`` suites at
 seeds 1-3 and at ``--samples`` 1 and 65 as JSON and table, and the README
 ``make`` pipelines.  Inputs are built once, with PARENT_SRC.  It prints each run whose
 exit codes, stdout SHA-256 or stderr differ, and exits 1 if any does.
@@ -41,6 +42,10 @@ EDGE = {  # CSV with leading blank lines, before a header and before a bad first
     "csv-two-blank-lines-then-header": "\n\n" + HEADER + "1,0,0,0,0,0,0,0\n",
     "csv-blank-line-then-bad-row": "\n1,0,x,0,0,0,0,0\n1,0,0,0,0,0,0,0\n",
 }
+# 1-based lines of the seed-1 corpus that read "{": inside the first 256-record chunk, at its
+# last line, and in the second chunk; a record written before the first chunk was read whole
+# would show in the first three
+BAD_LINES = (2, 129, 256, 258)
 PIPELINES = [  # the README's make examples, each stage's stdout the next one's stdin
     [["make", "elko"], ["classify", "-", "--json"]],
     [["make", "elko", "--p", "0,0,0.75", "--m", "1.0"]],
@@ -67,6 +72,11 @@ def runs(texts: dict, tmp: Path):
     for name, data in EDGE.items():
         for command in ("classify", "map-check", "hopf"):
             yield f"{command} {name}", [[command, "-"]], data
+    lines = texts["seed-1"][0].splitlines(True)
+    for lineno in BAD_LINES:
+        data = "".join(lines[:lineno - 1] + ["{\n"] + lines[lineno:])
+        for command in ("classify", "map-check", "hopf"):
+            yield f"{command} seed-1 with '{{' at line {lineno}", [[command, "-"]], data
     for suite in ("fierz", "hopf", "projectors", "mapping"):
         # the default sample count at seeds 1-3, then one sample and a block plus one at seed 1
         sizes = [["--seed", seed] for seed in ("1", "2", "3")]

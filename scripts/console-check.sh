@@ -69,6 +69,11 @@ one_line_exit_1 spinorlab hopf - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0
 # an empty CSV cell before a filled one: the same, and no cells shift left; a trailing comma reads
 one_line_exit_1 spinorlab classify - <<< '1,,2,0,0,0,0,0,0'
 test "$(printf '1,0,0,0,0,0,0,0,\n' | spinorlab classify - | grep -c '"class": 6')" -eq 1
+# a bad line in the first chunk: the same, and no --output file, since the chunk is read whole first
+elko=$(spinorlab make elko)
+printf '%s\n%s\n{\n' "$elko" "$elko" > "$tmp/third-line-bad.jsonl"
+one_line_exit_1 spinorlab classify - --output "$tmp/x.jsonl" < "$tmp/third-line-bad.jsonl"
+test ! -e "$tmp/x.jsonl"
 # a closed stdin or stdout, and a component entry that is not a JSON number: the same
 one_line_exit_1 bash -c 'spinorlab classify - <&-'
 one_line_exit_1 bash -c 'spinorlab make elko >&-'
@@ -89,8 +94,10 @@ code=0
 err=$(spinorlab verify fierz --seed -1 2>&1 > /dev/null) || code=$?
 test "$code" -eq 1
 test "$(echo "$err" | grep -c 'argument --seed')" -eq 1
-# a reader that leaves after one byte: the script still exits 0
+# a reader that leaves after one byte, or after the first record: the script still exits 0
 spinorlab verify fierz --samples 2000 --table | head -c 1 > /dev/null
+for _ in $(seq 300); do echo "$elko"; done > "$tmp/300.jsonl"
+spinorlab classify - < "$tmp/300.jsonl" | head -n 1 > /dev/null
 # each suite exits 0 and prints one passing line per check
 out=$(spinorlab verify fierz --samples 300 --json)
 test "$(echo "$out" | wc -l)" -eq 4

@@ -68,8 +68,9 @@ def magnitude_array(covariants) -> np.ndarray:
     the block path.
     """
     c = np.asarray(covariants, dtype=float)
-    # chosen by input size, about 5 us less per map-check record: ``mappability`` is the one
-    # caller with a one-row block, and a map-check that runs whole blocks would remove it
+    # chosen by input size, about 5 us less per map-check record: ``mappability`` and
+    # ``classify()`` pass one row per call, and ``cli`` each range with one row of a
+    # representation, such as the first row of its first chunk
     if len(c) == 1:
         row = np.ldexp(c[0], -math.frexp(c[0, 1])[1])
         j, k, s = row[1:5], row[11:15], row[5:11]

@@ -16,14 +16,16 @@ Each subcommand imports what it runs when it runs: ``make`` the builders of
 its family, ``hopf`` the route report, ``verify`` the suites, so ``classify``
 and ``map-check`` load none of these modules.
 The record subcommands stream: they read, compute and write one chunk of
-``_CHUNK`` records at a time, so the first records leave after one chunk and
-peak memory does not grow with the input.  Each chunk is parsed straight into
-one (N, 4) complex block, with each record's representation and head.  They
-share one path, ``_run_records``: it groups a chunk by representation, calls
+``_CHUNK`` records at a time, so peak memory does not grow with the input.
+Each chunk is parsed straight into one (N, 4) complex block, with each
+record's representation and head.  They share one path, ``_run_records``: it
+computes a chunk in row ranges, groups each range by representation, calls
 the subcommand's block function (``_classification_block``, ``_hopf_block``,
 ``_map_check_block``) once per representation present, which returns one
 dict of fields per row, fills each record after its head and writes the
-records in input order.
+range's records in input order.  The first chunk is read and checked whole,
+then computed and written in ranges of 1, 3, 12, 48 and 192 rows, so the
+first record leaves once one row is computed; each later chunk is one range.
 
 Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
 component entries that are not JSON numbers, |psi| outside ~1.2e-77..3.4e38,
@@ -82,9 +84,10 @@ _MAX_NORM = np.finfo(float).max ** 0.125
 # smallest accepted nonzero |psi|: its fourth power, the size of the Fierz terms,
 # stays a normal double, and the covariants (|psi|^2) keep 154 decades below them
 _MIN_NORM = np.finfo(float).tiny ** 0.25
-# documents read, turned into records and written per round: classify's array
-# intermediates take about 1 kB per record, so a fixed chunk keeps peak memory
-# flat for any input length and lets the first records out after one chunk
+# documents read per round, and the most rows computed and written at once:
+# classify's array intermediates take about 1 kB per record, so a fixed chunk
+# keeps peak memory flat for any input length; the first record leaves once
+# the first chunk is read and its first row computed
 _CHUNK = 256
 
 
@@ -397,36 +400,43 @@ def _discard(out: TextIO) -> None:
 def _run_records(args, block_fn, table_row, header=None) -> int:
     """Stream the input through ``block_fn``; exit 2 when a record has an error.
 
-    Each round reads up to ``_CHUNK`` documents and groups them by
-    representation.  ``block_fn(components, rep, tol)`` runs once per
+    Each round reads up to ``_CHUNK`` documents.  The first chunk is read and
+    checked whole before the output opens, so input that fails there leaves
+    no file and writes nothing; a malformed record later exits 1 after the
+    earlier chunks.  Each chunk is then computed and written in row ranges:
+    the first chunk is cut at the powers of four below its length, [0, 1),
+    [1, 4), [4, 16), [16, 64), [64, 256), so its first record leaves once one
+    row is computed, and each later chunk is one range.  A range is grouped by
+    representation; ``block_fn(components, rep, tol)`` runs once per
     representation present, on that block's (N, 4) components, and returns
-    one dict of fields per row; each record takes its row's fields after its
-    head, and the records are written in input order and flushed, so one chunk
-    is held at a time and the first records leave before the input ends.  The
-    output opens with the first chunk: input that fails there leaves no file,
-    and a malformed record later exits 1 after the earlier chunks.
+    one dict of fields per row (the same bits at any block length).  Each
+    record takes its row's fields after its head, and the range's records
+    are written in input order and flushed before the next range is computed.
     """
     lines = [header] if args.table and header else []
     failed = False
-    out = None
     with contextlib.ExitStack() as stack:
         documents = stack.enter_context(contextlib.closing(_documents(args.input, args.rep)))
+        chunk = read_documents(documents)
+        out = stack.enter_context(_output(args.output, args.input))
+        # at most four extra ranges of one or two block calls each, whatever the input length
+        size = len(chunk.heads)
+        cuts = [4 ** k for k in range(size.bit_length()) if 4 ** k < size]
         while True:
-            chunk = read_documents(documents)
-            for rep in REP_TAGS:
-                rows = [i for i, r in enumerate(chunk.reps) if r == rep]
-                if rows:
-                    for i, fields in zip(rows, block_fn(chunk.components[rows], rep, args.tol)):
-                        chunk.heads[i].update(fields)
-            for record in chunk.heads:
-                failed = failed or bool(record.get("error"))
-                lines.append(table_row(record) if args.table else json.dumps(record))
-            if out is None:
-                out = stack.enter_context(_output(args.output, args.input))
-            _emit(lines, out)
+            for start, stop in zip([0, *cuts], [*cuts, len(chunk.heads)]):
+                for rep in REP_TAGS:
+                    rows = [i for i in range(start, stop) if chunk.reps[i] == rep]
+                    if rows:
+                        for i, fields in zip(rows, block_fn(chunk.components[rows], rep, args.tol)):
+                            chunk.heads[i].update(fields)
+                for record in chunk.heads[start:stop]:
+                    failed = failed or bool(record.get("error"))
+                    lines.append(table_row(record) if args.table else json.dumps(record))
+                _emit(lines, out)
+                lines = []
             if len(chunk.heads) < _CHUNK:
                 return 2 if failed else 0
-            lines = []
+            chunk, cuts = read_documents(documents), []
 
 
 def _classification_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:

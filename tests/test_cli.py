@@ -1239,6 +1239,76 @@ def test_output_opens_with_the_first_chunk(tmp_path, capsys):
         assert code == 0 and len(out.splitlines()) == len(records) + (options == ["--table"])
         assert run(["classify", str(path), *options, "--output", str(target)], capsys)[:2] == (0, "")
         assert target.read_text() == out
+    # the first chunk is read whole before any record of it is written
+    lines = [json.dumps(r) for r in records]
+    target.unlink()
+    for bad in (2, cli._CHUNK // 2 + 1, cli._CHUNK, cli._CHUNK + 2):  # 1-based line numbers
+        path.write_text("".join(line + "\n" for line in lines[:bad - 1] + ["{"] + lines[bad:]))
+        written = cli._CHUNK if bad > cli._CHUNK else 0
+        for command in ("classify", "map-check", "hopf"):
+            code, out, err = run([command, str(path)], capsys)
+            assert (code, len(out.splitlines())) == (1, written), (command, bad)
+            assert err.startswith(f"spinorlab: line {bad}: invalid JSON"), (command, bad)
+            code, out, _ = run([command, str(path), "--output", str(target)], capsys)
+            assert (code, out) == (1, "")
+            if written:  # the first chunk's records, in the file the first chunk opened
+                assert len(target.read_text().splitlines()) == written
+                target.unlink()
+            assert not target.exists()
+
+
+def emitted(monkeypatch):
+    """The lines of each ``cli._emit`` call, one list per call, in call order."""
+    writes = []
+    emit = cli._emit
+
+    def logged(lines, out):
+        writes.append(list(lines))
+        emit(lines, out)
+
+    monkeypatch.setattr(cli, "_emit", logged)
+    return writes
+
+
+RAMP = [1, 3, 12, 48, 192]  # the first chunk's writes: cut at the powers of four below 256
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+def test_the_first_chunk_is_written_in_ranges_of_one_three_twelve_48_and_192(capsys, monkeypatch,
+                                                                               command):
+    zeros = (0, 3, 255)  # alone in the first range, and last in the second and the fifth
+    spinors = [psi.scaled(0.0) if k in zeros else psi
+               for k, (_, psi) in enumerate(mixed_spinors(np.random.default_rng(25), 600))]
+    assert {psi.rep for psi in spinors[:4]} == {"chiral", "standard"}
+    records = [spinor_record(psi.components, rep=psi.rep) for psi in spinors]
+    writes = emitted(monkeypatch)
+    code, lines = records_stdin(command, records, capsys, monkeypatch)
+    assert [len(w) for w in writes] == RAMP + [256, 88]
+    assert sum(writes, []) == lines
+    assert [json.loads(line)["index"] for line in lines] == list(range(600))
+    nulls = [k for k, line in enumerate(lines) if "all bilinear covariants vanish" in line
+             or '"null-spinor"' in line]
+    assert nulls == list(zeros) and code == (0 if command == "map-check" else 2)
+    # the table header rides in the first write, and a short input takes the cuts below its length
+    writes.clear()
+    assert records_stdin(command, records[:3], capsys, monkeypatch)[1] == lines[:3]
+    assert [len(w) for w in writes] == [1, 2]
+    if command == "classify":
+        writes.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(r) + "\n" for r in records)))
+        code, out, _ = run(["classify", "-", "--table"], capsys)
+        assert [len(w) for w in writes] == [2, 3, 12, 48, 192, 256, 88]
+        assert writes[0][0] == cli.CLASSIFY_HEADER and sum(writes, []) == out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+def test_an_empty_input_is_one_empty_write_and_an_empty_output_file(tmp_path, capsys, monkeypatch,
+                                                                    command):
+    target = tmp_path / "out.jsonl"
+    writes = emitted(monkeypatch)
+    code, out, err = run_text([command, "-", "--output", str(target)], "", capsys, monkeypatch)
+    assert (code, out, err, writes) == (0, "", "", [[]])
+    assert target.read_text() == ""
 
 
 def test_output_may_not_overwrite_the_input_it_is_reading(tmp_path, capsys):

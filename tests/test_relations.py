@@ -41,6 +41,12 @@ record flagged ``marginal`` before or after the move, where the zero tests
 against ``tol * J^0`` sit on their threshold, may read otherwise; the test
 counts those records.
 
+R7: ``classify`` and ``hopf`` print the same bytes whether each record is
+computed alone (``_CHUNK = 1``) or in the CLI's own ranges and chunks.  Every
+block function gives a row the same bits at any block length, and the first
+chunk is computed in ranges of 1, 3, 12, 48 and 192 rows, so its first row
+takes the one-row paths of the kernels.  (R4 checks ``map-check``.)
+
 Each relation runs across chunk seams, and each has a fault row in
 ``RELATION_FAULTS`` that makes it fail.
 """
@@ -78,14 +84,19 @@ DEGREE = {  # field -> degree in psi, as the probe in test_r1_degrees_are_the_fi
 }
 
 
-def run_main(argv, text, chunk=CHUNK):
+def run_stdout(argv, text, chunk=CHUNK):
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sys.stdin", io.StringIO(text))
         mp.setattr(cli, "_CHUNK", chunk)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+    return code, out.getvalue()
+
+
+def run_main(argv, text, chunk=CHUNK):
+    code, out = run_stdout(argv, text, chunk)
+    return code, [json.loads(line) for line in out.splitlines()]
 
 
 def corpus(seed):
@@ -300,6 +311,20 @@ def test_r6_a_lorentz_transformation_keeps_each_class_and_witness(seed):
     assert assert_r6(benchmark_corpus(seed), seed) == R6_SKIPPED
 
 
+def assert_r7(records):
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    for command in ("classify", "hopf"):
+        (code, whole), (alone_code, alone) = (run_stdout([command, "-"], text, chunk)
+                                              for chunk in (cli._CHUNK, 1))
+        assert (code, len(whole.splitlines())) == (alone_code, len(records)), command
+        assert whole == alone, command
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r7_bytes_do_not_depend_on_where_a_chunk_is_cut(seed):
+    assert_r7(benchmark_corpus(seed))
+
+
 # ---- each relation fails on a fault in what it covers -------------------------
 
 
@@ -349,6 +374,16 @@ def _a_matrix_outside_the_spin_group(mp):  # psi_1 doubled: not a Lorentz transf
     mp.setattr(sys.modules[__name__], "spin_matrix", lambda rep, generators: np.diag([2.0, 1, 1, 1]))
 
 
+def _one_row_covariants_moved_by_one_ulp(mp):  # a one-row block's bits differ from a block's
+    covariants = cli.covariant_array
+
+    def faulty(components, rep):
+        out = covariants(components, rep)
+        return np.nextafter(out, np.inf) if len(out) == 1 else out
+
+    mp.setattr(cli, "covariant_array", faulty)
+
+
 RELATION_FAULTS = {
     "R1": (_threshold_from_the_chunks_largest_j0,
            lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
@@ -357,6 +392,7 @@ RELATION_FAULTS = {
     "R4": (_rows_filled_from_the_end_of_their_block, assert_r4),
     "R5": (_similarity_with_one_sign_flipped, lambda spinors: assert_r5(benchmark_corpus(0)[:200])),
     "R6": (_a_matrix_outside_the_spin_group, lambda spinors: assert_r6(benchmark_corpus(0)[:200], 0)),
+    "R7": (_one_row_covariants_moved_by_one_ulp, lambda spinors: assert_r7(benchmark_corpus(0)[:200])),
 }
 
 
