@@ -9,8 +9,9 @@ Runs ``python -m spinorlab.cli`` with PYTHONPATH set to each tree: ``classify``,
 and without; each plain, ``--table``, ``--rep standard``, ``--tol`` 1e-10, 1e-3,
 1e-16, 1e-20 and 0.5), CSV with leading blank lines, the seed-1 corpus with a
 malformed ``{`` line in and just past the first chunk, the ``verify`` suites at
-seeds 1-3 and at ``--samples`` 1 and 65 as JSON and table, and the README
-``make`` pipelines.  Inputs are built once, with PARENT_SRC.  It prints each run whose
+seeds 1-3 and at ``--samples`` 1 and 65 as JSON and table, the README
+``make`` pipelines, and ``make`` runs that end in each error its parameters
+can raise.  Inputs are built once, with PARENT_SRC.  It prints each run whose
 exit codes, stdout SHA-256 or stderr differ, and exits 1 if any does.
 Standard library only.
 """
@@ -53,6 +54,19 @@ PIPELINES = [  # the README's make examples, each stage's stdout the next one's 
     [["make", "flagdipole", "--u", "0.3,0.4,0.866025403784"]],
     [["make", "elko"], ["hopf", "-"]],
 ]
+MAKE_ERRORS = [  # make runs that exit 1: a bad number, a wrong count, a missing or extra option,
+    # a non-finite parameter, a build that overflows, and a spinor past the accepted norm
+    ["make", "weyl", "--phi", "1,x"],
+    ["make", "elko", "--p", "0,x,1", "--m", "1"],
+    ["make", "weyl", "--phi", "1"],
+    ["make", "majorana", "--xi", "1,0,0,inf"],
+    ["make", "elko", "--p", "0,0,1"],
+    ["make", "elko", "--p", "0,0,1", "--m", "1", "--alpha", "1"],
+    ["make", "flagdipole"],
+    ["make", "elko", "--m", "nan"],
+    ["make", "dirac", "--p", "1e300,0,0", "--m", "1"],
+    ["make", "weyl", "--phi", "1e200,0"],
+]
 
 
 def runs(texts: dict, tmp: Path):
@@ -85,7 +99,7 @@ def runs(texts: dict, tmp: Path):
             for fmt in ("--json", "--table"):
                 argv = ["verify", suite, *size, fmt]
                 yield " ".join(argv), [argv], ""
-    for stages in PIPELINES:
+    for stages in PIPELINES + [[argv] for argv in MAKE_ERRORS]:
         yield " | ".join(" ".join(argv) for argv in stages), stages, ""
 
 

@@ -40,6 +40,10 @@ test "$(echo "$out" | wc -l)" -eq 1
 # make elko loads neither spinorlab.flagdipole nor spinorlab.hopf
 python -X importtime -m spinorlab.cli make elko 2> "$tmp/make-elko-imports.txt" > /dev/null
 test "$(grep -cE '[|] +spinorlab[.](flagdipole|hopf)$' "$tmp/make-elko-imports.txt")" -eq 0
+# classify on JSON-lines loads none of spinorlab.make, csv and cmath, which only make and CSV input use
+python -X importtime -m spinorlab.cli classify - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]]}' \
+  2> "$tmp/classify-imports.txt" > /dev/null
+test "$(grep -cE '[|] +(csv|cmath|spinorlab[.]make)$' "$tmp/classify-imports.txt")" -eq 0
 # verify fierz loads neither spinorlab.flagdipole nor spinorlab.hopf
 python -X importtime -m spinorlab.cli verify fierz --samples 10 2> "$tmp/verify-fierz-imports.txt" > /dev/null
 test "$(grep -cE '[|] +spinorlab[.](flagdipole|hopf)$' "$tmp/verify-fierz-imports.txt")" -eq 0
@@ -64,6 +68,8 @@ printf '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": "\377"}\n' > "
 one_line_exit_1 spinorlab classify "$tmp/not-utf8.jsonl"
 one_line_exit_1 spinorlab map-check - < "$tmp/not-utf8.jsonl"
 one_line_exit_1 spinorlab make elko --output /dev/full
+# a make parameter that is not a number: the same, from the spinorlab.make module of the package
+one_line_exit_1 spinorlab make weyl --phi 1,x
 one_line_exit_1 bash -c 'spinorlab make elko > /dev/full'
 one_line_exit_1 spinorlab hopf - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": NaN}'
 # an empty CSV cell before a filled one: the same, and no cells shift left; a trailing comma reads

@@ -12,9 +12,11 @@ map-check  evaluate the ELKO mapping conditions for each input spinor
 Input is JSON-lines (one object per line with a ``components`` field of four
 [re, im] pairs) or CSV with eight real columns, re/im interleaved.  Output is
 deterministic: fixed key order, byte-identical for identical input and seed.
-Each subcommand imports what it runs when it runs: ``make`` the builders of
-its family, ``hopf`` the route report, ``verify`` the suites, so ``classify``
-and ``map-check`` load none of these modules.
+Each subcommand imports what it runs when it runs: ``make`` loads
+``spinorlab.make``, which reads its parameters and calls the builders of its
+family, ``hopf`` the route report, ``verify`` the suites, and CSV input the
+``csv`` module, so ``classify`` and ``map-check`` on JSON-lines load none of
+these modules.
 The record subcommands stream: they read, compute and write one chunk of
 ``_CHUNK`` records at a time, so peak memory does not grow with the input.
 Each chunk is parsed straight into one (N, 4) complex block, with each
@@ -49,15 +51,12 @@ code normally, for callers in the same process.
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
-import csv
 import itertools
 import json
 import math
 import os
 import sys
-import warnings
 from collections.abc import Iterable, Iterator
 from functools import partial
 from typing import NamedTuple, TextIO
@@ -65,7 +64,6 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .algebra import Multivector
 # ``bilinears`` is not called here; perfbench's tracer checks that it wraps this binding
 from .bilinears import SpinorC4, aggregate_residual_array, bilinears, covariant_array, fierz_array
 from .classify import (
@@ -109,36 +107,6 @@ class Chunk(NamedTuple):
     heads: list[dict]  # each record's first fields: its index, and its label when it has one
     reps: list[str]
     components: np.ndarray  # (N, 4) complex
-
-
-def _parse_complex(text: str, what: str) -> complex:
-    try:
-        value = complex(text.strip().replace(" ", ""))
-    except ValueError as exc:
-        raise CliInputError(f"cannot parse complex number from {text!r}") from exc
-    if not cmath.isfinite(value):
-        raise CliInputError(f"{what} must be finite, got {text!r}")
-    return value
-
-
-def _parse_complex_list(text: str, count: int, what: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise CliInputError(f"{what} needs {count} comma-separated values, got {len(parts)}")
-    return np.array([_parse_complex(p, what) for p in parts])
-
-
-def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise CliInputError(f"{what} needs {count} comma-separated values, got {len(parts)}")
-    try:
-        values = np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise CliInputError(f"cannot parse {what} from {text!r}") from exc
-    if not np.all(np.isfinite(values)):
-        raise CliInputError(f"{what} must be finite, got {text!r}")
-    return values
 
 
 def positive_int(text: str) -> int:
@@ -334,6 +302,8 @@ def _reads_as_float(text: str) -> bool:
 
 
 def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, None]]:
+    import csv
+
     rowno = filled = 0
     try:
         for rowno, row in enumerate(csv.reader(lines), start=1):
@@ -549,102 +519,21 @@ def cmd_make(args) -> int:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise CliInputError(f"--{name} must be finite, got {value}")
+    from .make import make_records
+
     try:
         with np.errstate(all="ignore"):  # an overflow shows as non-finite components
-            records = _make_records(args)
-    except ValueError as exc:  # a builder's own check of its parameters
+            records = make_records(args)
+    except ValueError as exc:  # a parameter that cannot be read, or a builder's own check
         raise CliInputError(str(exc)) from exc
+    for record in records:  # each family builds all its spinors before the first is checked
+        values = [x for pair in record["components"] for x in pair]
+        if not all(map(math.isfinite, values)):
+            raise CliInputError(f"{record['label']}: the parameters give non-finite components")
+        _check_norm(values, record["label"])
     with _output(args.output) as out:
         _emit([json.dumps(record) for record in records], out)
     return 0
-
-
-def _make_records(args) -> list[dict]:
-    from .elko import (
-        WeylC2,
-        dirac_from_left,
-        dirac_with_phase,
-        elko_boost,
-        elko_rest,
-        helicity_eigenspinor,
-        majorana_from_weyl,
-        weyl_spinor,
-    )
-
-    records: list[dict] = []
-
-    def add(spinor: SpinorC4, label: str, momentum=None, mass=None) -> None:
-        if not all(map(cmath.isfinite, spinor.components)):
-            raise CliInputError(f"{label}: the parameters give non-finite components")
-        comp = [[float(c.real), float(c.imag)] for c in spinor.components]
-        _check_norm([x for pair in comp for x in pair], label)
-        record: dict = {"components": comp, "rep": spinor.rep, "label": label}
-        if momentum is not None:
-            record["momentum"] = [float(x) for x in momentum]
-        if mass is not None:
-            record["mass"] = float(mass)
-        records.append(record)
-
-    if args.family == "elko":
-        momentum = _parse_floats(args.p, 3, "--p") if args.p else np.zeros(3)
-        moving = float(np.linalg.norm(momentum)) > 0.0
-        if moving:
-            if args.alpha is not None or args.beta is not None:
-                raise CliInputError(
-                    "boosted ELKOs are built from helicity eigenspinors; "
-                    "drop --alpha/--beta when --p is nonzero"
-                )
-            if args.m is None:
-                raise CliInputError("--m is required when --p is nonzero")
-            phi = helicity_eigenspinor(momentum, 1 if args.helicity == "+" else -1)
-            lam = elko_boost(elko_rest(phi, args.conjugacy), momentum, args.m)
-            add(
-                lam.spinor,
-                f"elko:{args.conjugacy}:{lam.pair}",
-                momentum=momentum.tolist(),
-                mass=args.m,
-            )
-        else:
-            alpha = _parse_complex(args.alpha, "--alpha") if args.alpha is not None else 1 + 0j
-            beta = _parse_complex(args.beta, "--beta") if args.beta is not None else 0j
-            phi = WeylC2(np.array([alpha, beta]))
-            lam = elko_rest(phi, args.conjugacy)
-            add(lam.spinor, f"elko:{args.conjugacy}:rest")
-    elif args.family == "majorana":
-        comp = (
-            _parse_complex_list(args.xi, 4, "--xi")
-            if args.xi
-            else np.array([1, 0, 0, 0], dtype=complex)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plus, minus = majorana_from_weyl(SpinorC4(comp, "chiral"))
-        if args.part in ("plus", "both"):
-            add(plus, "majorana:+")
-        if args.part in ("minus", "both"):
-            add(minus, "majorana:-")
-    elif args.family == "weyl":
-        phi = WeylC2(_parse_complex_list(args.phi, 2, "--phi"))
-        add(weyl_spinor(phi, args.chirality), f"weyl:{args.chirality}")
-    elif args.family == "dirac":
-        phi = WeylC2(_parse_complex_list(args.phi, 2, "--phi"))
-        momentum = _parse_floats(args.p, 3, "--p") if args.p else np.zeros(3)
-        mass = args.m if args.m is not None else 1.0
-        if args.delta != 0.0:
-            psi = dirac_with_phase(phi, momentum, mass, args.delta)
-            label = f"dirac:delta={args.delta:g}"
-        else:
-            psi = dirac_from_left(phi, momentum, mass, epsilon=args.epsilon)
-            label = f"dirac:eps={args.epsilon:+d}"
-        add(psi, label, momentum=momentum.tolist(), mass=mass)
-    else:  # flagdipole
-        from .flagdipole import direction_element, projection_spinor
-        if args.u is None:
-            raise CliInputError("make flagdipole requires --u ux,uy,uz")
-        u = direction_element(_parse_floats(args.u, 3, "--u"))
-        psi = projection_spinor(Multivector.scalar(1.0), u)
-        add(psi, "flagdipole")
-    return records
 
 
 # ---- verify ----------------------------------------------------------------

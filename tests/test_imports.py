@@ -1,9 +1,10 @@
-"""Which spinorlab modules each subcommand and ``import spinorlab`` load.
+"""Which modules each subcommand and ``import spinorlab`` load: spinorlab's, ``csv`` and ``cmath``.
 
 Each check runs a fresh interpreter, since this test process has loaded every
 module already.  ``-X importtime`` lists on stderr each module a run imports.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ import spinorlab
 
 SRC = Path(spinorlab.__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
-ON_USE = {"spinorlab.elko", "spinorlab.flagdipole", "spinorlab.hopf", "spinorlab.verify"}
+ON_USE = {"spinorlab.elko", "spinorlab.flagdipole", "spinorlab.hopf", "spinorlab.make",
+          "spinorlab.verify"}
 RECORD = '{"components": [[1, 0], [0, 0], [0, 1], [0, 0]]}\n'
 
 
@@ -29,12 +31,32 @@ def loaded_by(*argv, stdin=""):
     return names, done.returncode
 
 
+@functools.cache
+def make_and_csv():
+    """What only ``make`` and CSV input load, less what ``python -c pass`` loads on this host.
+
+    A site ``.pth`` file may load any module at start-up.
+    """
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"], capture_output=True,
+                          text=True, env=ENV, timeout=120, check=True)
+    bare = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+    return {"spinorlab.make", "csv", "cmath"} - bare
+
+
 @pytest.mark.parametrize("command", ["classify", "map-check"])
 def test_classify_and_map_check_load_none_of_the_on_use_modules(command):
     modules, code = loaded_by(command, "-", stdin=RECORD)
     assert code == 0
     assert {"spinorlab.classify", "spinorlab.mapping"} <= modules
     assert not modules & ON_USE
+    assert not modules & make_and_csv()
+
+
+def test_csv_input_loads_csv_and_nothing_else_of_make():
+    modules, code = loaded_by("classify", "-", stdin="1,0,0,0,0,1,0,0\n")
+    assert code == 0
+    assert modules & make_and_csv() == {"csv"} & make_and_csv()
 
 
 def test_hopf_loads_hopf_but_not_elko_or_verify():
@@ -42,12 +64,14 @@ def test_hopf_loads_hopf_but_not_elko_or_verify():
     assert code == 0
     assert "spinorlab.hopf" in modules
     assert not modules & {"spinorlab.elko", "spinorlab.verify"}
+    assert not modules & make_and_csv()
 
 
 def test_make_loads_the_builders_and_not_verify():
     modules, code = loaded_by("make", "elko")
     assert code == 0
-    assert "spinorlab.elko" in modules
+    assert {"spinorlab.elko", "spinorlab.make"} <= modules
+    assert "spinorlab.cli" not in modules  # the running copy is __main__; a second would rerun it
     assert not modules & {"spinorlab.flagdipole", "spinorlab.hopf", "spinorlab.verify"}
     modules, code = loaded_by("make", "flagdipole", "--u", "0.3,0.4,0.866025403784")
     assert code == 0
@@ -82,6 +106,7 @@ def test_each_verify_suite_loads_only_its_own_kernels(suite):
     assert code == 0
     assert modules & ON_USE == SUITE_MODULES[suite]
     assert not modules & NEVER_BY_VERIFY
+    assert not modules & make_and_csv()
 
 
 PACKAGE_PROBE = """

@@ -47,6 +47,21 @@ block function gives a row the same bits at any block length, and the first
 chunk is computed in ranges of 1, 3, 12, 48 and 192 rows, so its first row
 takes the one-row paths of the kernels.  (R4 checks ``map-check``.)
 
+R8: charge conjugation, psi^c = ``elko.charge_conjugation`` of the spinor in
+the chiral representation, leaves its ``classify`` ``class``, ``witness``,
+``marginal`` and ``error_kind`` as they were, and takes its covariants
+(sigma, J, S, K, omega) to (-sigma, J, S, -K, -omega) within 4 eps J^0.  C
+only permutes, negates and conjugates components, but the permuted rows sum
+in another order.
+
+R9: parity, psi -> gamma^0 psi in the spinor's own representation, leaves
+the same four fields as they were and gives each covariant the sign of its
+behaviour under space reflection: sigma +, J^0 +, J^i -, S^0i -, S^ij +,
+K^0 -, K^i +, omega -.  In the standard representation gamma^0 =
+diag(1, 1, -1, -1) negates whole terms of every form, so the magnitudes are
+equal bit for bit; in the chiral one gamma^0 swaps the two halves, and they
+agree within 4 eps J^0.
+
 Each relation runs across chunk seams, and each has a fault row in
 ``RELATION_FAULTS`` that makes it fail.
 """
@@ -66,7 +81,7 @@ from hypothesis import strategies as st
 
 from conftest import LORENTZ_PLANES, mixed_spinors, spin_matrix
 from spinorlab import SpinorC4, cli, mapping
-from spinorlab.gamma import REP_TAGS
+from spinorlab.gamma import REP_TAGS, gamma_rep
 
 CHUNK = 5  # the relations' inputs span several chunks
 SPINORS = 12  # two of each Lounesto class
@@ -246,10 +261,17 @@ def benchmark_corpus(seed):
     return [json.loads(line) for line in text.splitlines()]
 
 
-def in_other_rep(record):
-    psi = SpinorC4(np.array([complex(re, im) for re, im in record["components"]]), record["rep"])
-    psi = psi.in_rep(REP_TAGS[1 - REP_TAGS.index(psi.rep)])
+def spinor_of(record):
+    return SpinorC4(np.array([complex(re, im) for re, im in record["components"]]), record["rep"])
+
+
+def record_of(psi):
     return {"components": [[z.real, z.imag] for z in psi.components.tolist()], "rep": psi.rep}
+
+
+def in_other_rep(record):
+    psi = spinor_of(record)
+    return record_of(psi.in_rep(REP_TAGS[1 - REP_TAGS.index(psi.rep)]))
 
 
 R5_UNCHANGED = ("class", "witness", "marginal", "error_kind")
@@ -325,6 +347,64 @@ def test_r7_bytes_do_not_depend_on_where_a_chunk_is_cut(seed):
     assert_r7(benchmark_corpus(seed))
 
 
+def charge_conjugate(psi):
+    return importlib.import_module("spinorlab.elko").charge_conjugation(psi)
+
+
+def parity(psi):
+    return SpinorC4(gamma_rep(psi.rep).upper[0] @ psi.components, psi.rep)
+
+
+# covariants agree within SYMMETRY_EPS * eps * J^0 where they are not bit equal (at most
+# 1.9 eps J^0 under C and under P on the seed 0-3 corpora)
+SYMMETRY_EPS = 4
+UNCHANGED_BY_C_AND_P = ("class", "witness", "marginal", "error_kind")
+R8_SIGNS = np.array([-1.0] + [1.0] * 10 + [-1.0] * 5)  # -sigma, J, S, -K, -omega
+R9_SIGNS = np.array([1.0,  # sigma
+                     1, -1, -1, -1,  # J^0, J^i
+                     -1, -1, -1, 1, 1, 1,  # S^0i, S^ij
+                     -1, 1, 1, 1,  # K^0, K^i
+                     -1])  # omega
+
+
+def assert_symmetry(spinors, move, signs, exact_in=()):
+    """``classify`` of each spinor and of ``move(spinor)``: the same verdicts, covariants times ``signs``."""
+    texts = ["".join(json.dumps(record_of(psi)) + "\n" for psi in ps)
+             for ps in (spinors, map(move, spinors))]
+    (code, plain), (moved_code, moved) = (run_main(["classify", "-"], t, cli._CHUNK) for t in texts)
+    assert code == moved_code and len(plain) == len(moved) == len(spinors)
+    for psi, a, b in zip(spinors, plain, moved):
+        assert [a.get(f) for f in UNCHANGED_BY_C_AND_P] == [b.get(f) for f in UNCHANGED_BY_C_AND_P], a["index"]
+        if "bilinears" in a:
+            want, got = signs * numbers(a["bilinears"]), numbers(b["bilinears"])
+            if psi.rep in exact_in:
+                assert np.array_equal(got, want), a["index"]
+            else:
+                gap = np.max(np.abs(got - want))
+                assert gap <= SYMMETRY_EPS * np.finfo(float).eps * a["bilinears"]["J"][0], a["index"]
+
+
+def assert_r8(records):
+    spinors = [spinor_of(record).in_rep("chiral") for record in records]
+    assert_symmetry(spinors, charge_conjugate, R8_SIGNS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r8_charge_conjugation_keeps_each_class_and_flips_sigma_k_and_omega(seed):
+    assert_r8(benchmark_corpus(seed))
+
+
+def assert_r9(records):
+    spinors = [spinor_of(record) for record in records]
+    assert {psi.rep for psi in spinors} == set(REP_TAGS)
+    assert_symmetry(spinors, parity, R9_SIGNS, exact_in=("standard",))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r9_parity_keeps_each_class_and_reflects_the_covariants(seed):
+    assert_r9(benchmark_corpus(seed))
+
+
 # ---- each relation fails on a fault in what it covers -------------------------
 
 
@@ -384,6 +464,17 @@ def _one_row_covariants_moved_by_one_ulp(mp):  # a one-row block's bits differ f
     mp.setattr(cli, "covariant_array", faulty)
 
 
+def _charge_conjugation_without_the_complex_conjugate(mp):  # C psi taken as -gamma^2 psi
+    g2 = gamma_rep("chiral").upper[2]
+    mp.setattr(importlib.import_module("spinorlab.elko"), "charge_conjugation",
+               lambda psi: SpinorC4(-g2 @ psi.components, "chiral"))
+
+
+def _parity_by_gamma_1(mp):  # psi -> gamma^1 psi: a reflection of one axis, not of space
+    mp.setattr(sys.modules[__name__], "parity",
+               lambda psi: SpinorC4(gamma_rep(psi.rep).upper[1] @ psi.components, psi.rep))
+
+
 RELATION_FAULTS = {
     "R1": (_threshold_from_the_chunks_largest_j0,
            lambda spinors: assert_r1(spinors, accepted_range(spinors)[0])),
@@ -393,6 +484,9 @@ RELATION_FAULTS = {
     "R5": (_similarity_with_one_sign_flipped, lambda spinors: assert_r5(benchmark_corpus(0)[:200])),
     "R6": (_a_matrix_outside_the_spin_group, lambda spinors: assert_r6(benchmark_corpus(0)[:200], 0)),
     "R7": (_one_row_covariants_moved_by_one_ulp, lambda spinors: assert_r7(benchmark_corpus(0)[:200])),
+    "R8": (_charge_conjugation_without_the_complex_conjugate,
+           lambda spinors: assert_r8(benchmark_corpus(0)[:200])),
+    "R9": (_parity_by_gamma_1, lambda spinors: assert_r9(benchmark_corpus(0)[:200])),
 }
 
 
