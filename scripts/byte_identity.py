@@ -55,7 +55,8 @@ PIPELINES = [  # the README's make examples, each stage's stdout the next one's 
     [["make", "elko"], ["hopf", "-"]],
 ]
 MAKE_ERRORS = [  # make runs that exit 1: a bad number, a wrong count, a missing or extra option,
-    # a non-finite parameter, a build that overflows, and a spinor past the accepted norm
+    # a non-finite parameter, a build that overflows, a spinor past the accepted norm, and a Dirac
+    # spinor on the zero 2-spinor (with and without a phase)
     ["make", "weyl", "--phi", "1,x"],
     ["make", "elko", "--p", "0,x,1", "--m", "1"],
     ["make", "weyl", "--phi", "1"],
@@ -66,6 +67,8 @@ MAKE_ERRORS = [  # make runs that exit 1: a bad number, a wrong count, a missing
     ["make", "elko", "--m", "nan"],
     ["make", "dirac", "--p", "1e300,0,0", "--m", "1"],
     ["make", "weyl", "--phi", "1e200,0"],
+    ["make", "dirac", "--phi", "0,0"],
+    ["make", "dirac", "--phi", "0,0", "--delta", "1"],
 ]
 
 

@@ -70,6 +70,8 @@ one_line_exit_1 spinorlab map-check - < "$tmp/not-utf8.jsonl"
 one_line_exit_1 spinorlab make elko --output /dev/full
 # a make parameter that is not a number: the same, from the spinorlab.make module of the package
 one_line_exit_1 spinorlab make weyl --phi 1,x
+# a Dirac spinor on the zero 2-spinor would be the zero spinor: refused as a Weyl one is
+one_line_exit_1 spinorlab make dirac --phi 0,0
 one_line_exit_1 bash -c 'spinorlab make elko > /dev/full'
 one_line_exit_1 spinorlab hopf - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": NaN}'
 # an empty CSV cell before a filled one: the same, and no cells shift left; a trailing comma reads

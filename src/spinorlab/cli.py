@@ -20,12 +20,14 @@ these modules.
 The record subcommands stream: they read, compute and write one chunk of
 ``_CHUNK`` records at a time, so peak memory does not grow with the input.
 Each chunk is parsed straight into one (N, 4) complex block, with each
-record's representation and head.  They share one path, ``_run_records``: it
-computes a chunk in row ranges, groups each range by representation, calls
-the subcommand's block function (``_classification_block``, ``_hopf_block``,
-``_map_check_block``) once per representation present, which returns one
-dict of fields per row, fills each record after its head and writes the
-range's records in input order.  The first chunk is read and checked whole,
+record's representation and head, and the parsed rows are dropped.  They
+share one path, ``_run_records``: it computes a chunk in row ranges, groups
+each range by representation, calls the subcommand's block function
+(``_classification_block``, ``_hopf_block``, ``_map_check_block``) once per
+representation present, which yields one dict of fields per row, and then,
+in input order, fills each record after its head, makes its line and drops
+the record, so a record lives only until its line is made.  The range's
+lines are written together.  The first chunk is read and checked whole,
 then computed and written in ranges of 1, 3, 12, 48 and 192 rows, so the
 first record leaves once one row is computed; each later chunk is one range.
 
@@ -235,8 +237,10 @@ def _documents(path: str, default_rep: str) -> Iterator[Chunk]:
             block = np.array([values for values, _, _ in chunk], dtype=float).reshape(-1, 8)
             heads = [{"index": start + k} if label is None else {"index": start + k, "label": label}
                      for k, (_, _, label) in enumerate(chunk)]
-            yield Chunk(heads, [rep for _, rep, _ in chunk], block.view(complex))
-            if len(chunk) < _CHUNK:
+            reps, last = [rep for _, rep, _ in chunk], len(chunk) < _CHUNK
+            del chunk  # the parsed rows are in the block and the heads now
+            yield Chunk(heads, reps, block.view(complex))
+            if last:
                 return
 
 
@@ -379,9 +383,13 @@ def _run_records(args, block_fn, table_row, header=None) -> int:
     row is computed, and each later chunk is one range.  A range is grouped by
     representation; ``block_fn(components, rep, tol)`` runs once per
     representation present, on that block's (N, 4) components, and returns
-    one dict of fields per row (the same bits at any block length).  Each
-    record takes its row's fields after its head, and the range's records
-    are written in input order and flushed before the next range is computed.
+    an iterable of one dict of fields per row (the same bits at any block
+    length).  In input order, each record takes its next row's fields after
+    its head, is made into its line and is dropped from the chunk, so no
+    range holds its filled records; its lines are written and flushed
+    before the next range is computed.  ``_classification_block`` builds
+    each dict only when it is taken.  ``_map_check_block`` returns a list:
+    its work is per row, and building a row's dict at write time was slower.
     """
     lines = [header] if args.table and header else []
     failed = False
@@ -394,12 +402,14 @@ def _run_records(args, block_fn, table_row, header=None) -> int:
         cuts = [4 ** k for k in range(size.bit_length()) if 4 ** k < size]
         while True:
             for start, stop in zip([0, *cuts], [*cuts, len(chunk.heads)]):
+                fields = {}
                 for rep in REP_TAGS:
                     rows = [i for i in range(start, stop) if chunk.reps[i] == rep]
                     if rows:
-                        for i, fields in zip(rows, block_fn(chunk.components[rows], rep, args.tol)):
-                            chunk.heads[i].update(fields)
-                for record in chunk.heads[start:stop]:
+                        fields[rep] = iter(block_fn(chunk.components[rows], rep, args.tol))
+                for i in range(start, stop):
+                    record, chunk.heads[i] = chunk.heads[i], None
+                    record.update(next(fields[chunk.reps[i]]))
                     failed = failed or bool(record.get("error"))
                     lines.append(table_row(record) if args.table else json.dumps(record))
                 _emit(lines, out)
@@ -409,16 +419,19 @@ def _run_records(args, block_fn, table_row, header=None) -> int:
             chunk, cuts = read_documents(documents), []
 
 
-def _classification_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:
-    """Classify one representation block: the kernels and the rule run once on all its rows."""
+def _classification_block(components: np.ndarray, rep: str, tol: float) -> Iterator[dict]:
+    """Classify one representation block: the kernels and the rule run once on all its rows.
+
+    They run when this is called; each row's dict is built from their columns when it is taken.
+    """
     cov = covariant_array(components, rep)
     # Crawford's boomerang test: Z comes back to 4 psi psibar, whose norm is 4 J^0
     residual = aggregate_residual_array(components, cov, rep)
     boomerang = residual <= max(tol, 1e-12) * 4 * cov[:, 1]
     label, flags, marginal, null = lounesto_rule(magnitude_array(cov).T, tol)
-    columns = zip(label.tolist(), np.transpose(flags).tolist(), np.transpose(marginal).tolist(),
-                  null.tolist(), cov.tolist(), fierz_array(cov).tolist(), boomerang.tolist())
-    return [_classification_fields(*column) for column in columns]
+    return map(_classification_fields, label.tolist(), np.transpose(flags).tolist(),
+               np.transpose(marginal).tolist(), null.tolist(), cov.tolist(),
+               fierz_array(cov).tolist(), boomerang.tolist())
 
 
 def _classification_fields(label: int, flags: list, marginal: list, null: bool, c: list,

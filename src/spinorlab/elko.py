@@ -212,6 +212,8 @@ def dirac_from_left(phi_l: WeylC2, p, m: float, epsilon: int = 1) -> SpinorC4:
     momentum = np.asarray(p, dtype=np.float64)
     if momentum.shape != (3,):
         raise ValueError("momentum needs 3 components")
+    if not np.any(phi_l.components):
+        raise ValueError("cannot build a Dirac spinor on the zero 2-spinor")
     energy = float(np.hypot(m, np.linalg.norm(momentum)))
     kernel = energy * np.eye(2, dtype=np.complex128)
     for k in range(3):

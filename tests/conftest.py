@@ -1,5 +1,10 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from spinorlab import (
@@ -122,3 +127,15 @@ def map_check_decades(seed=97):
                 part[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
             spinors.append(SpinorC4(c, psi.rep))
     return spinors
+
+
+def benchmark_corpus(seed):
+    """The records of ``perfbench/corpus.py``'s corpus for ``seed``: 2,000, ten of them zero."""
+    if "benchmark_corpus" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("benchmark_corpus", path)
+        # registered before it runs: its dataclass looks its module up there
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    text = sys.modules["benchmark_corpus"].make_corpus(seed, 2000).text
+    return [json.loads(line) for line in text.splitlines()]

@@ -1,6 +1,10 @@
 """Bitwise oracles: the per-sample bodies that the array kernels and the blocked
 ``verify`` suites replaced.  The tests compare the kernels against them bit
-for bit."""
+for bit.  One oracle is exact instead: ``exact_covariants`` computes the
+covariants in rational arithmetic, for the rounding bound the tests check the
+covariant kernel against."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from spinorlab.algebra import (
     wedge,
 )
 from spinorlab.bilinears import _INVERSES, _MATRICES
+from spinorlab.gamma import REP_TAGS
 
 _FAMILIES = (slice(0, 1), slice(1, 5), slice(5, 11), slice(11, 15), slice(15, 16))
 
@@ -785,3 +790,57 @@ def per_sample_suite_mapping(rng, samples, tol):
         ("constructed_families_pass", witness_fail, witness_fail == 0.0),
         ("random_pass_rate_below_1pc", rate, rate < 0.01),
     ]
+
+
+# ---- covariants in exact arithmetic -------------------------------------------
+
+
+def _exact_form_entries(rep):
+    """The sixteen Hermitian forms of ``rep`` as (form, row, column, re, im) entries, exactly.
+
+    Every form gamma0 G_n has one nonzero entry per row, each part 0, +-1/2 or
+    +-1, in both representations; the rounding bound that the tests check rests
+    on both facts, so they are asserted here.  Taken once, at import, so a test
+    that moves the kernel's forms leaves the oracle's alone.
+    """
+    halves = {Fraction(k, 2) for k in range(-2, 3)}
+    entries = []
+    for n, form in enumerate(_MATRICES[rep][0]):
+        for i, row in enumerate(form):
+            (j,) = np.flatnonzero(row)
+            re, im = Fraction(row[j].real), Fraction(row[j].imag)
+            assert {re, im} <= halves, (rep, n, i, j)
+            entries.append((n, i, j, re, im))
+    return entries
+
+
+_EXACT_FORMS = {rep: _exact_form_entries(rep) for rep in REP_TAGS}
+
+
+def _products(components, rep):
+    """Per covariant, the real products a_i w_i whose sum is psi^dagger F_n psi, w = F_n psi."""
+    parts = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, components)]
+    products = [[] for _ in range(16)]
+    for n, i, j, fr, fi in _EXACT_FORMS[rep]:
+        (ar, ai), (br, bi) = parts[i], parts[j]
+        # Re(conj(a) w) with w = f b: two products per nonzero entry, eight per covariant
+        products[n] += (ar * (fr * br - fi * bi), ai * (fr * bi + fi * br))
+    return products
+
+
+def exact_covariants(components, rep):
+    """The sixteen covariants psi^dagger F_n psi of one spinor, as exact ``Fraction``s.
+
+    A double is a dyadic rational, so each covariant of a float spinor has an
+    exact value, in ``BilinearSet.as_array`` order.
+    """
+    return [sum(terms, Fraction(0)) for terms in _products(components, rep)]
+
+
+def covariant_product_sums(components, rep):
+    """Per covariant, the sum of |a_i w_i| over its eight real products, exactly.
+
+    This is the componentwise size of the dot product (Higham 2002, section
+    3.1); by Cauchy-Schwarz it is at most B = |psi|^T |F_n| |psi|.
+    """
+    return [sum(map(abs, terms), Fraction(0)) for terms in _products(components, rep)]

@@ -1,12 +1,22 @@
 """Bilinear covariants, Fierz identities, and the aggregate multivector."""
 
 import importlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import mixed_spinors, phase_align, random_spinor
-from oracles import loop_generalized_fierz, scalar_reconstruct, vector_aggregate
+from conftest import benchmark_corpus, mixed_spinors, phase_align, random_spinor
+from oracles import (
+    covariant_product_sums,
+    exact_covariants,
+    loop_generalized_fierz,
+    scalar_reconstruct,
+    vector_aggregate,
+)
 from spinorlab import (
     PSEUDOSCALAR,
     BilinearSet,
@@ -38,6 +48,8 @@ from spinorlab.bilinears import (
     generalized_fierz_array,
     reconstruct_array,
 )
+from spinorlab.cli import _MAX_NORM, _MIN_NORM
+from spinorlab.gamma import REP_TAGS
 
 
 def test_spinor_constructor_validates_input():
@@ -394,3 +406,84 @@ def test_fierz_one_row_wrappers_return_their_row_of_the_batch(fierz_batch):
         else:
             with pytest.raises(DegenerateProbeError):
                 reconstruct(mv, probe)
+
+
+# ---- the covariants' rounding, against exact arithmetic -----------------------
+
+# The bound, from covariant_array's operation count.  Every form F_n has one nonzero entry
+# per row, each part 0, +-1/2 or +-1 (the oracle asserts it), so w = F_n psi (``forms @ v``)
+# is exact: each part of w is a part of psi times a power of two, save that halving a
+# subnormal rounds, by at most eta/2 (eta = 2^-1074, the least subnormal).  The covariant
+# Re(psi^dagger w) (``vecdot``) is then a sum of eight real products a_i w_i, in whatever
+# order BLAS takes them; each meets one multiplication and at most seven additions, so
+# (Higham 2002, section 3.1, with underflow: products may underflow, additions do not)
+#     |fl(m) - m| <= gamma_8 sum|a_i w_i| + (sum|a_i| + 8) eta,
+# with gamma_8 = 8u / (1 - 8u), u = 2^-53.  That is c eps B with eps = 2^-52, c = 4 / (1 - 2^-50)
+# (just above 4) and B the sum of |a_i w_i|, at most |psi|^T |F_n| |psi| by Cauchy-Schwarz.
+# When every part of psi is an integer below 2^20 in size, every product and partial sum is
+# a double and each rounding term is 0, so the bound is fl(m) = m.
+_U = Fraction(1, 2**53)
+_GAMMA_8 = 8 * _U / (1 - 8 * _U)
+_ETA = Fraction(1, 2**1074)
+
+
+def assert_covariants_within_the_rounding_bound(rows, rep):
+    """Each covariant of each row within the bound above of its exact value; exact on small integers."""
+    got = covariant_array(np.array(rows, dtype=complex).reshape(-1, 4), rep).tolist()
+    for components, values in zip(rows, got):
+        parts = [x for z in map(complex, components) for x in (z.real, z.imag)]
+        exact = exact_covariants(components, rep)
+        spread = (sum(map(abs, map(Fraction, parts))) + 8) * _ETA
+        bounds = [_GAMMA_8 * b + spread for b in covariant_product_sums(components, rep)]
+        if all(x.is_integer() and abs(x) < 2**20 for x in parts):
+            bounds = [0] * 16
+        for n, (value, m, bound) in enumerate(zip(values, exact, bounds)):
+            assert abs(Fraction(value) - m) <= bound, (rep, list(components), n, value, float(m))
+
+
+# each basis spinor alone, and two with small integer parts: the kernel must be exact on them
+_SMALL_INTEGER_ROWS = [*np.eye(4, dtype=complex), [1 + 2j, 3 - 1j, -4j, 2], [7, -3j, 5 + 1j, -6 - 2j]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       k=st.integers(-256, 128), rep=st.sampled_from(REP_TAGS))
+def test_each_covariant_is_within_its_rounding_bound_across_the_accepted_norm_range(parts, k, rep):
+    values = [math.ldexp(x, k) for x in parts]  # subnormal parts included
+    assume(_MIN_NORM <= math.hypot(*values) <= _MAX_NORM)
+    assert_covariants_within_the_rounding_bound([np.array(values).view(complex)], rep)
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=st.lists(st.integers(-2**19, 2**19), min_size=8, max_size=8),
+       rep=st.sampled_from(REP_TAGS))
+def test_each_covariant_of_a_small_integer_spinor_is_exact(parts, rep):
+    assert_covariants_within_the_rounding_bound([np.array(parts, dtype=float).view(complex)], rep)
+
+
+def _corpus_slice_and_small_integers():
+    """The first 300 records of the benchmark's seed-0 corpus, by representation, and the rows above."""
+    rows = {rep: list(_SMALL_INTEGER_ROWS) for rep in REP_TAGS}
+    for record in benchmark_corpus(0)[:300]:
+        rows[record["rep"]].append([complex(re, im) for re, im in record["components"]])
+    return rows
+
+
+def test_each_covariant_of_the_seed_0_corpus_is_within_its_rounding_bound():
+    rows = _corpus_slice_and_small_integers()
+    assert all(len(block) > 100 for block in rows.values())
+    for rep, block in rows.items():
+        assert_covariants_within_the_rounding_bound(block, rep)
+
+
+def test_a_form_entry_one_ulp_off_fails_the_rounding_test(monkeypatch):
+    """Fault row: J^0's form (the identity in both representations) with one entry moved by one ulp."""
+    module = importlib.import_module("spinorlab.bilinears")
+    for rep in REP_TAGS:
+        forms, ops = module._MATRICES[rep]
+        moved = forms.copy()
+        moved[1, 0, 0] = np.nextafter(1.0, 2.0)
+        with monkeypatch.context() as mp:
+            mp.setitem(module._MATRICES, rep, (moved, ops))
+            with pytest.raises(AssertionError):
+                assert_covariants_within_the_rounding_bound(_corpus_slice_and_small_integers()[rep], rep)

@@ -965,6 +965,8 @@ def test_an_unusable_tol_is_malformed_input(capsys, monkeypatch, command, tol):
     (["dirac", "--m", "-1"], "mass must be positive"),
     (["flagdipole", "--u", "0,0,0"], "the zero vector is not a direction"),
     (["weyl", "--phi", "0,0"], "cannot build a Weyl spinor on the zero 2-spinor"),
+    (["dirac", "--phi", "0,0"], "cannot build a Dirac spinor on the zero 2-spinor"),
+    (["dirac", "--phi", "0,0", "--delta", "1"], "cannot build a Dirac spinor on the zero 2-spinor"),
     (["elko", "--p", "1e200,0,0", "--m", "1"], "the parameters give non-finite components"),
     (["elko", "--alpha", "0", "--beta", "0"], "cannot build an ELKO on the zero 2-spinor"),
     (["elko", "--alpha", "1e300", "--beta", "1e300"],
@@ -1299,6 +1301,32 @@ def test_the_first_chunk_is_written_in_ranges_of_one_three_twelve_48_and_192(cap
         code, out, _ = run(["classify", "-", "--table"], capsys)
         assert [len(w) for w in writes] == [2, 3, 12, 48, 192, 256, 88]
         assert writes[0][0] == cli.CLASSIFY_HEADER and sum(writes, []) == out.splitlines()
+
+
+def test_each_classify_record_is_filled_right_before_it_is_serialized(capsys, monkeypatch):
+    """A record lives until its line is made: no range builds all its field dicts first."""
+    zeros = (cli._CHUNK - 1, cli._CHUNK + 1)
+    spinors = [psi.scaled(0.0) if k in zeros else psi
+               for k, (_, psi) in enumerate(mixed_spinors(np.random.default_rng(27), cli._CHUNK + 40))]
+    assert {psi.rep for psi in spinors[:4]} == {psi.rep for psi in spinors[cli._CHUNK:]} == {
+        "chiral", "standard"}
+    records = [spinor_record(psi.components, rep=psi.rep) for psi in spinors]
+    expected = records_stdin("classify", records, capsys, monkeypatch)
+    events = []
+    fields = cli._classification_fields
+
+    def logged_fields(*column):
+        events.append("fields")
+        return fields(*column)
+
+    # cli's own json only, through a module proxy as the benchmark's tracer wraps it
+    proxy = type(json)(json.__name__)
+    proxy.__dict__.update(vars(json))
+    proxy.dumps = lambda record: events.append(("dumps", record["index"])) or json.dumps(record)
+    monkeypatch.setattr(cli, "_classification_fields", logged_fields)
+    monkeypatch.setattr(cli, "json", proxy)
+    assert records_stdin("classify", records, capsys, monkeypatch) == expected
+    assert events == [e for k in range(len(records)) for e in ("fields", ("dumps", k))]
 
 
 @pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])

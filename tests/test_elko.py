@@ -11,6 +11,7 @@ from spinorlab import (
     charge_conjugation,
     classify,
     dirac_from_left,
+    dirac_with_phase,
     elko_boost,
     elko_dual,
     elko_quartet,
@@ -253,6 +254,18 @@ def test_dirac_spinor_from_a_left_block_is_parity_mappable():
         helicity_eigenspinor((0, 0, 1.0), 1), [0.1, 0.2, -0.3], 1.5, epsilon=-1
     )
     assert bilinears(flipped).sigma < 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda phi: dirac_from_left(phi, [0.1, 0.2, -0.3], 1.5),
+    lambda phi: dirac_from_left(phi, [0.0, 0.0, 0.0], 1.0, epsilon=-1),
+    lambda phi: dirac_with_phase(phi, [0.1, 0.2, -0.3], 1.5, 1.0),
+])
+def test_a_dirac_spinor_on_the_zero_2_spinor_is_refused(build):
+    # the zero left block would give the zero spinor, not the class-2 (or class-1) spinor promised
+    with pytest.raises(ValueError, match="cannot build a Dirac spinor on the zero 2-spinor"):
+        build(WeylC2(np.zeros(2, dtype=complex)))
+    assert classify(bilinears(build(WeylC2(np.array([0.0, 1e-30j]))))).label in (1, 2)
 
 
 def test_pole_is_half_the_null_current_on_singular_spinors():

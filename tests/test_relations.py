@@ -67,19 +67,18 @@ Each relation runs across chunk seams, and each has a fault row in
 """
 
 import contextlib
-import importlib.util
+import importlib
 import io
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LORENTZ_PLANES, mixed_spinors, spin_matrix
+from conftest import LORENTZ_PLANES, benchmark_corpus, mixed_spinors, spin_matrix
 from spinorlab import SpinorC4, cli, mapping
 from spinorlab.gamma import REP_TAGS, gamma_rep
 
@@ -247,18 +246,6 @@ def assert_r4(spinors):
 @given(seed=SEEDS)
 def test_r4_each_map_check_record_of_a_mixed_chunk_is_its_record_alone(seed):
     assert_r4(corpus(seed))
-
-
-def benchmark_corpus(seed):
-    """The records of ``perfbench/corpus.py``'s corpus for ``seed``: 2,000, ten of them zero."""
-    if "benchmark_corpus" not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-        spec = importlib.util.spec_from_file_location("benchmark_corpus", path)
-        # registered before it runs: its dataclass looks its module up there
-        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[spec.name])
-    text = sys.modules["benchmark_corpus"].make_corpus(seed, 2000).text
-    return [json.loads(line) for line in text.splitlines()]
 
 
 def spinor_of(record):
