@@ -55,8 +55,9 @@ PIPELINES = [  # the README's make examples, each stage's stdout the next one's 
     [["make", "elko"], ["hopf", "-"]],
 ]
 MAKE_ERRORS = [  # make runs that exit 1: a bad number, a wrong count, a missing or extra option,
-    # a non-finite parameter, a build that overflows, a spinor past the accepted norm, and a Dirac
-    # spinor on the zero 2-spinor (with and without a phase)
+    # a non-finite parameter, a build that overflows, a spinor past the accepted norm, a Dirac
+    # spinor on the zero 2-spinor (with and without a phase), and a Majorana part that is zero
+    # (of the zero seed and of a charge-conjugation eigenspinor)
     ["make", "weyl", "--phi", "1,x"],
     ["make", "elko", "--p", "0,x,1", "--m", "1"],
     ["make", "weyl", "--phi", "1"],
@@ -69,6 +70,8 @@ MAKE_ERRORS = [  # make runs that exit 1: a bad number, a wrong count, a missing
     ["make", "weyl", "--phi", "1e200,0"],
     ["make", "dirac", "--phi", "0,0"],
     ["make", "dirac", "--phi", "0,0", "--delta", "1"],
+    ["make", "majorana", "--xi", "0,0,0,0"],
+    ["make", "majorana", "--xi", "0,1j,1,0"],
 ]
 
 

@@ -72,6 +72,8 @@ one_line_exit_1 spinorlab make elko --output /dev/full
 one_line_exit_1 spinorlab make weyl --phi 1,x
 # a Dirac spinor on the zero 2-spinor would be the zero spinor: refused as a Weyl one is
 one_line_exit_1 spinorlab make dirac --phi 0,0
+# a Majorana part that is the zero spinor, here of the zero seed: the same
+one_line_exit_1 spinorlab make majorana --xi 0,0,0,0
 one_line_exit_1 bash -c 'spinorlab make elko > /dev/full'
 one_line_exit_1 spinorlab hopf - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": NaN}'
 # an empty CSV cell before a filled one: the same, and no cells shift left; a trailing comma reads

@@ -34,10 +34,11 @@ first record leaves once one row is computed; each later chunk is one range.
 Exit codes: 0 on success, 1 for I/O or parse errors (non-finite components,
 component entries that are not JSON numbers, |psi| outside ~1.2e-77..3.4e38,
 a ``--tol`` that is not a finite number above 0, ``make`` parameters its
-builders refuse and ``make`` spinors outside that range included; input that
-is not UTF-8, a ``label`` that holds NaN or an infinity, which JSON output
-cannot carry, a closed stdin or stdout, and output that cannot be written), 2
-when a classify or hopf record carries an error or a verify suite fails.
+builders refuse and ``make`` spinors outside that range or zero included;
+input that is not UTF-8, a ``label`` that holds NaN or an infinity, which JSON
+output cannot carry, a closed stdin or stdout, and output that cannot be
+written), 2 when a classify or hopf record carries an error or a verify suite
+fails.
 map-check notes null and singular spinors and exits 0.  A malformed record
 exits 1 after the records of the chunks before it have been written.  With
 stderr closed at start an error writes no message, to stderr or stdout, and
@@ -132,20 +133,16 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _check_norm(values: list[float], where: str) -> None:
-    """Refuse finite re/im parts whose spinor norm is outside what the record subcommands accept."""
+def _spinor_parts(values: list[float], where: str,
+                  non_finite: str = "non-finite component entry") -> list[float]:
+    """The eight re/im parts of an input line or row or a ``make`` record, if finite and in range."""
+    if not all(map(math.isfinite, values)):
+        raise CliInputError(f"{where}: {non_finite}")
     norm = math.hypot(*values)  # no over- or underflow
     if norm > _MAX_NORM:
         raise CliInputError(f"{where}: spinor norm above {_MAX_NORM:.3g} is out of range")
     if 0.0 < norm < _MIN_NORM:
         raise CliInputError(f"{where}: nonzero spinor norm below {_MIN_NORM:.3g} is out of range")
-
-
-def _finite(values: list[float], where: str) -> list[float]:
-    """A document's eight re/im parts, once they are finite and their norm is in range."""
-    if not all(map(math.isfinite, values)):
-        raise CliInputError(f"{where}: non-finite component entry")
-    _check_norm(values, where)
     return values
 
 
@@ -167,7 +164,7 @@ def _components_from_pairs(pairs, where: str) -> list[float]:
             values += (float(re), float(im))
         except OverflowError:  # an integer past the double range is non-finite, as 1e400 is
             values += (math.inf if isinstance(x, int) else float(x) for x in pair)
-    return _finite(values, where)
+    return _spinor_parts(values, where)
 
 
 def _input_lines(path: str):
@@ -328,7 +325,7 @@ def _read_csv(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[flo
                 raise CliInputError(
                     f"row {rowno}: need 8 real columns (re/im interleaved), got {len(values)}"
                 )
-            yield _finite(values, f"row {rowno}"), default_rep, None
+            yield _spinor_parts(values, f"row {rowno}"), default_rep, None
     except csv.Error as exc:  # a cell past csv's field size limit, or a NUL before Python 3.11
         raise CliInputError(f"row {rowno + 1}: {exc}") from exc
 
@@ -528,10 +525,6 @@ def _map_check_row(rec: dict) -> str:
 
 
 def cmd_make(args) -> int:
-    for name in ("m", "delta"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise CliInputError(f"--{name} must be finite, got {value}")
     from .make import make_records
 
     try:
@@ -540,10 +533,10 @@ def cmd_make(args) -> int:
     except ValueError as exc:  # a parameter that cannot be read, or a builder's own check
         raise CliInputError(str(exc)) from exc
     for record in records:  # each family builds all its spinors before the first is checked
-        values = [x for pair in record["components"] for x in pair]
-        if not all(map(math.isfinite, values)):
-            raise CliInputError(f"{record['label']}: the parameters give non-finite components")
-        _check_norm(values, record["label"])
+        where, values = record["label"], [x for pair in record["components"] for x in pair]
+        # the zero spinor passes the input rule; here it is a Majorana part of a C-eigenspinor
+        if not any(_spinor_parts(values, where, "the parameters give non-finite components")):
+            raise CliInputError(f"{where}: the parameters give the zero spinor")
     with _output(args.output) as out:
         _emit([json.dumps(record) for record in records], out)
     return 0

@@ -5,9 +5,10 @@
 ``spinorlab.flagdipole`` for ``flagdipole``, and returns one record dict per
 spinor, in output order: ``components`` as [re, im] pairs, ``rep``,
 ``label``, and ``momentum`` and ``mass`` where the family has them.
-Parameters it cannot use raise ``ValueError`` with the message the command
-prints.  It does not check the records: the CLI refuses a record whose
-components are not finite or whose norm the record subcommands would refuse.
+It checks every parameter, ``--m`` and ``--delta`` included: one it cannot
+use raises ``ValueError`` with the message the command prints.  It does not
+check the records: the CLI checks each one with the rule its input lines
+pass (finite components, norm in range) and refuses a zero record.
 
 The CLI imports this module only for ``make``, so no other subcommand
 compiles it or loads ``cmath``.  It imports nothing from the CLI, which may
@@ -68,6 +69,10 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
 
 def make_records(args) -> list[dict]:
     """The records of the family ``args.family``, one per spinor it builds."""
+    for name in ("m", "delta"):  # argparse reads them as floats, "inf" and "nan" included
+        value = getattr(args, name)
+        if value is not None and not cmath.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
     records: list[dict] = []
 
     def add(spinor: SpinorC4, label: str, momentum=None, mass=None) -> None:

@@ -48,6 +48,7 @@ from spinorlab.bilinears import (
     generalized_fierz_array,
     reconstruct_array,
 )
+from spinorlab.classify import magnitude_array
 from spinorlab.cli import _MAX_NORM, _MIN_NORM
 from spinorlab.gamma import REP_TAGS
 
@@ -427,14 +428,19 @@ _GAMMA_8 = 8 * _U / (1 - 8 * _U)
 _ETA = Fraction(1, 2**1074)
 
 
+def exact_covariants_and_bounds(components, rep):
+    """The sixteen exact covariants of one spinor, and the bound above on each one's rounding."""
+    parts = [x for z in map(complex, components) for x in (z.real, z.imag)]
+    spread = (sum(map(abs, map(Fraction, parts))) + 8) * _ETA
+    bounds = [_GAMMA_8 * b + spread for b in covariant_product_sums(components, rep)]
+    return exact_covariants(components, rep), bounds, parts
+
+
 def assert_covariants_within_the_rounding_bound(rows, rep):
     """Each covariant of each row within the bound above of its exact value; exact on small integers."""
     got = covariant_array(np.array(rows, dtype=complex).reshape(-1, 4), rep).tolist()
     for components, values in zip(rows, got):
-        parts = [x for z in map(complex, components) for x in (z.real, z.imag)]
-        exact = exact_covariants(components, rep)
-        spread = (sum(map(abs, map(Fraction, parts))) + 8) * _ETA
-        bounds = [_GAMMA_8 * b + spread for b in covariant_product_sums(components, rep)]
+        exact, bounds, parts = exact_covariants_and_bounds(components, rep)
         if all(x.is_integer() and abs(x) < 2**20 for x in parts):
             bounds = [0] * 16
         for n, (value, m, bound) in enumerate(zip(values, exact, bounds)):
@@ -487,3 +493,78 @@ def test_a_form_entry_one_ulp_off_fails_the_rounding_test(monkeypatch):
             mp.setitem(module._MATRICES, rep, (moved, ops))
             with pytest.raises(AssertionError):
                 assert_covariants_within_the_rounding_bound(_corpus_slice_and_small_integers()[rep], rep)
+
+
+# ---- the magnitudes' rounding ------------------------------------------------
+
+# magnitude_array's |J|, |K| and |S| columns are fl(sqrt(vecdot(y, y))) over the k = 4, 4 and 6
+# covariants x of the column, computed as x^ and scaled by the power of two s that brings J^0
+# into [0.5, 1).  The bound on |m - s ||x|||, with beta_i the covariant bound above:
+# - ||x^|| - ||x|| <= ||x^ - x|| <= sum beta_i.  Scaling by s rounds only a result that
+#   underflows, by at most eta/2, so y = fl(s x^) has D = ||y - s x|| <= s sum beta_i + k eta/2,
+#   and ||y|| <= s ||x|| + D.
+# - vecdot of k squares (Higham 2002, section 3.1, with underflow): t = ||y||^2 (1 + theta) + d
+#   with |theta| <= gamma_k and |d| <= k eta, so |sqrt(t) - ||y||| <= gamma_k ||y|| + sqrt(k eta),
+#   since |sqrt(1 + theta) - 1| <= |theta| and |sqrt(a + d) - sqrt(a)| <= sqrt(|d|).
+# - sqrt rounds once: |m - sqrt(t)| <= u sqrt(t) <= u ((1 + gamma_k) ||y|| + sqrt(k eta)).
+# Summed, with c = gamma_k + u (1 + gamma_k) (about (k + 1) u: 3.5 eps for S) and
+# sqrt(k eta) <= 3 * 2^-537 = r:
+#     |m - s ||x||| <= c s ||x|| + a,   a = (1 + c) D + (1 + u) r.
+# ||x|| is irrational in general, so the test squares the equivalent
+#     (m - a) / (1 + c) <= s ||x|| <= (m + a) / (1 - c)
+# and compares in Fraction arithmetic against s^2 sum x_i^2.
+_MAGNITUDE_COLUMNS = {1: slice(1, 5), 4: slice(11, 15), 5: slice(5, 11)}  # |J|, |K|, |S|
+_R = 3 * Fraction(1, 2**537)
+
+
+def assert_magnitudes_within_the_rounding_bound(rows, rep, kernel=magnitude_array):
+    """|J|, |K| and |S| of each row within the bound above of the exact norms, scaled by s."""
+    cov = covariant_array(np.array(rows, dtype=complex).reshape(-1, 4), rep)
+    for components, row, values in zip(rows, cov.tolist(), kernel(cov).tolist()):
+        exact, bounds, _ = exact_covariants_and_bounds(components, rep)
+        s = Fraction(2) ** -math.frexp(row[1])[1]
+        for column, part in _MAGNITUDE_COLUMNS.items():
+            k = part.stop - part.start
+            gamma = k * _U / (1 - k * _U)
+            c = gamma + _U * (1 + gamma)
+            a = (1 + c) * (s * sum(bounds[part]) + k * _ETA / 2) + (1 + _U) * _R
+            m, square = Fraction(values[column]), s * s * sum(x * x for x in exact[part])
+            assert square <= ((m + a) / (1 - c)) ** 2, (rep, list(components), column, float(m))
+            assert m <= a or ((m - a) / (1 + c)) ** 2 <= square, (rep, list(components), column, float(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       k=st.integers(-256, 128), rep=st.sampled_from(REP_TAGS))
+def test_each_magnitude_is_within_its_rounding_bound_across_the_accepted_norm_range(parts, k, rep):
+    values = [math.ldexp(x, k) for x in parts]  # subnormal parts included
+    assume(_MIN_NORM <= math.hypot(*values) <= _MAX_NORM)
+    assert_magnitudes_within_the_rounding_bound([np.array(values).view(complex)], rep)
+
+
+def test_each_magnitude_of_the_seed_0_corpus_is_within_its_rounding_bound():
+    for rep, block in _corpus_slice_and_small_integers().items():
+        assert_magnitudes_within_the_rounding_bound(block, rep)
+
+
+# near-Weyl rows in the chiral representation: S pairs the two chiral blocks, so it is about
+# 1e-6 J^0 and its bound beta_i is as small; at |psi| = 2^-250 the squares of its entries are
+# subnormal unless the row is scaled first.  (In the standard representation such an S is a
+# cancellation, with beta_i near eps J^0, which covers that loss.)
+_NEAR_WEYL_ROWS = [[0.7, 0.3j, 3e-7, 1e-7j], [3e-7, 1e-7j, 0.7, 0.3j], [0.6 + 0.2j, -0.3j, 3e-7, 2e-7 + 1e-7j]]
+
+
+def test_magnitudes_without_the_row_scaling_fail_the_rounding_test_for_small_psi(monkeypatch):
+    """Fault row: magnitude_array with its np.ldexp the identity, its columns then scaled by s."""
+    def unscaled(cov):
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "ldexp", lambda x, _: np.array(x, dtype=float))
+            out = magnitude_array(cov)
+        return np.ldexp(out, -np.frexp(cov[:, 1:2])[1])
+
+    small = [[math.ldexp(1.0, -250) * z for z in row] for row in _NEAR_WEYL_ROWS]
+    assert_magnitudes_within_the_rounding_bound(small, "chiral")
+    assert_magnitudes_within_the_rounding_bound(_NEAR_WEYL_ROWS, "chiral", unscaled)  # squares stay normal
+    for row in small:
+        with pytest.raises(AssertionError):
+            assert_magnitudes_within_the_rounding_bound([row], "chiral", unscaled)

@@ -211,6 +211,11 @@ def test_make_majorana_emits_both_parts(capsys):
     assert code == 0
     labels = [json.loads(line)["label"] for line in out.splitlines()]
     assert labels == ["majorana:+", "majorana:-"]
+    # a charge-conjugation eigenspinor has one nonzero part, which --part writes alone
+    for seed, part, label in (("0,1j,1,0", "plus", "majorana:+"), ("0,-1j,1,0", "minus", "majorana:-")):
+        code, out, err = run(["make", "majorana", "--xi", seed, "--part", part], capsys)
+        assert (code, err, len(out.splitlines())) == (0, "", 1)
+        assert json.loads(out)["label"] == label
 
 
 def test_make_flagdipole_requires_a_direction(capsys):
@@ -972,6 +977,18 @@ def test_an_unusable_tol_is_malformed_input(capsys, monkeypatch, command, tol):
     (["elko", "--alpha", "1e300", "--beta", "1e300"],
      "elko:self:rest: spinor norm above 3.4e+38 is out of range"),
     (["weyl", "--phi", "1e-100,0"], "weyl:left: nonzero spinor norm below 1.22e-77 is out of range"),
+    # the zero seed, and seeds that charge conjugation maps to plus or minus themselves
+    (["majorana", "--xi", "0,0,0,0"], "majorana:+: the parameters give the zero spinor"),
+    (["majorana", "--xi", "0,1j,1,0"], "majorana:-: the parameters give the zero spinor"),
+    (["majorana", "--xi", "0,-1j,1,0"], "majorana:+: the parameters give the zero spinor"),
+    (["weyl", "--phi", "1,2x"], "cannot parse complex number from '2x'"),
+    (["weyl", "--phi", "1,0,0"], "--phi needs 2 comma-separated values, got 3"),
+    (["elko", "--p", "0,1", "--m", "1"], "--p needs 3 comma-separated values, got 2"),
+    (["elko", "--p", "0,x,1", "--m", "1"], "cannot parse --p from '0,x,1'"),
+    (["elko", "--p", "0,0,1"], "--m is required when --p is nonzero"),
+    # --m and --delta are checked before any other parameter is read
+    (["elko", "--p", "0,x,1", "--m", "inf"], "--m must be finite, got inf"),
+    (["dirac", "--phi", "x", "--delta", "nan"], "--delta must be finite, got nan"),
 ])
 def test_make_rejects_bad_parameters_as_malformed_input(capsys, argv, message):
     code, out, err = run(["make", *argv], capsys)
@@ -1039,8 +1056,15 @@ SHORT_LINE = '{"components": [[1, 0], [0, 0]]}'
     ({11: '{"components": [[1, "x"], 5, [0, 0], [0, 0]]}'}, "line 11: non-numeric component entry"),
     ({10: "1e39,0,0,0,0,0,0,0", 11: "1,0,0"},
      f"row 10: spinor norm above {MAX_NORM:.3g} is out of range"),
+    ({10: '{"components": [[1, 0], [0, 0, 0], [0, 0], [0, 0]]}', 11: NAN_LINE},
+     "line 10: each component must be a [re, im] pair"),
+    ({10: '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "rep": "weyl"}', 11: SHORT_LINE},
+     "line 10: unknown representation 'weyl'"),
+    ({10: "0" * 131073 + ",0,0,0,0,0,0,0", 11: "1,0,0"},
+     "row 10: field larger than field limit (131072)"),
 ], ids=["non-finite-then-structure", "structure-then-non-finite", "pair-values-before-next-shape",
-        "csv-norm-then-short-row"])
+        "csv-norm-then-short-row", "pair-shape-then-non-finite", "unknown-rep-then-structure",
+        "csv-cell-past-the-field-limit-then-short-row"])
 def test_the_first_bad_document_in_input_order_is_the_one_reported(capsys, monkeypatch, command,
                                                                    bad, message):
     monkeypatch.setattr(cli, "_CHUNK", 4)  # lines 9-12 are the third chunk
@@ -1421,6 +1445,9 @@ PROBES = {  # argv ({file} is the input written to a file, - is stdin, a last ">
     "overflowing-label-in-a-list": (["map-check", "-"], ONE.replace(b"}", b', "label": {"a": [1, -1e400]}}'),
                                     "line 1: non-finite number in 'label'"),
     "stdin-closed": (["classify", "-", "<&-"], ONE, "cannot read stdin: it is closed"),
+    "input-file-missing": (["hopf", "no-such-input.jsonl"], b"",
+                           "cannot read no-such-input.jsonl: [Errno 2] No such file or directory: "
+                           "'no-such-input.jsonl'"),
     "stdout-closed": (["make", "elko", ">&-"], b"", "cannot write stdout: it is closed"),
     "stdout-closed-after-a-chunk": (["map-check", "{file}", ">&-"], ONE, "cannot write stdout: it is closed"),
 }
