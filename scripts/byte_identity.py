@@ -7,11 +7,11 @@ Runs ``python -m spinorlab.cli`` with PYTHONPATH set to each tree: ``classify``,
 ``map-check`` and ``hopf`` on the seed 0-3 ``perfbench/corpus.py`` corpora and
 ``map_check_decades()`` (JSON-lines from a file and stdin, CSV with a header
 and without; each plain, ``--table``, ``--rep standard``, ``--tol`` 1e-10, 1e-3,
-1e-16, 1e-20 and 0.5), CSV with leading blank lines, the seed-1 corpus with a
-malformed ``{`` line in and just past the first chunk, the ``verify`` suites at
-seeds 1-3 and at ``--samples`` 1 and 65 as JSON and table, the README
-``make`` pipelines, and ``make`` runs that end in each error its parameters
-can raise.  Inputs are built once, with PARENT_SRC.  It prints each run whose
+1e-16, 1e-20, 0.5 and 0.9, where flagpoles read K = S = 0), CSV with leading
+blank lines, the seed-1 corpus with a malformed ``{`` line in and just past the
+first chunk, the ``verify`` suites at seeds 1-3 and at ``--samples`` 1 and 65
+as JSON and table, the README ``make`` pipelines, and ``make`` runs that end in
+each error its parameters can raise.  Inputs are built once, with PARENT_SRC.  It prints each run whose
 exit codes, stdout SHA-256 or stderr differ, and exits 1 if any does.
 Standard library only.
 """
@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 HEADER = "re1,im1,re2,im2,re3,im3,re4,im4\n"
 OPTIONS = [[], ["--table"], ["--rep", "standard"], ["--tol", "1e-10"], ["--tol", "1e-3"],
-           ["--tol", "1e-16"], ["--tol", "1e-20"], ["--tol", "0.5"]]
+           ["--tol", "1e-16"], ["--tol", "1e-20"], ["--tol", "0.5"], ["--tol", "0.9"]]
 BUILD = """
 import json, corpus, conftest
 texts = {f"seed-{seed}": corpus.make_corpus(seed, 2000).text for seed in range(4)}

@@ -27,6 +27,9 @@ test "$(echo "$out" | wc -l)" -eq 1
 out=$(spinorlab make flagdipole --u 0.3,0.4,0.866025403784 | spinorlab map-check -)
 test -n "$out"
 test "$(echo "$out" | wc -l)" -eq 1
+# map-check gives a singular spinor no verdict, notes its class and exits 0: a flag-dipole, a Weyl spinor
+test "$(echo "$out" | grep -c '"mappability": null, "note": "spinor is class 4; mapping conditions apply to classes 1-3"')" -eq 1
+test "$(spinorlab make weyl --phi 1,0 | spinorlab map-check - | grep -c '"mappability": null, "note": "spinor is class 6; mapping conditions apply to classes 1-3"')" -eq 1
 out=$(spinorlab make elko | spinorlab hopf -)
 test -n "$out"
 test "$(echo "$out" | wc -l)" -eq 1

@@ -24,7 +24,9 @@ record's representation and head, and the parsed rows are dropped.  They
 share one path, ``_run_records``: it computes a chunk in row ranges, groups
 each range by representation, calls the subcommand's block function
 (``_classification_block``, ``_hopf_block``, ``_map_check_block``) once per
-representation present, which yields one dict of fields per row, and then,
+representation present, which yields one dict of fields per row (map-check
+classifies the block at once and sends only its rows of classes 1-3 to
+``mappability``), and then,
 in input order, fills each record after its head, makes its line and drops
 the record, so a record lives only until its line is made.  The range's
 lines are written together.  The first chunk is read and checked whole,
@@ -69,16 +71,9 @@ import numpy as np
 from . import __version__
 # ``bilinears`` is not called here; perfbench's tracer checks that it wraps this binding
 from .bilinears import SpinorC4, aggregate_residual_array, bilinears, covariant_array, fierz_array
-from .classify import (
-    _FIELDS,
-    _REFUSALS,
-    BilinearInconsistencyError,
-    NullSpinorError,
-    lounesto_rule,
-    magnitude_array,
-)
+from .classify import _FIELDS, _REFUSALS, lounesto_rule, magnitude_array
 from .gamma import REP_TAGS
-from .mapping import SingularSpinorError, elko_map_conditions, mappability
+from .mapping import _refusal, elko_map_conditions, mappability
 
 # largest accepted |psi|: the record code goes up to its eighth power
 _MAX_NORM = np.finfo(float).max ** 0.125
@@ -386,7 +381,8 @@ def _run_records(args, block_fn, table_row, header=None) -> int:
     range holds its filled records; its lines are written and flushed
     before the next range is computed.  ``_classification_block`` builds
     each dict only when it is taken.  ``_map_check_block`` returns a list:
-    its work is per row, and building a row's dict at write time was slower.
+    it classifies its block at once, but its mapping conditions are
+    evaluated per row, and building a row's dict at write time was slower.
     """
     lines = [header] if args.table and header else []
     failed = False
@@ -492,9 +488,17 @@ def _hopf_row(rec: dict) -> str:
 
 
 def _map_check_block(components: np.ndarray, rep: str, tol: float) -> list[dict]:
-    """Mapping reports of one representation block, one spinor at a time."""
+    """Mapping reports of one representation block, its rows classified once as a block.
+
+    The kernels and the rule run once on all the rows, and each row's label
+    is ``mappability``'s one-row label bit for bit.  Each row's conditions
+    are then evaluated on its own.  A row labelled 1-3 takes its verdicts
+    from ``mappability``; any other row gets none, and the message of its
+    ``_refusal`` as its note.
+    """
+    labels, _, _, nulls = lounesto_rule(magnitude_array(covariant_array(components, rep)).T, tol)
     records = []
-    for row in components:
+    for row, label, null in zip(components, labels.tolist(), nulls.tolist()):
         spinor = SpinorC4(row, rep)
         report = elko_map_conditions(spinor)
         fields = {
@@ -504,12 +508,12 @@ def _map_check_block(components: np.ndarray, rep: str, tol: float) -> list[dict]
             "route_disagreement": report.route_disagreement(),
             "line3_vs_class3_gap": report.line3_vs_class3_gap,
         }
-        try:
+        if label in (1, 2, 3):
             # json.dumps writes the int keys 1, 2 and 3 as "1", "2" and "3"
             fields["mappability"] = mappability(spinor, tol)
-        except (SingularSpinorError, NullSpinorError, BilinearInconsistencyError) as exc:
+        else:
             fields["mappability"] = None
-            fields["note"] = str(exc)
+            fields["note"] = str(_refusal(label, null))
         records.append(fields)
     return records
 

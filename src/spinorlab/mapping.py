@@ -32,7 +32,7 @@ import numpy as np
 
 # ``bilinears`` is not called here; perfbench's tracer checks that it wraps this binding
 from .bilinears import SpinorC4, bilinears, covariant_array
-from .classify import lounesto_class, magnitude_array
+from .classify import _REFUSALS, lounesto_rule, magnitude_array
 
 
 class SingularSpinorError(ValueError):
@@ -41,6 +41,20 @@ class SingularSpinorError(ValueError):
 
 # the extra conditions each regular class adds to the shared block
 _EXTRAS = {1: ("extra_class2", "extra_class3"), 2: ("extra_class2",), 3: ("extra_class3",)}
+
+
+def _refusal(label: int, null: bool) -> ValueError:
+    """Why a row of a ``lounesto_rule`` label outside 1-3 has no mappability verdict.
+
+    Label 0 gets its ``classify._REFUSALS`` error (the zero spinor when
+    ``null``, else the unrealizable K = S = 0 pattern); labels 4-6 get a
+    SingularSpinorError.  ``mappability`` raises it; ``map-check`` writes its
+    message as the row's note.
+    """
+    if not label:
+        error, _, message = _REFUSALS[null]
+        return error(message)
+    return SingularSpinorError(f"spinor is class {label}; mapping conditions apply to classes 1-3")
 
 
 def condition_routes(a, b) -> tuple[list, list]:
@@ -163,15 +177,15 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
 def mappability(psi: SpinorC4, tol: float = 1e-10) -> dict:
     """Per-class mappability verdicts for a regular spinor.
 
-    Returns ``{"class": label, 1: bool, 2: bool, 3: bool}``.  Raises
-    SingularSpinorError when the spinor is singular (classes 4-6), where the
-    conditions do not apply.
+    Returns ``{"class": label, 1: bool, 2: bool, 3: bool}``.  A spinor
+    without a regular class raises its ``_refusal``: SingularSpinorError for
+    classes 4-6, NullSpinorError or BilinearInconsistencyError for no class.
+    ``map-check`` calls it only on rows its block labels 1-3, and writes the
+    refusal's message for the rest.
     """
     # the classify kernels on one row: the values and decision rule of classify(bilinears(psi))
     magnitudes = magnitude_array(covariant_array(psi.components[None], psi.rep))[0]
-    label = lounesto_class(magnitudes.tolist(), tol).label
+    label, _, _, null = lounesto_rule(magnitudes.tolist(), tol)
     if label not in _EXTRAS:
-        raise SingularSpinorError(
-            f"spinor is class {label}; mapping conditions apply to classes 1-3"
-        )
+        raise _refusal(label, null)
     return {"class": label, **elko_map_conditions(psi)._verdicts(tol)}

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_spinor
+from conftest import class_spinor, random_spinor
 from oracles import scalar_elko_map_conditions
 from spinorlab import (
+    BilinearInconsistencyError,
+    NullSpinorError,
     SingularSpinorError,
     SpinorC4,
     bilinears,
@@ -95,9 +97,21 @@ def test_random_spinors_essentially_never_satisfy_the_conditions():
     assert passes / total < 0.01
 
 
-def test_singular_spinors_are_rejected():
-    with pytest.raises(SingularSpinorError, match="class 5"):
-        mappability(elko_quartet()[0].spinor)
+@pytest.mark.parametrize("case", ["zero", "flagpole-at-tol-0.9", 4, 5, 6])
+def test_mappability_refuses_each_row_without_a_regular_class(case):
+    if case == "zero":
+        psi, tol = SpinorC4(np.zeros(4, dtype=complex), "chiral"), 1e-10
+        error, message = NullSpinorError, "all bilinear covariants vanish; cannot classify the zero spinor"
+    elif case == "flagpole-at-tol-0.9":  # |S| falls under the tolerance too: K = S = 0
+        psi, tol = elko_quartet()[0].spinor, 0.9
+        error = BilinearInconsistencyError
+        message = "sigma = omega = 0 with K = S = 0 but J != 0: no spinor produces this pattern"
+    else:
+        psi, tol = class_spinor(np.random.default_rng(5), case), 1e-10
+        error, message = SingularSpinorError, f"spinor is class {case}; mapping conditions apply to classes 1-3"
+    with pytest.raises(ValueError) as caught:
+        mappability(psi, tol)
+    assert (caught.type, str(caught.value)) == (error, message)
 
 
 def test_report_shape_and_scale():
