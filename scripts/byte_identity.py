@@ -8,12 +8,14 @@ Runs ``python -m spinorlab.cli`` with PYTHONPATH set to each tree: ``classify``,
 ``map_check_decades()`` (JSON-lines from a file and stdin, CSV with a header
 and without; each plain, ``--table``, ``--rep standard``, ``--tol`` 1e-10, 1e-3,
 1e-16, 1e-20, 0.5 and 0.9, where flagpoles read K = S = 0), CSV with leading
-blank lines, the seed-1 corpus with a malformed ``{`` line in and just past the
-first chunk, the ``verify`` suites at seeds 1-3 and at ``--samples`` 1 and 65
-as JSON and table, the README ``make`` pipelines, and ``make`` runs that end in
-each error its parameters can raise.  Inputs are built once, with PARENT_SRC.  It prints each run whose
-exit codes, stdout SHA-256 or stderr differ, and exits 1 if any does.
-Standard library only.
+blank lines and JSON-lines records that carry labels of every JSON kind (one
+nested 980 deep, one holding a NaN), each plain and ``--table``, the seed-1
+corpus with a malformed ``{`` line in and just past the first chunk, the
+``verify`` suites at seeds 1-3 and at ``--samples`` 1 and 65 as JSON and table,
+the README ``make`` pipelines and a sign -1 helicity ELKO, and ``make`` runs
+that end in each error its parameters can raise: 642 runs.  Inputs are built
+once, with PARENT_SRC.  It prints each run whose exit codes, stdout SHA-256 or
+stderr differ, and exits 1 if any does.  Standard library only.
 """
 
 import hashlib
@@ -38,10 +40,19 @@ csv = {k: "".join(",".join(repr(x) for re_im in json.loads(line)["components"] f
                   for line in text.splitlines()) for k, text in texts.items()}
 print(json.dumps({k: (text, csv[k]) for k, text in texts.items()}))
 """
+# labels of every JSON kind, the last nested 980 deep (the decoder refuses some 990), on a Weyl
+# and a regular spinor in turn
+LABELS = ['"elko"', "7", "null", '[1, "a", [2.5]]', '{"k": [true, null]}', "0.25",
+          "[" * 980 + "]" * 980]
+COMPONENTS = ("[[1, 0], [0, 0], [0, 0], [0, 0]]", "[[1, 0], [0, 0.5], [0.25, 0], [0, -1]]")
 EDGE = {  # CSV with leading blank lines, before a header and before a bad first data row
     "csv-blank-line-then-header": "\n" + HEADER + "1,0,0,0,0,0,0,0\n",
     "csv-two-blank-lines-then-header": "\n\n" + HEADER + "1,0,0,0,0,0,0,0\n",
     "csv-blank-line-then-bad-row": "\n1,0,x,0,0,0,0,0\n1,0,0,0,0,0,0,0\n",
+    # JSON-lines records that carry labels, and one whose label holds a NaN inside a list
+    "jsonl-labels": "".join(f'{{"components": {COMPONENTS[k % 2]}, "label": {label}}}\n'
+                            for k, label in enumerate(LABELS)),
+    "jsonl-nan-in-list-label": f'{{"components": {COMPONENTS[0]}, "label": [1, NaN]}}\n',
 }
 # 1-based lines of the seed-1 corpus that read "{": inside the first 256-record chunk, at its
 # last line, and in the second chunk; a record written before the first chunk was read whole
@@ -53,6 +64,9 @@ PIPELINES = [  # the README's make examples, each stage's stdout the next one's 
     [["make", "dirac", "--phi", "1,0", "--p", "0.3,-0.2,0.5", "--m", "1.3", "--delta", "0.7"]],
     [["make", "flagdipole", "--u", "0.3,0.4,0.866025403784"]],
     [["make", "elko"], ["hopf", "-"]],
+    # the sign -1 helicity spinor, which no README example builds
+    [["make", "elko", "--p", "0.3,-0.2,0.5", "--m", "1.3", "--helicity", "-", "--conjugacy", "anti"],
+     ["classify", "-"]],
 ]
 MAKE_ERRORS = [  # make runs that exit 1: a bad number, a wrong count, a missing or extra option,
     # a non-finite parameter, a build that overflows, a spinor past the accepted norm, a Dirac
@@ -91,7 +105,8 @@ def runs(texts: dict, tmp: Path):
                            [[command, source, *options]], "" if from_file else data)
     for name, data in EDGE.items():
         for command in ("classify", "map-check", "hopf"):
-            yield f"{command} {name}", [[command, "-"]], data
+            for options in ([], ["--table"]):
+                yield f"{command} {name} {' '.join(options)}", [[command, "-", *options]], data
     lines = texts["seed-1"][0].splitlines(True)
     for lineno in BAD_LINES:
         data = "".join(lines[:lineno - 1] + ["{\n"] + lines[lineno:])

@@ -131,10 +131,15 @@ for suite in fierz hopf projectors mapping; do
   cmp "$tmp/first-$suite.jsonl" "$tmp/second-$suite.jsonl"
 done
 
-# no verify suite loads numpy.random: the suites draw from a seeded standard-library stream
-for suite in fierz hopf projectors mapping; do
-  python -X importtime -m spinorlab.cli verify "$suite" --samples 10 2> "$tmp/verify-$suite-imports.txt" > /dev/null
+# no verify suite loads numpy.random: the suites draw from a seeded standard-library stream;
+# at 10 samples each exits 0 and prints one passing JSON line per check
+for suite_checks in fierz:4 hopf:3 projectors:7 mapping:3; do
+  suite=${suite_checks%:*}
+  python -X importtime -m spinorlab.cli verify "$suite" --samples 10 --json \
+    2> "$tmp/verify-$suite-imports.txt" > "$tmp/verify-$suite.jsonl"
   test "$(grep -cE '[|] +numpy[.]random([.].*)?$' "$tmp/verify-$suite-imports.txt")" -eq 0
+  test "$(wc -l < "$tmp/verify-$suite.jsonl")" -eq "${suite_checks#*:}"
+  test "$(grep -c '"pass": true' "$tmp/verify-$suite.jsonl")" -eq "${suite_checks#*:}"
 done
 # the sources compile on the declared Python floor, where that interpreter runs
 # (a pyenv shim without a selected 3.10 is on PATH but does not)

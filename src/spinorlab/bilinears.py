@@ -158,7 +158,7 @@ def covariant_array(components, rep: str = "chiral") -> np.ndarray:
     is rounding only, and it is dropped.
     """
     v = _components(components)
-    forms = _MATRICES[rep][0]
+    forms = _MATRICES[gamma_rep(rep).tag][0]  # an unknown tag raises gamma_rep's ValueError
     # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
     # so each value is bit for bit the one-form-at-a-time result (einsum is not)
     z = np.vecdot(v[:, None, :], (forms @ v[:, None, :, None])[..., 0])

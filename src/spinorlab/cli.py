@@ -191,20 +191,6 @@ def _check_utf8(text: str, where: str) -> None:
             raise CliInputError(f"{where}: invalid UTF-8") from None
 
 
-def _non_finite(value) -> bool:
-    """Whether a parsed JSON value holds NaN or an infinity anywhere, which JSON text cannot."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            stack += value.values()
-        elif isinstance(value, list):
-            stack += value
-        elif isinstance(value, float) and not math.isfinite(value):
-            return True
-    return False
-
-
 def _documents(path: str, default_rep: str) -> Iterator[Chunk]:
     """Parse the input lazily, one chunk at a time, each line checked as it is read.
 
@@ -267,6 +253,11 @@ def _decode(line: str, where: str):
         raise CliInputError(f"{where}: invalid JSON: {str(exc).partition(';')[0]}") from exc
 
 
+# json.dumps(value, allow_nan=False), one frame shallower: a label nested as deep as
+# ``_decode`` accepts still encodes
+_strict_json = json.JSONEncoder(allow_nan=False).encode
+
+
 def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[float], str, str | None]]:
     # a file splits only on newlines; splitlines also breaks at \v, \f, U+2028 and the like
     texts = (text for line in lines for text in line.splitlines())
@@ -283,9 +274,11 @@ def _read_jsonl(lines: Iterable[str], default_rep: str) -> Iterator[tuple[list[f
         if rep not in REP_TAGS:
             raise CliInputError(f"{where}: unknown representation {rep!r}")
         label = obj.get("label")
-        # NaN, Infinity and 1e400 read as floats, but JSON output cannot carry them
-        if isinstance(label, (float, list, dict)) and _non_finite(label):
-            raise CliInputError(f"{where}: non-finite number in 'label'")
+        if isinstance(label, (float, list, dict)):
+            try:  # NaN, Infinity and 1e400 read as floats, but JSON output cannot carry them
+                _strict_json(label)
+            except ValueError:
+                raise CliInputError(f"{where}: non-finite number in 'label'") from None
         yield comp, rep, label
 
 
@@ -550,29 +543,21 @@ def cmd_make(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import _suite_fierz, _suite_hopf, _suite_mapping, _suite_projectors
+    from . import verify
 
-    suites = {
-        "fierz": _suite_fierz,
-        "hopf": _suite_hopf,
-        "projectors": _suite_projectors,
-        "mapping": _suite_mapping,
-    }
-    results = suites[args.suite](args.seed, args.samples, args.tol)
-    lines = []
+    results = getattr(verify, f"_suite_{args.suite}")(args.seed, args.samples, args.tol)
+    passed = all(ok for _, _, ok in results)
     if args.table:
-        for name, value, ok in results:
-            lines.append(f"{'ok ' if ok else 'FAIL'} {name:<36} worst={value:.3e}")
-        lines.append(
-            f"{'ok' if all(r[2] for r in results) else 'FAIL'} suite={args.suite} "
-            f"samples={args.samples} seed={args.seed}"
-        )
-    else:
-        for name, value, ok in results:
-            lines.append(json.dumps({"check": name, "worst": float(value), "pass": bool(ok)}))
+        lines = [f"{'ok ' if ok else 'FAIL'} {name:<36} worst={value:.3e}"
+                 for name, value, ok in results]
+        lines.append(f"{'ok' if passed else 'FAIL'} suite={args.suite} "
+                     f"samples={args.samples} seed={args.seed}")
+    else:  # a NaN or infinite worst value is written as null, which JSON can carry
+        lines = [json.dumps({"check": name, "worst": float(value) if math.isfinite(value) else None,
+                             "pass": bool(ok)}) for name, value, ok in results]
     with _output(args.output) as out:
         _emit(lines, out)
-    return 0 if all(r[2] for r in results) else 2
+    return 0 if passed else 2
 
 
 # ---- entry -----------------------------------------------------------------

@@ -57,14 +57,8 @@ def helicity_eigenspinor(p_hat, sign: int) -> WeylC2:
     theta = float(np.arccos(np.clip(direction[2], -1.0, 1.0)))
     phi = float(np.arctan2(direction[1], direction[0]))
     half = theta / 2.0
-    if sign == 1:
-        comp = np.array(
-            [np.cos(half) * np.exp(-0.5j * phi), np.sin(half) * np.exp(0.5j * phi)]
-        )
-    else:
-        comp = np.array(
-            [-np.sin(half) * np.exp(-0.5j * phi), np.cos(half) * np.exp(0.5j * phi)]
-        )
+    upper, lower = (np.cos(half), np.sin(half)) if sign == 1 else (-np.sin(half), np.cos(half))
+    comp = np.array([upper * np.exp(-0.5j * phi), lower * np.exp(0.5j * phi)])
     return WeylC2(comp, helicity=sign, axis=direction)
 
 

@@ -48,7 +48,7 @@ from .algebra import (
 )
 from .bilinears import BilinearSet, SpinorC4, _norms
 from .gamma import gamma_rep
-from .hopf import even_to_column_array
+from .hopf import _standard_row, even_to_column_array
 
 _IDX_VEC = [BLADE_INDEX[(i,)] for i in range(4)]
 # coefficient rows: the scalars 1 and 1 + 0i, gamma_0 and e0123
@@ -330,10 +330,8 @@ def sigma_projector(psi: SpinorC4, s: Multivector, h: float, sign: int) -> Spino
     The matrices of the two signs sum to the identity exactly; each member is
     idempotent precisely when h^2 = 1 + s^2 (Minkowski square).
     """
-    if psi.rep != "standard":
-        raise ValueError("the projector dictionary is tied to the standard representation")
-    half = sigma_projector_matrix(s, h, sign)
-    return SpinorC4(half @ psi.components, "standard")
+    row = _standard_row(psi, "projector")
+    return SpinorC4(sigma_projector_matrix(s, h, sign) @ row[0], "standard")
 
 
 def projector_idempotency_residual(s: Multivector, h: float) -> float:

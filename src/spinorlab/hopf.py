@@ -397,7 +397,7 @@ def hopf_report_array(components, rep: str = "chiral") -> list[dict]:
     the block.
     """
     v = _components(components)
-    if rep != "standard":  # SpinorC4.in_rep, row by row
+    if gamma_rep(rep).tag != "standard":  # SpinorC4.in_rep, row by row; an unknown tag raises
         v = (SIMILARITY @ v[:, :, None])[..., 0]
     sigma_q, point_q = hopf_map_array(*column_to_quaternions_array(v))
     sigma_c, point_c = hopf_from_components_array(v)

@@ -127,13 +127,11 @@ class ConditionReport:
         not the rounding.
         """
         pairs = zip(self.shared.tolist(), self.shared_components.tolist())
-        shared_gaps = [abs(x - y) for x, y in pairs]
-        return max(
-            # a NaN gap is the largest, as in np.max
-            math.nan if any(map(math.isnan, shared_gaps)) else max(shared_gaps),
-            abs(self.extra_class2 - self.extra_class2_components),
-            abs(self.extra_class3 - self.extra_class3_components),
-        )
+        gaps = [abs(x - y) for x, y in pairs]
+        gaps += (abs(self.extra_class2 - self.extra_class2_components),
+                 abs(self.extra_class3 - self.extra_class3_components))
+        # a NaN gap is the largest, as in np.max
+        return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
     def _verdicts(self, tol: float) -> dict:
         """Whether the condition set selecting each regular label holds at tolerance.

@@ -2,7 +2,8 @@
 
 Each suite draws its samples from a ``_SampleStream`` of the seed it is
 given, runs them in blocks of ``_VERIFY_BLOCK`` through the array kernels, and
-returns one ``(check, worst, passed)`` triple per check, in a fixed order.  The
+returns one ``(check, worst, passed)`` triple per check, in a fixed order.  A
+NaN sample is a check's worst value, so it fails the check.  The
 CLI imports this module only for ``verify``, and each suite imports the
 ``hopf`` or ``flagdipole`` kernels it runs when it runs, so ``verify fierz``
 and ``verify mapping`` load neither module and ``verify hopf`` does not load
@@ -83,6 +84,11 @@ def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _norms(a * phase[:, None] - b)
 
 
+def _worse(worst: list[float], values) -> list[float]:
+    """Each worst value raised to the largest of its new samples; a NaN sample is worst of all."""
+    return [float(np.maximum.reduce(x, axis=None, initial=w)) for w, x in zip(worst, values)]
+
+
 # samples per verify block, in every suite: the peak memory of 1,000 fierz
 # samples at once would exceed the other suites'
 _VERIFY_BLOCK = 64
@@ -113,8 +119,7 @@ def _suite_fierz(seed: int, samples: int, tol: float) -> list[tuple[str, float, 
                 / np.maximum(1.0, np.float_power(scale, 1.5)),
                 _phase_aligned_distances(back[ok], v[ok]) / np.maximum(1.0, _norms(v[ok])),
             )
-            # fmax: a NaN sample leaves the worst value as it was
-            worst = [float(np.fmax.reduce(x, initial=w)) for w, x in zip(worst, values)]
+            worst = _worse(worst, values)
     worst_quad, worst_matrix, worst_general, worst_recon = worst
     return [
         ("quadratic_identities", worst_quad, worst_quad < tol),
@@ -162,8 +167,7 @@ def _suite_hopf(seed: int, samples: int, tol: float) -> list[tuple[str, float, b
             np.concatenate([np.max(np.abs(point_m - point), axis=1), np.abs(sigma_m - sigma)]),
             np.concatenate([_norms(back - psi) for back in backs]),
         )
-        # fmax: a NaN sample leaves the worst value as it was
-        worst = [float(np.fmax.reduce(x, initial=w)) for w, x in zip(worst, values)]
+        worst = _worse(worst, values)
     worst_norm, worst_fiber, worst_round = worst
     return [
         ("norm_identity", worst_norm, worst_norm < tol),
@@ -228,8 +232,7 @@ def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, fl
             _norms(applied - psi) / np.maximum(1.0, _norms(psi)),
             np.array([1.0 if any(limits_missed) else 0.0]),
         )
-        # fmax: a NaN sample leaves the worst value as it was
-        worst = [float(np.fmax.reduce(x, initial=w)) for w, x in zip(worst, values)]
+        worst = _worse(worst, values)
     worst_class, worst_ratio, worst_ann, worst_idem, worst_apply, limit_fail = worst
     machine_floor = 64 * np.finfo(np.float64).eps
     return [
@@ -251,7 +254,7 @@ def _any_class_but(columns: np.ndarray, label: int) -> bool:
 
 def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:
     rng = _SampleStream(seed)
-    worst_route = 0.0
+    worst = [0.0]  # worst gap between the two routes
     passes = 0
     witness_fail = 0.0
     # no witness can see the sign inside extra_class2 = Re x + Im y (x = psi1* psi4, y = psi2* psi3):
@@ -276,10 +279,11 @@ def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float
         draw = rng.standard_normal((min(_VERIFY_BLOCK, samples - start), 2, 4))
         complex_route, component_route = condition_routes(draw[:, 0].T, draw[:, 1].T)
         routes = np.abs([complex_route[:6], component_route])
-        worst_route = float(np.fmax.reduce(np.abs(routes[0] - routes[1]), axis=None, initial=worst_route))
+        worst = _worse(worst, [np.abs(routes[0] - routes[1])])
         psi = draw[:, 0] + 1j * draw[:, 1]
         passes += int(np.sum(np.all(routes[0, :4] <= tol * np.vecdot(psi, psi).real, axis=0)))
     rate = passes / max(1, samples)
+    (worst_route,) = worst
     return [
         # the routes run the same IEEE operations: this guards their formulas, not the rounding
         ("route_agreement", worst_route, worst_route < 1e-12),

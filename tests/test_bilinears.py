@@ -51,6 +51,7 @@ from spinorlab.bilinears import (
 from spinorlab.classify import magnitude_array
 from spinorlab.cli import _MAX_NORM, _MIN_NORM
 from spinorlab.gamma import REP_TAGS
+from spinorlab.hopf import hopf_report_array
 
 
 def test_spinor_constructor_validates_input():
@@ -58,6 +59,29 @@ def test_spinor_constructor_validates_input():
         SpinorC4([1.0, 0.0])
     with pytest.raises(ValueError, match="unknown representation"):
         SpinorC4([1, 0, 0, 0], "majorana")
+
+
+_V = np.array([[1, 0.5j, -0.3, 0.2 + 0.1j]])
+_COV = covariant_array(_V)
+# every kernel that takes a representation tag, called with the tag ``rep``
+REP_KERNELS = {
+    "covariant_array": lambda rep: covariant_array(_V, rep),
+    "aggregate_residual_array": lambda rep: aggregate_residual_array(_V, _COV, rep),
+    "generalized_fierz_array": lambda rep: generalized_fierz_array(aggregate_array(_COV), _COV, rep),
+    "reconstruct_array": lambda rep: reconstruct_array(aggregate_array(_COV), _V, rep),
+    "hopf_report_array": lambda rep: hopf_report_array(_V, rep),
+}
+
+
+@pytest.mark.parametrize("kernel", list(REP_KERNELS))
+def test_every_kernel_refuses_an_unknown_representation_with_gamma_reps_text(kernel):
+    for rep in REP_TAGS:
+        REP_KERNELS[kernel](rep)
+    with pytest.raises(ValueError) as want:
+        gamma_rep("weyl")
+    with pytest.raises(ValueError) as got:
+        REP_KERNELS[kernel]("weyl")
+    assert str(got.value) == str(want.value)
 
 
 def test_rest_frame_dirac_covariants():

@@ -880,6 +880,40 @@ def test_each_verify_check_fails_on_a_fault_in_what_it_covers(suite, check, caps
     assert verdict() == (2, False)
 
 
+def _nan_in_the_first_block(mp, module, name, nan=lambda out: out * np.nan):
+    """Make ``module.name`` return ``nan`` of its values on its first call, its own values after."""
+    real = getattr(module, name)
+    calls = itertools.count()
+    mp.setattr(module, name, lambda *args: nan(real(*args)) if next(calls) == 0 else real(*args))
+
+
+# a kernel that returns NaN for one block of each suite, and the check that reads it
+NAN_FAULTS = {
+    ("fierz", "quadratic_identities"): lambda mp: _nan_in_the_first_block(mp, verify, "fierz_array"),
+    ("hopf", "norm_identity"): lambda mp: _nan_in_the_first_block(
+        mp, importlib.import_module("spinorlab.hopf"), "norm_identity_residual_array"),
+    ("projectors", "boomerang_annihilators"): lambda mp: _nan_in_the_first_block(
+        mp, importlib.import_module("spinorlab.flagdipole"), "annihilator_residual_array"),
+    ("mapping", "route_agreement"): lambda mp: _nan_in_the_first_block(
+        mp, verify, "condition_routes", lambda routes: (routes[0], [r * np.nan for r in routes[1]])),
+}
+
+
+@pytest.mark.parametrize("suite, check", list(NAN_FAULTS))
+def test_a_nan_residual_fails_its_verify_check_and_is_written_as_null(suite, check, capsys, monkeypatch):
+    def faulty_run(fmt):  # 1,000 samples: every suite runs more blocks after the faulty one
+        with monkeypatch.context() as patch:
+            NAN_FAULTS[suite, check](patch)
+            return run(["verify", suite, "--samples", "1000", "--seed", "3", fmt], capsys)
+
+    code, out, _ = faulty_run("--json")
+    records = {rec["check"]: rec for rec in map(json.loads, out.splitlines())}
+    assert code == 2 and "NaN" not in out
+    assert records[check] == {"check": check, "worst": None, "pass": False}
+    code, out, _ = faulty_run("--table")
+    assert code == 2 and f"FAIL {check:<36} worst=nan" in out.splitlines()
+
+
 @pytest.mark.parametrize("suite", ["fierz", "hopf", "projectors", "mapping"])
 def test_no_verify_suite_calls_a_numpy_solver(suite, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -1128,6 +1162,23 @@ def test_a_line_json_cannot_read_is_malformed_input_with_one_line_of_message(cap
     assert code == 1 and err.startswith(f"spinorlab: line 6: {message}") and err.count("\n") == 1
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert out == before[1] and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", ["classify", "map-check", "hopf"])
+def test_a_label_nested_as_deep_as_the_decoder_reads_is_echoed(capsys, monkeypatch, command):
+    def nested(depth):
+        return '{"components": [[1, 0], [0, 0], [0, 0], [0, 0]], "label": %s}\n' % ("[" * depth + "]" * depth)
+
+    # the deepest label the decoder reads, from the first that it refuses
+    depth = 1000
+    while (result := run_text([command, "-"], nested(depth), capsys, monkeypatch))[0] == 1:
+        assert result[2].startswith("spinorlab: line 1: invalid JSON: maximum recursion depth exceeded")
+        depth -= 1
+    code, out, _ = result
+    label = json.loads(out)["label"]
+    for _ in range(depth - 1):
+        (label,) = label
+    assert code == 0 and label == [] and depth > 900
 
 
 GOOD = '{"components": [[1, 0], [0, 0.5], [-0.3, 0], [0.2, 0.1]]}'

@@ -47,6 +47,7 @@ from spinorlab import (
     quaternions_to_column,
 )
 from spinorlab.algebra import BLADE_GRADES
+from spinorlab.flagdipole import sigma_projector
 from spinorlab.hopf import (
     column_to_even_array,
     column_to_quaternions_array,
@@ -471,3 +472,12 @@ def test_column_dictionaries_refuse_chiral_columns_with_the_scalar_text(fn, name
     with pytest.raises(ValueError) as got:
         fn(psi)
     assert str(got.value) == str(want.value) == f"the {name} dictionary is tied to the standard representation"
+
+
+@pytest.mark.parametrize("sign", [1, -1, 0])
+def test_the_half_projector_refuses_chiral_columns_with_the_dictionary_text(sign):
+    # the same rule as the column dictionaries, checked before the sign is
+    psi = SpinorC4([1, 0, 0, 0], "chiral")
+    with pytest.raises(ValueError) as got:
+        sigma_projector(psi, Multivector.scalar(0.0), 1.0, sign)
+    assert str(got.value) == "the projector dictionary is tied to the standard representation"

@@ -183,7 +183,7 @@ def test_j0_of_the_covariants_is_the_condition_scale_bit_for_bit(rep):
 
 
 def test_route_gap_and_verdicts_read_nan_as_np_max_and_np_all_do():
-    """On the report's floats, a NaN anywhere gives what the numpy reductions gave."""
+    """On the report's floats, a NaN anywhere gives what np.max over the six gaps and np.all give."""
     rng = np.random.default_rng(99)
     fields = ("shared", "extra_class2", "extra_class3", "shared_components",
               "extra_class2_components", "extra_class3_components", "scale")
@@ -199,9 +199,10 @@ def test_route_gap_and_verdicts_read_nan_as_np_max_and_np_all_do():
                 values[field] = np.nan
         report = ConditionReport(line3_vs_class3_gap=0.0, **{
             f: v if f.startswith("shared") else float(v) for f, v in values.items()})
-        gap = max(float(np.max(np.abs(report.shared - report.shared_components))),
-                  abs(report.extra_class2 - report.extra_class2_components),
-                  abs(report.extra_class3 - report.extra_class3_components))
+        # one np.max over all six gaps: a NaN in any of them is the gap
+        gap = np.max(np.abs(np.r_[report.shared - report.shared_components,
+                                  report.extra_class2 - report.extra_class2_components,
+                                  report.extra_class3 - report.extra_class3_components]))
         assert np.array_equal(report.route_disagreement(), gap, equal_nan=True)
         threshold = 1e-10 * report.scale
         shared_ok = bool(np.all(report.shared <= threshold))
