@@ -50,6 +50,19 @@ test "$(grep -cE '[|] +(csv|cmath|spinorlab[.]make)$' "$tmp/classify-imports.txt
 # verify fierz loads neither spinorlab.flagdipole nor spinorlab.hopf
 python -X importtime -m spinorlab.cli verify fierz --samples 10 2> "$tmp/verify-fierz-imports.txt" > /dev/null
 test "$(grep -cE '[|] +spinorlab[.](flagdipole|hopf)$' "$tmp/verify-fierz-imports.txt")" -eq 0
+# the console script's classify, map-check, verify fierz and verify mapping never load the
+# multivector algebra, and hopf, which makes quaternions, does
+elko=$(spinorlab make elko)
+# (a command that fails prints no count, so its test fails)
+algebra_loads() {
+  PYTHONPROFILEIMPORTTIME=1 "$@" 2> "$tmp/imports.txt" > /dev/null &&
+    grep -cE '[|] +spinorlab[.]algebra$' "$tmp/imports.txt"
+}
+test "$(algebra_loads spinorlab classify - <<< "$elko")" -eq 0
+test "$(algebra_loads spinorlab map-check - <<< "$elko")" -eq 0
+test "$(algebra_loads spinorlab verify fierz --samples 10)" -eq 0
+test "$(algebra_loads spinorlab verify mapping --samples 10)" -eq 0
+test "$(algebra_loads spinorlab hopf - <<< "$elko")" -eq 1
 # any finite nonzero direction builds; a spinor the record subcommands refuse is not built
 test "$(spinorlab make flagdipole --u 1e200,0,1e200 | spinorlab classify - | grep -c '"class": 4')" -eq 1
 code=0
@@ -83,7 +96,6 @@ one_line_exit_1 spinorlab hopf - <<< '{"components": [[1, 0], [0, 0], [0, 0], [0
 one_line_exit_1 spinorlab classify - <<< '1,,2,0,0,0,0,0,0'
 test "$(printf '1,0,0,0,0,0,0,0,\n' | spinorlab classify - | grep -c '"class": 6')" -eq 1
 # a bad line in the first chunk: the same, and no --output file, since the chunk is read whole first
-elko=$(spinorlab make elko)
 printf '%s\n%s\n{\n' "$elko" "$elko" > "$tmp/third-line-bad.jsonl"
 one_line_exit_1 spinorlab classify - --output "$tmp/x.jsonl" < "$tmp/third-line-bad.jsonl"
 test ! -e "$tmp/x.jsonl"

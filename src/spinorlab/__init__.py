@@ -10,24 +10,6 @@ hiding inside the even subalgebra.
 
 from importlib import import_module as _import_module
 
-from .algebra import (
-    BLADE_NAMES,
-    E0,
-    E1,
-    E2,
-    E3,
-    GRADE_2_PAIRS,
-    METRIC_SIGNS,
-    PSEUDOSCALAR,
-    QUAT_I,
-    QUAT_J,
-    QUAT_K,
-    Multivector,
-    Quaternion,
-    basis_vectors,
-    lcontract,
-    wedge,
-)
 from .bilinears import (
     BilinearSet,
     DegenerateProbeError,
@@ -64,11 +46,22 @@ from .mapping import (
 
 __version__ = "0.1.0"
 
-# exported names served on first use, each from its submodule, so that the
-# record subcommands other than ``hopf`` run without these three modules; the
-# rest stay eager, as every subcommand loads them (and the functions
-# ``bilinears`` and ``classify`` must shadow their submodules from the start)
+# exported names served on first use, each from its submodule, so that
+# ``import spinorlab`` loads none of ``algebra``, ``elko``, ``flagdipole`` and
+# ``hopf``: ``classify``, ``map-check``, ``verify fierz`` and ``verify mapping`` run
+# without all four, ``hopf`` and ``verify hopf`` load ``hopf`` and ``algebra``, and
+# ``verify projectors`` and ``make flagdipole`` ``flagdipole`` as well.  The module
+# ``algebra`` is served too, as the package held it when it loaded every module; the
+# blade tables it re-exports come from ``blades``, which loads with the package.  The
+# rest stay eager, as every subcommand loads them (and the functions ``bilinears``
+# and ``classify`` must shadow their submodules from the start)
 _LAZY = {
+    "algebra": "algebra",
+    **dict.fromkeys(("BLADE_NAMES", "GRADE_2_PAIRS", "METRIC_SIGNS"), "blades"),
+    **dict.fromkeys((
+        "E0", "E1", "E2", "E3", "PSEUDOSCALAR", "QUAT_I", "QUAT_J", "QUAT_K", "Multivector",
+        "Quaternion", "basis_vectors", "lcontract", "wedge",
+    ), "algebra"),
     **dict.fromkeys((
         "ElkoSpinor", "WeylC2", "charge_conjugation", "dirac_from_left", "dirac_with_phase",
         "elko_boost", "elko_dual", "elko_quartet", "elko_rest", "helicity_eigenspinor",
@@ -87,8 +80,9 @@ _LAZY = {
         "ideal_projector", "ideal_to_column", "instanton_obstruction", "quaternions_to_column",
     ), "hopf"),
 }
-# what ``from spinorlab import *`` gave when every module loaded with the package
-__all__ = [name for name in globals() if not name.startswith("_")]
+# what ``from spinorlab import *`` gave when every module loaded with the package,
+# which had no ``blades`` module
+__all__ = [name for name in globals() if not name.startswith("_") and name != "blades"]
 __all__ += [*_LAZY, "elko", "flagdipole", "hopf"]
 
 
@@ -96,7 +90,8 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
+    submodule = _import_module(f".{module}", __name__)
+    value = submodule if name == module else getattr(submodule, name)
     globals()[name] = value
     return value
 

@@ -1,47 +1,37 @@
 """Real Clifford algebra of spacetime, Cl(1,3), with metric diag(+,-,-,-).
 
-Multivectors are stored as 16 coefficients over the canonical basis, ordered
-grade-major and lexicographically within each grade:
-
-    1;  e0 e1 e2 e3;  e01 e02 e03 e12 e13 e23;  e012 e013 e023 e123;  e0123
-
-The full product structure is generated once from the metric by the closed
-form of a blade product, so every operation (geometric product, wedge, left
-contraction, reversion) is table-driven.  Coefficients may be real or
-complex; complex coefficients give the complexified algebra.
+A ``Multivector`` holds 16 coefficients over the blade basis of
+``spinorlab.blades``, whose names this module re-exports as the same objects.
+Every operation (geometric product, wedge, left contraction, reversion) is
+driven by the product table built there from the metric; the wedge and
+contraction tables keep its grade-raising and grade-lowering terms.
+Coefficients may be real or complex; complex coefficients give the
+complexified algebra.  The package loads this module on first use of one of
+its names, so the commands that make no ``Multivector`` or ``Quaternion``
+never load it.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import numbers
 
 import numpy as np
 
-METRIC_SIGNS = (1, -1, -1, -1)
-
-BLADES: tuple[tuple[int, ...], ...] = tuple(
-    idx for k in range(5) for idx in itertools.combinations(range(4), k)
+# the blade tables, re-exported
+from .blades import (
+    _PRODUCT_SOURCE,
+    _product,
+    BLADE_GRADES,
+    BLADE_INDEX,
+    BLADE_NAMES,
+    BLADES,
+    DIM,
+    GRADE_2_PAIRS,
+    METRIC_SIGNS,
+    PRODUCT_INDEX,
+    PRODUCT_SIGN,
+    product_array,
 )
-BLADE_INDEX: dict[tuple[int, ...], int] = {idx: n for n, idx in enumerate(BLADES)}
-BLADE_GRADES = np.array([len(idx) for idx in BLADES])
-BLADE_NAMES = tuple(
-    "1" if not idx else "e" + "".join(str(i) for i in idx) for idx in BLADES
-)
-DIM = len(BLADES)
-
-GRADE_2_PAIRS = tuple(idx for idx in BLADES if len(idx) == 2)
-
-
-def _sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Sign of e_a e_b: one flip per pair i in a, j in b with i > j, and g_ii per shared index i."""
-    return (-1) ** sum(i > j for i in a for j in b) * math.prod(METRIC_SIGNS[i] for i in set(a) & set(b))
-
-
-# e_a e_b = sign * e_c, with c the indices in exactly one of a and b
-PRODUCT_INDEX = np.array([[BLADE_INDEX[tuple(sorted(set(a) ^ set(b)))] for b in BLADES] for a in BLADES])
-PRODUCT_SIGN = np.array([[_sign(a, b) for b in BLADES] for a in BLADES], dtype=float)
 
 _GRADE_OUT = BLADE_GRADES[PRODUCT_INDEX]
 _GA = BLADE_GRADES[:, None]
@@ -51,36 +41,6 @@ WEDGE_SIGN = np.where(_GRADE_OUT == _GA + _GB, PRODUCT_SIGN, 0.0)
 LCONTRACT_SIGN = np.where(_GRADE_OUT == _GB - _GA, PRODUCT_SIGN, 0.0)
 
 REVERSE_SIGN = np.array([(-1) ** (k * (k - 1) // 2) for k in BLADE_GRADES])
-
-
-# slot k of row i of the product table takes term (i, _PRODUCT_SOURCE[i, k]): the
-# inverse of each row's permutation, scattered rather than sorted (np.argsort's
-# first call maps numpy's sort code, 0.36 MB of resident memory at import)
-_PRODUCT_SOURCE = np.zeros_like(PRODUCT_INDEX)
-np.put_along_axis(_PRODUCT_SOURCE, PRODUCT_INDEX, np.arange(DIM)[None, :], axis=1)
-_ROWS = np.arange(DIM)[:, None]
-
-
-def product_array(x, y, table: np.ndarray) -> np.ndarray:
-    """Row-wise products of two (N, 16) float or complex coefficient blocks under a sign table.
-
-    ``table`` is PRODUCT_SIGN, WEDGE_SIGN or LCONTRACT_SIGN; a block of one row
-    is broadcast against the other.  Each slot sums its terms over i in turn,
-    starting from +0.0, so a row's bits do not depend on the block around it;
-    the ``Multivector`` products are one-row calls.
-    """
-    terms = np.asarray(x)[:, :, None] * np.asarray(y)[:, None, :]
-    terms *= table
-    by_slot = terms[:, _ROWS, _PRODUCT_SOURCE]
-    out = np.zeros((len(terms), DIM), dtype=terms.dtype)
-    for i in range(DIM):
-        out += by_slot[:, i]
-    return out
-
-
-def _product(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One row of ``product_array``: the product of two coefficient vectors."""
-    return product_array(x[None], y[None], table)[0]
 
 
 class Multivector:

@@ -6,9 +6,11 @@ Covariant n is psibar G_n psi, with the sixteen operators written once, in
     G_n = 1,  e^mu,  (i/2) e^mu e^nu for mu < nu,  i e0123 e^mu,  -e0123
 
 Components carry upper spacetime indices; S keeps one value per pair mu < nu,
-ordered 01, 02, 03, 12, 13, 23.  Each representation's Hermitian forms
-gamma0 G_n and generalized Fierz operators are built from the list at import,
-and Fierz completeness gives the aggregate
+ordered 01, 02, 03, 12, 13, 23.  At import the sixteen G_n and their inverses
+become (16, 16) complex coefficient arrays, built on the blade product table
+without a ``Multivector``, and each representation's Hermitian forms gamma0 G_n
+and generalized Fierz operators are built from them.  Fierz completeness gives
+the aggregate
 
     Z = sum_n (psibar G_n psi) G_n^-1 = sigma + J + i S_bold + i K e0123 + omega e0123
 
@@ -21,30 +23,28 @@ components and their (N, 16) covariants; ``aggregate_array``,
 ``generalized_fierz_array`` and ``reconstruct_array`` on covariants, (N, 16)
 Z coefficients and (N, 4) probes.  ``bilinears``, ``fierz_residuals``,
 ``aggregate_matrix_residual``, ``aggregate``, ``generalized_fierz_residuals``
-and ``reconstruct`` are their one-row calls, bit for bit.  Matching the scalar
-arithmetic bit for bit takes two rules: a power written as Python's ``x ** p``
-is ``np.float_power`` (libm pow; ``x * x`` and ``np.square`` round differently),
-and the modulus of a complex128, which the scalar ``abs`` takes through libm
-hypot, is ``np.hypot`` of its parts on arrays (the SIMD ``np.abs`` rounds
-differently).
+and ``reconstruct`` are their one-row calls, bit for bit.  This module loads
+``spinorlab.algebra`` only in the functions that make a ``Multivector``
+(``aggregate`` and three ``BilinearSet`` methods), so the kernels run without
+it.  Matching the scalar arithmetic bit for bit takes two rules: a power
+written as Python's ``x ** p`` is ``np.float_power`` (libm pow; ``x * x`` and
+``np.square`` round differently), and the modulus of a complex128, which the
+scalar ``abs`` takes through libm hypot, is ``np.hypot`` of its parts on
+arrays (the SIMD ``np.abs`` rounds differently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import (
-    DIM,
-    GRADE_2_PAIRS,
-    METRIC_SIGNS,
-    PRODUCT_INDEX,
-    PRODUCT_SIGN,
-    PSEUDOSCALAR,
-    Multivector,
-)
+from .blades import DIM, GRADE_2_PAIRS, METRIC_SIGNS, PRODUCT_INDEX, PRODUCT_SIGN, _product
 from .gamma import REP_TAGS, SIMILARITY, gamma_rep
+
+if TYPE_CHECKING:
+    from .algebra import Multivector
 
 
 class DegenerateProbeError(ValueError):
@@ -62,8 +62,7 @@ class SpinorC4:
         arr = np.asarray(self.components, dtype=np.complex128)
         if arr.shape != (4,):
             raise ValueError("a spinor needs exactly 4 complex components")
-        if self.rep not in REP_TAGS:
-            raise ValueError(f"unknown representation tag {self.rep!r}")
+        gamma_rep(self.rep)  # an unknown tag raises gamma_rep's ValueError
         object.__setattr__(self, "components", arr)
 
     def norm(self) -> float:
@@ -92,13 +91,19 @@ class BilinearSet:
     rep: str = "chiral"
 
     def current_vector(self) -> Multivector:
+        from .algebra import Multivector
+
         return Multivector.vector(self.J)
 
     def axial_vector(self) -> Multivector:
+        from .algebra import Multivector
+
         return Multivector.vector(self.K)
 
     def spin_bivector(self) -> Multivector:
         """Bivector with both index orders summed: coefficients 2 S^{mu nu}."""
+        from .algebra import Multivector
+
         c = np.zeros(DIM)
         c[5:11] = 2.0 * self.S  # the grade-2 blades, in GRADE_2_PAIRS order
         return Multivector(c)
@@ -109,17 +114,34 @@ class BilinearSet:
         return out
 
 
-# e^mu = g^{mu mu} e_mu: the algebra's basis vectors carry lower indices
-_UPPER = [Multivector.blade(mu, coeff=float(METRIC_SIGNS[mu])) for mu in range(4)]
-_OPERATORS = (
-    [Multivector.scalar(1.0)]
-    + _UPPER
-    + [0.5j * _UPPER[mu] * _UPPER[nu] for mu, nu in GRADE_2_PAIRS]
-    + [1j * PSEUDOSCALAR * e for e in _UPPER]
-    + [-PSEUDOSCALAR]
-)
-# each G_n is a multiple of one blade, so G_n G_n is a scalar
-_INVERSES = np.array([(g / (g * g).scalar_part()).coeffs for g in _OPERATORS])
+def _blade(n: int, coeff: float = 1.0) -> np.ndarray:
+    """The float coefficients of coeff e_n, as ``Multivector.blade`` stores them."""
+    c = np.zeros(DIM)
+    c[n] = coeff
+    return c
+
+
+# The sixteen G_n and their inverses as (16, 16) complex coefficient arrays.  Each G_n is
+# evaluated left to right with the numpy calls of the ``Multivector`` operators, in the
+# dtype its ``Multivector`` would hold: e^mu = g^{mu mu} e_mu (the basis vectors carry
+# lower indices), (0.5i e^mu) e^nu, (i e0123) e^mu and -e0123.  Each is a multiple of one
+# blade, so G_n G_n is a scalar, and each row is divided by it in its own dtype before the
+# rows are stacked (a complex -e0123 would hold -0j where the float one, cast, holds +0j).
+def _operator_tables() -> tuple[np.ndarray, np.ndarray]:
+    upper = [_blade(1 + mu, float(METRIC_SIGNS[mu])) for mu in range(4)]
+    pseudoscalar = _blade(DIM - 1)
+    rows = (
+        [_blade(0)]
+        + upper
+        + [_product(upper[mu] * 0.5j, upper[nu], PRODUCT_SIGN) for mu, nu in GRADE_2_PAIRS]
+        + [_product(pseudoscalar * 1j, e, PRODUCT_SIGN) for e in upper]
+        + [-pseudoscalar]
+    )
+    inverses = [g / _product(g, g, PRODUCT_SIGN)[0] for g in rows]
+    return np.array(rows, dtype=np.complex128), np.array(inverses, dtype=np.complex128)
+
+
+_OPERATORS, _INVERSES = _operator_tables()
 # the families sigma, J, S, K, omega, and the factor f_n of each Fierz operator f_n G_n
 _FAMILY_STARTS = [0, 1, 5, 11, 15]
 _FACTORS = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])
@@ -128,7 +150,7 @@ _FACTORS = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])
 def _rep_matrices(tag: str) -> tuple[np.ndarray, np.ndarray]:
     """The sixteen Hermitian forms gamma0 G_n and Fierz operators f_n G_n of one rep, stacked."""
     rep = gamma_rep(tag)
-    ops = rep.matrix_array([g.coeffs for g in _OPERATORS])
+    ops = rep.matrix_array(_OPERATORS)
     return rep.lower[0] @ ops, _FACTORS[:, None, None] * ops
 
 
@@ -227,6 +249,8 @@ def aggregate_array(covariants) -> np.ndarray:
 
 def aggregate(b: BilinearSet) -> Multivector:
     """The complex multivector Z = sum_n (psibar G_n psi) G_n^-1 of the bilinear set."""
+    from .algebra import Multivector
+
     return Multivector(aggregate_array(b.as_array()[None])[0])
 
 

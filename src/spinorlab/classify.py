@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, PSEUDOSCALAR
 from .bilinears import BilinearSet, minkowski_square, pq_operators
 
 
@@ -136,6 +135,8 @@ def verify_class_relations(b: BilinearSet, label: int) -> dict:
     * class 1:     K Q = -(omega + sigma e0123) P, the general identity that
                    the class-2 and class-3 relations specialize.
     """
+    from .algebra import PSEUDOSCALAR, Multivector
+
     p, q = pq_operators(b)
     jmv = b.current_vector()
     kmv = b.axial_vector()

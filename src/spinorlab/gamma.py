@@ -13,10 +13,14 @@ matrices by an algebra isomorphism.
 from __future__ import annotations
 
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import BLADES, DIM, METRIC_SIGNS, Multivector
+from .blades import BLADES, DIM, METRIC_SIGNS
+
+if TYPE_CHECKING:
+    from .algebra import Multivector
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),

@@ -23,7 +23,6 @@ import warnings
 
 import numpy as np
 
-from .algebra import Multivector
 from .bilinears import SpinorC4
 from .elko import (
     WeylC2,
@@ -137,6 +136,7 @@ def make_records(args) -> list[dict]:
             label = f"dirac:eps={args.epsilon:+d}"
         add(psi, label, momentum=momentum.tolist(), mass=mass)
     else:  # flagdipole
+        from .algebra import Multivector
         from .flagdipole import direction_element, projection_spinor
         if args.u is None:
             raise ValueError("make flagdipole requires --u ux,uy,uz")

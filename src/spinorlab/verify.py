@@ -6,8 +6,8 @@ returns one ``(check, worst, passed)`` triple per check, in a fixed order.  A
 NaN sample is a check's worst value, so it fails the check.  The
 CLI imports this module only for ``verify``, and each suite imports the
 ``hopf`` or ``flagdipole`` kernels it runs when it runs, so ``verify fierz``
-and ``verify mapping`` load neither module and ``verify hopf`` does not load
-``flagdipole``.  No suite loads ``numpy.random``.  This module imports nothing
+and ``verify mapping`` load neither module, nor the ``spinorlab.algebra`` they
+load, and ``verify hopf`` does not load ``flagdipole``.  No suite loads ``numpy.random``.  This module imports nothing
 from the CLI.
 """
 
@@ -17,7 +17,6 @@ import random
 
 import numpy as np
 
-from .algebra import Multivector
 from .bilinears import (
     SpinorC4,
     _moduli,
@@ -188,7 +187,7 @@ def _random_admissible_direction(rng: _SampleStream) -> np.ndarray:
             return raw
 
 
-_SCALAR_ONE = Multivector.scalar(1.0).coeffs[None]
+_SCALAR_ONE = np.eye(1, 16)  # the even element 1, as a block of one coefficient row
 
 
 def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, float, bool]]:

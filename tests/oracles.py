@@ -120,10 +120,11 @@ def loop_gamma_upper(tag, negate=np.negative):
     return g
 
 
-def loop_structure_tables(negate=np.negative):
+def loop_structure_tables(negate=np.negative, blade_dtype=float):
     """Every Cl(1,3) structure table, by the explicit loops: product signs by bubble sort, one
     lower gamma and one blade matrix at a time, and the tables built on them by the library's
-    expressions on these.  Keys name the library's tables; ``negate`` is ``loop_gamma_upper``'s."""
+    expressions on these.  Keys name the library's tables; ``negate`` is ``loop_gamma_upper``'s,
+    and ``blade_dtype`` that of the blades the bilinear operators start from."""
     index = np.zeros((DIM, DIM), dtype=np.intp)
     sign = np.zeros((DIM, DIM))
     for i, a in enumerate(BLADES):
@@ -152,7 +153,7 @@ def loop_structure_tables(negate=np.negative):
         return out
 
     def blade(n, coeff=1.0):  # Multivector.blade
-        c = np.zeros(DIM)
+        c = np.zeros(DIM, dtype=blade_dtype)
         c[n] = coeff
         return c
 
@@ -161,7 +162,8 @@ def loop_structure_tables(negate=np.negative):
     ps = blade(DIM - 1)
     ops = ([blade(0)] + upper_e + [mul(upper_e[mu] * 0.5j, upper_e[nu]) for mu, nu in GRADE_2_PAIRS]
            + [mul(ps * 1j, e) for e in upper_e] + [-ps])
-    tables["_INVERSES"] = np.array([g / mul(g, g)[0] for g in ops])
+    tables["_OPERATORS"] = np.array(ops, dtype=np.complex128)
+    tables["_INVERSES"] = np.array([g / mul(g, g)[0] for g in ops], dtype=np.complex128)
     factors = np.repeat([1.0, 1.0, 2.0, 1.0, -1.0], [1, 4, 6, 4, 1])  # bilinears._FACTORS
     for tag in ("chiral", "standard"):
         upper = loop_gamma_upper(tag, negate)
@@ -174,7 +176,7 @@ def loop_structure_tables(negate=np.negative):
             for i in idx:
                 m = m @ lower[i]
             blades[n] = m
-        matrices = (np.asarray(ops, dtype=np.complex128)[:, None, :] @ blades.reshape(DIM, 16)).reshape(-1, 4, 4)
+        matrices = (tables["_OPERATORS"][:, None, :] @ blades.reshape(DIM, 16)).reshape(-1, 4, 4)
         tables |= {
             f"{tag}.upper": upper,
             f"{tag}.lower": lower,

@@ -63,8 +63,9 @@ def test_spinor_constructor_validates_input():
 
 _V = np.array([[1, 0.5j, -0.3, 0.2 + 0.1j]])
 _COV = covariant_array(_V)
-# every kernel that takes a representation tag, called with the tag ``rep``
+# every kernel that takes a representation tag, and the spinor constructor, called with the tag ``rep``
 REP_KERNELS = {
+    "SpinorC4": lambda rep: SpinorC4(_V[0], rep),
     "covariant_array": lambda rep: covariant_array(_V, rep),
     "aggregate_residual_array": lambda rep: aggregate_residual_array(_V, _COV, rep),
     "generalized_fierz_array": lambda rep: generalized_fierz_array(aggregate_array(_COV), _COV, rep),

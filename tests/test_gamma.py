@@ -137,7 +137,7 @@ def test_matrix_array_rows_are_the_one_row_and_tensordot_matrices_bit_for_bit(ta
     rng = np.random.default_rng(45)
     real = rng.standard_normal((300, DIM)) * 10.0 ** rng.uniform(-5.0, 5.0, (300, 1))
     rows = [*real, *(random_multivector(rng, complex_coeffs=True).coeffs for _ in range(300)),
-            *(g.coeffs for g in operators)]
+            *operators]
     block = rep.matrix_array(np.array(rows, dtype=np.complex128))
     assert block.shape == (len(rows), 4, 4)
     for row, matrix in zip(rows, block):

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import loop_structure_tables
 from spinorlab import SIMILARITY, algebra, gamma_rep
-from spinorlab.bilinears import _INVERSES, _MATRICES
+from spinorlab.bilinears import _INVERSES, _MATRICES, _OPERATORS
 
 LIBRARY = {
     **{name: getattr(algebra, name)
@@ -20,6 +20,7 @@ LIBRARY = {
        for name in ("upper", "lower", "gamma5", "blades", "pseudoscalar")},
     **{f"_MATRICES.{tag}.{part}": _MATRICES[tag][n]
        for tag in ("chiral", "standard") for n, part in enumerate(("forms", "operators"))},
+    "_OPERATORS": _OPERATORS,
     "_INVERSES": _INVERSES,
     "SIMILARITY": SIMILARITY,
 }
@@ -43,3 +44,11 @@ def test_spatial_blocks_built_as_minus_one_times_the_block_differ():
     # -1 * s multiplies as complex numbers, so a zero entry's imaginary part keeps its + sign
     fault = loop_structure_tables(negate=lambda s: -1 * s)
     assert [name for name in LIBRARY if not same(LIBRARY[name], fault[name])]
+
+
+def test_bilinear_operators_built_from_complex_blades_differ():
+    # -e0123 negates the imaginary zeros of a complex blade too, so omega's operator row
+    # holds -0j where the float blade, negated and then cast, holds +0j
+    fault = loop_structure_tables(blade_dtype=complex)
+    assert np.array_equal(fault["_OPERATORS"], _OPERATORS)  # equal as numbers
+    assert [n for n in range(16) if not same(_OPERATORS[n], fault["_OPERATORS"][n])] == [15]
