@@ -26,11 +26,11 @@ Z coefficients and (N, 4) probes.  ``bilinears``, ``fierz_residuals``,
 and ``reconstruct`` are their one-row calls, bit for bit.  This module loads
 ``spinorlab.algebra`` only in the functions that make a ``Multivector``
 (``aggregate`` and three ``BilinearSet`` methods), so the kernels run without
-it.  Matching the scalar arithmetic bit for bit takes two rules: a power
-written as Python's ``x ** p`` is ``np.float_power`` (libm pow; ``x * x`` and
-``np.square`` round differently), and the modulus of a complex128, which the
-scalar ``abs`` takes through libm hypot, is ``np.hypot`` of its parts on
-arrays (the SIMD ``np.abs`` rounds differently).
+it.  Every kernel of the package matches the scalar arithmetic it replaced bit
+for bit by three rounding rules, each with one body here: a square rounds as
+Python's ``x ** 2`` (``_square``), a row norm sums as ``np.linalg.norm``
+(``_norms``; on a real row its imaginary pass adds exactly +0.0), and the
+modulus of a complex128 rounds as the scalar ``abs`` (``_moduli``).
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def fierz_array(covariants) -> np.ndarray:
     c = np.asarray(covariants, dtype=float)
     sigma, J, S, K, omega = c[:, 0], c[:, 1:5], c[:, 5:11], c[:, 11:15], c[:, 15]
     jj, jk = _minkowski(J, J), _minkowski(J, K)
-    r1 = np.abs(jj - np.float_power(omega, 2) - np.float_power(sigma, 2))
+    r1 = np.abs(jj - _square(omega) - _square(sigma))
     r2 = np.abs(_minkowski(K, K) + jj)
     r3 = np.sqrt(jk * jk)
     a, b = _PAIRS
@@ -233,7 +233,7 @@ def fierz_array(covariants) -> np.ndarray:
     spin[:, _DUAL] += sigma[:, None] * s_bold * _DUAL_SIGN
     lhs = np.zeros((len(c), DIM))
     lhs[:, 5:11] = (J[:, a] * K[:, b] - J[:, b] * K[:, a]) + spin
-    r4 = np.sqrt(np.vecdot(lhs, lhs))
+    r4 = _norms(lhs)
     return np.stack([r1, r2, r3, r4], axis=1)
 
 
@@ -265,8 +265,13 @@ def is_boomerang(z: Multivector, tol: float = 1e-10) -> bool:
     return diff <= tol * max(1.0, z.norm())
 
 
+def _square(x):
+    """x ** 2 entrywise as Python's ``**`` rounds it (libm pow; ``x * x`` and ``np.square`` do not)."""
+    return np.float_power(x, 2)
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis of a complex array, summed as ``np.linalg.norm``."""
+    """Euclidean norms over the last axis of a real or complex array, summed as ``np.linalg.norm``."""
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinears import BilinearSet, minkowski_square, pq_operators
+from .bilinears import BilinearSet, _norms, minkowski_square, pq_operators
 
 
 class NullSpinorError(ValueError):
@@ -56,15 +56,13 @@ _REFUSALS = {
 def magnitude_array(covariants) -> np.ndarray:
     """The decision rule's inputs for each (N, 16) covariant row, as (N, 6).
 
-    Columns: |J^0|, |J|, |sigma|, |omega|, |K|, |S|, with Euclidean norms over
-    the stored components (the BLAS dot of ``np.linalg.norm``, row by row).
-    Each row is first scaled by the power of two that brings J^0 into
-    [0.5, 1).  That scaling is exact, so every comparison against
-    ``tol * J^0`` comes out as for the unscaled row, but the squares inside
-    the norms stay normal doubles however small psi is.  A one-row block
-    skips the block's reshaping: the same ``ldexp`` of the row, and ``np.dot``,
-    the BLAS dot that ``vecdot`` runs on each row, so its bits are those of
-    the block path.
+    Columns: |J^0|, |J|, |sigma|, |omega|, |K|, |S|, with ``bilinears._norms``
+    over the stored components.  Each row is first scaled by the power of two
+    that brings J^0 into [0.5, 1).  That scaling is exact, so every comparison
+    against ``tol * J^0`` comes out as for the unscaled row, but the squares
+    inside the norms stay normal doubles however small psi is.  A one-row
+    block skips the block's reshaping: the same ``ldexp`` of the row, and
+    ``np.dot``, the BLAS dot of ``_norms``, so its bits are the block's.
     """
     c = np.asarray(covariants, dtype=float)
     # chosen by input size, about 5 us less per map-check record: ``mappability`` and
@@ -80,7 +78,7 @@ def magnitude_array(covariants) -> np.ndarray:
     for col, k in ((0, 1), (2, 0), (3, 15)):
         np.abs(c[:, k], out=out[:, col])
     for col, part in ((1, c[:, 1:5]), (4, c[:, 11:15]), (5, c[:, 5:11])):
-        np.sqrt(np.vecdot(part, part), out=out[:, col])
+        out[:, col] = _norms(part)
     return out
 
 

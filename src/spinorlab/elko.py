@@ -94,8 +94,6 @@ class ElkoSpinor:
 
 def elko_rest(phi: WeylC2, conjugacy: str = "self") -> ElkoSpinor:
     """Rest-frame ELKO built on ``phi``: (sigma_2 phi*, +/- phi) stacked."""
-    if conjugacy not in CONJUGACY_LABELS:
-        raise ValueError(f"conjugacy must be one of {CONJUGACY_LABELS}")
     v = phi.components
     if not np.any(v):
         raise ValueError("cannot build an ELKO on the zero 2-spinor")
@@ -123,6 +121,16 @@ def elko_quartet(p_hat=(0.0, 0.0, 1.0)) -> tuple[ElkoSpinor, ...]:
     )
 
 
+def _momentum(p, m: float) -> np.ndarray:
+    """``p`` as the 3-momentum of a particle of mass ``m``; ValueError unless m > 0 and p has 3 components."""
+    if m <= 0.0:
+        raise ValueError("mass must be positive")
+    momentum = np.asarray(p, dtype=np.float64)
+    if momentum.shape != (3,):
+        raise ValueError("momentum needs 3 components")
+    return momentum
+
+
 def elko_boost(lam: ElkoSpinor, p, m: float) -> ElkoSpinor:
     """Boost a rest ELKO to momentum ``p``; reduces to a scalar factor.
 
@@ -130,13 +138,9 @@ def elko_boost(lam: ElkoSpinor, p, m: float) -> ElkoSpinor:
     spinor boost multiplies both blocks by the same scalar
     sqrt((E+m)/2m) (1 -/+ |p|/(E+m)), the sign tied to the pair label.
     """
-    if m <= 0.0:
-        raise ValueError("mass must be positive")
+    momentum = _momentum(p, m)
     if lam.momentum is not None:
         raise ValueError("input must be a rest-frame ELKO")
-    momentum = np.asarray(p, dtype=np.float64)
-    if momentum.shape != (3,):
-        raise ValueError("momentum needs 3 components")
     pnorm = float(np.linalg.norm(momentum))
     if pnorm == 0.0:
         return replace(lam, momentum=momentum, mass=float(m))
@@ -199,13 +203,9 @@ def dirac_from_left(phi_l: WeylC2, p, m: float, epsilon: int = 1) -> SpinorC4:
     The boost kernel is Hermitian, which forces omega = 0: the result is
     class 2 (class 1 requires a non-Hermitian right-left relation).
     """
-    if m <= 0.0:
-        raise ValueError("mass must be positive")
+    momentum = _momentum(p, m)
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    momentum = np.asarray(p, dtype=np.float64)
-    if momentum.shape != (3,):
-        raise ValueError("momentum needs 3 components")
     if not np.any(phi_l.components):
         raise ValueError("cannot build a Dirac spinor on the zero 2-spinor")
     energy = float(np.hypot(m, np.linalg.norm(momentum)))

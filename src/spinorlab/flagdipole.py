@@ -46,7 +46,7 @@ from .algebra import (
     lcontract,
     product_array,
 )
-from .bilinears import BilinearSet, SpinorC4, _norms
+from .bilinears import BilinearSet, SpinorC4, _norms, _square
 from .gamma import gamma_rep
 from .hopf import _standard_row, even_to_column_array
 
@@ -64,18 +64,17 @@ def direction_array(components) -> np.ndarray:
     """The (N, 16) spatial unit 1-vectors of an (N, 3) block of direction components.
 
     Each row is first scaled by the power of two that brings its largest
-    |component| into [0.5, 1), then divided by its Euclidean norm
-    ``np.sqrt(np.vecdot(x, x))``, the BLAS dot product that ``np.linalg.norm``
-    runs on one row.  The scaling is exact, so a row whose squares are normal
-    doubles gets the bits of the unscaled division, and any finite nonzero row
-    gives a unit vector: the squares can no longer over- or underflow.  Raises
-    ValueError if the block is not (N, 3) or a row is zero.
+    |component| into [0.5, 1), then divided by its Euclidean norm.  The
+    scaling is exact, so a row whose squares are normal doubles gets the bits
+    of the unscaled division, and any finite nonzero row gives a unit vector:
+    the squares can no longer over- or underflow.  Raises ValueError if the
+    block is not (N, 3) or a row is zero.
     """
     comp = np.asarray(components, dtype=np.float64)
     if comp.ndim != 2 or comp.shape[1] != 3:
         raise ValueError("a spatial direction needs 3 components")
     comp = np.ldexp(comp, -np.frexp(np.abs(comp).max(axis=1, keepdims=True))[1])
-    norm = np.sqrt(np.vecdot(comp, comp))
+    norm = _norms(comp)
     if np.any(norm == 0.0):
         raise ValueError("the zero vector is not a direction")
     u = np.zeros((len(comp), DIM))
@@ -98,7 +97,7 @@ def _check_directions(u: np.ndarray, tol: float) -> None:
     off = np.where(BLADE_GRADES == 1, 0, u)
     square = product_array(u, u, PRODUCT_SIGN)[:, 0]
     faults = np.stack([
-        np.sqrt(np.vecdot(off, off)) > tol,
+        _norms(off) > tol,
         np.abs(u[:, _IDX_VEC[0]]) > tol,
         np.abs(square + 1.0) > tol,
     ])
@@ -183,7 +182,7 @@ def _frame_invariants(J, s) -> tuple:
 
 def _hs_residuals(s, h) -> tuple:
     """|h^2 - 1 - s^2| and h^2 of each row of (N, 16) s and (N,) h."""
-    h2 = np.float_power(h, 2)
+    h2 = _square(h)
     return np.abs(h2 - 1.0 - product_array(s, s, PRODUCT_SIGN)[:, 0].real), h2
 
 
@@ -254,7 +253,7 @@ def boomerang_array(J, s, h, tol: float = 1e-9) -> np.ndarray:
     """
     J, s, h = np.asarray(J), np.asarray(s), np.asarray(h)
     null, ortho, jnorm, snorm = _frame_invariants(J, s)
-    if np.any(null > tol * np.maximum(1.0, np.float_power(jnorm, 2))):
+    if np.any(null > tol * np.maximum(1.0, _square(jnorm))):
         raise ValueError("frame violates the null-current invariant")
     if np.any(ortho > tol * np.maximum(1.0, jnorm * snorm)):
         raise ValueError("frame violates J . s = 0")
@@ -281,7 +280,7 @@ def annihilator_residual_array(J, s, h, z=None) -> np.ndarray:
     znorm = np.maximum(1e-300, _norms(z))
     plus, minus, flipped = _tail(s, h, 1, 1), _tail(s, h, -1, -1), _tail(s, h, 1, -1)
     return np.stack([
-        _norms(product_array(z, z, PRODUCT_SIGN)) / np.float_power(znorm, 2),
+        _norms(product_array(z, z, PRODUCT_SIGN)) / _square(znorm),
         _norms(product_array(plus, z, PRODUCT_SIGN)) / znorm,
         _norms(product_array(z, minus, PRODUCT_SIGN)) / znorm,
         _norms(product_array(flipped, z, PRODUCT_SIGN)) / znorm,
@@ -369,11 +368,11 @@ def class_limit_array(u, which: str, ts=(1.0, 0.1, 0.01, 0.0), psi_even=None) ->
     for t in ts:
         if which == "h->0":
             axial = t * u3
-            scale = np.sqrt(np.maximum(0.0, 1.0 - np.float_power(axial, 2))) / plane
+            scale = np.sqrt(np.maximum(0.0, 1.0 - _square(axial))) / plane
             comp = np.stack([u1 * scale, u2 * scale, axial], axis=1)
         else:
             in_plane = t * plane
-            axial = np.sign(u3) * np.sqrt(np.maximum(0.0, 1.0 - np.float_power(in_plane, 2)))
+            axial = np.sign(u3) * np.sqrt(np.maximum(0.0, 1.0 - _square(in_plane)))
             comp = np.stack([u1 * t, u2 * t, axial], axis=1)
             comp[plane == 0.0, :2] = 0.0
         directions.append(direction_array(comp))

@@ -39,15 +39,11 @@ directly: through ``even_to_column`` the product ``1j * c`` would change the
 sign of some zero coefficients.
 
 Every kernel row equals the per-column ``Multivector``, ``Quaternion`` and
-complex-scalar arithmetic it replaced bit for bit, by the rules of
-``spinorlab.bilinears``: Python's ``x ** 2`` is ``np.float_power``, the norm of
-a real row is ``np.sqrt(np.vecdot(x, x))`` and of a complex row
-``bilinears._norms``, the scalar ``abs`` of a complex128 is
-``bilinears._moduli``, and a matrix applied to each row is a stacked matmul
-(``x[:, None, :] @ m`` or ``m @ x[:, :, None]``), as in
-``GammaRep.matrix_array``.  The complex product of two arrays runs a SIMD
-loop that rounds differently from the scalar product, so the component route
-multiplies real and imaginary parts out, as the scalar product does.
+complex-scalar arithmetic it replaced bit for bit, by the rounding rules of
+``spinorlab.bilinears`` and with a stacked matmul for a matrix applied to each
+row, as in ``GammaRep.matrix_array``.  The complex product of two arrays runs
+a SIMD loop that rounds differently from the scalar product, so the component
+route multiplies real and imaginary parts out, as the scalar product does.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ from .algebra import (
     hamilton_product,
     product_array,
 )
-from .bilinears import SpinorC4, _components, _moduli, _norms, covariant_array
+from .bilinears import SpinorC4, _components, _moduli, _norms, _square, covariant_array
 from .gamma import SIMILARITY, gamma_rep
 
 _EVEN_MASK = (BLADE_GRADES % 2) == 0
@@ -194,7 +190,7 @@ def hopf_map_unnormalized(pair: QuaternionPair) -> tuple[float, HopfPoint]:
 
 
 def hopf_from_components(psi: SpinorC4) -> tuple[float, HopfPoint]:
-    """Component-level fibration formulas applied verbatim to the column.
+    """Component-level fibration formulas applied verbatim to a standard-representation column.
 
     Returns (sigma, point) with sigma the plain squared norm of the column.
     These forms are the classical fibration written through the pairing
@@ -205,7 +201,7 @@ def hopf_from_components(psi: SpinorC4) -> tuple[float, HopfPoint]:
     spinor-dependent rotation; see :func:`hopf_routes_report`.  The one-row
     call of ``hopf_from_components_array``.
     """
-    sigma, point = hopf_from_components_array(psi.components[None])
+    sigma, point = hopf_from_components_array(_standard_row(psi, "component"))
     return float(sigma[0]), HopfPoint(*point[0].tolist())
 
 
@@ -267,7 +263,7 @@ def quaternions_to_column_array(q1, q2) -> np.ndarray:
 
 def _norm_squared(q) -> np.ndarray:
     """``Quaternion.norm_squared`` of each element: w**2 + x**2 + y**2 + z**2."""
-    w, x, y, z = (np.float_power(c, 2) for c in q)
+    w, x, y, z = (_square(c) for c in q)
     return w + x + y + z
 
 
@@ -291,7 +287,7 @@ def hopf_map_array(q1, q2) -> tuple[np.ndarray, np.ndarray]:
 
 def norm_identity_residual_array(sigma, points) -> np.ndarray:
     """|J0^2 + J1^2 + J2^2 + J3^2 + omega^2 - sigma^2| for each radius and (N, 5) image point."""
-    return np.abs(np.float_power(np.sqrt(np.vecdot(points, points)), 2) - np.float_power(sigma, 2))
+    return np.abs(_square(_norms(points)) - _square(sigma))
 
 
 def fiber_action_array(q1, q2, u) -> tuple[tuple, tuple]:
@@ -311,7 +307,7 @@ def hopf_from_components_array(components) -> tuple[np.ndarray, np.ndarray]:
     re = lambda j, k: a[j] * a[k] + b[j] * b[k]
     im = lambda j, k: b[j] * a[k] - a[j] * b[k]
     sigma = np.vecdot(v, v).real
-    m = np.float_power(_moduli(v), 2).T
+    m = _square(_moduli(v)).T
     point = np.stack(
         [
             m[0] + m[1] - m[2] - m[3],
@@ -409,7 +405,7 @@ def hopf_report_array(components, rep: str = "chiral") -> list[dict]:
         norm_identity_residual_array(sigma_c, point_c).tolist(),
         np.max(np.abs(point_q - point_c), axis=1).tolist(),
         np.abs(sigma_q - cov[:, 1]).tolist(), np.abs(point_q[:, 0] - cov[:, 0]).tolist(),
-        np.sqrt(np.vecdot(head, head)).tolist(), (np.abs(sigma_c - 1.0) <= 1e-9).tolist(),
+        _norms(head).tolist(), (np.abs(sigma_c - 1.0) <= 1e-9).tolist(),
     )
     return [
         {

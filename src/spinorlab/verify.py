@@ -21,6 +21,7 @@ from .bilinears import (
     SpinorC4,
     _moduli,
     _norms,
+    _square,
     aggregate_array,
     aggregate_residual_array,
     covariant_array,
@@ -106,8 +107,7 @@ def _suite_fierz(seed: int, samples: int, tol: float) -> list[tuple[str, float, 
         for parity, rep in enumerate(("chiral", "standard")):
             v, xi = psi[parity::2], probe[parity::2]
             cov = covariant_array(v, rep)
-            # float_power, as Python's ** rounds (x * x does not)
-            scale = np.maximum(1.0, np.float_power(cov[:, 1], 2))
+            scale = np.maximum(1.0, _square(cov[:, 1]))
             z = aggregate_array(cov)
             back, ok = reconstruct_array(z, xi, rep)
             recovered += int(ok.sum())
@@ -153,7 +153,7 @@ def _suite_hopf(seed: int, samples: int, tol: float) -> list[tuple[str, float, b
         q1, q2 = column_to_quaternions_array(psi)
         sigma, point = hopf_map_array(q1, q2)
         angles = draw[:, 2]
-        u = tuple((angles / np.sqrt(np.vecdot(angles, angles))[:, None]).T)
+        u = tuple((angles / _norms(angles)[:, None]).T)
         sigma_m, point_m = hopf_map_array(*fiber_action_array(q1, q2, u))
         even = column_to_even_array(psi)
         backs = (

@@ -5,6 +5,8 @@ Cl(1,3) hardcoded below, so a sign error in the table cannot hide behind
 the library's own gamma-matrix dictionary.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,3 +299,13 @@ def test_product_array_rows_are_the_scalar_products_bit_for_bit(table, x_complex
     assert np.array_equal(product_array(x[:1], y, table).view(np.int64), want.view(np.int64))
     want = np.array([scatter_product(a, y[0], table) for a in x])
     assert np.array_equal(product_array(x, y[:1], table).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Multivector(np.zeros(15)), ValueError, "expected 16 coefficients, got shape (15,)"),
+    (lambda: Multivector(["a"] * 16), TypeError, "coefficients must be numeric, got dtype <U1"),
+    (lambda: Multivector.vector([1.0, 2.0, 3.0]), ValueError, "a 1-vector needs 4 components"),
+], ids=["shape", "dtype", "vector-shape"])
+def test_each_multivector_check_refuses_its_input_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,8 +1,11 @@
 """Bilinear covariants, Fierz identities, and the aggregate multivector."""
 
+import ast
 import importlib
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,29 @@ def test_every_kernel_refuses_an_unknown_representation_with_gamma_reps_text(ker
     with pytest.raises(ValueError) as got:
         REP_KERNELS[kernel]("weyl")
     assert str(got.value) == str(want.value)
+
+
+# a square as Python's x ** 2 and a row norm as np.linalg.norm, written out inline
+_RULE_TEXTS = re.compile(r"np\.float_power\(.*,\s*2\)|np\.sqrt\(np\.vecdot")
+
+
+def test_the_square_and_row_norm_rules_are_written_only_in_their_bilinears_bodies():
+    """Every kernel squares through ``_square`` and takes row norms through ``_norms``."""
+    inline = ["np.float_power(cov[:, 1], 2)", "np.float_power(np.sqrt(np.vecdot(p, p)), 2)",
+              "np.sqrt(np.vecdot(lhs, lhs))"]
+    assert all(_RULE_TEXTS.search(text) for text in inline)
+    assert not _RULE_TEXTS.search("np.float_power(scale, 1.5)")
+    found = set()
+    for path in sorted(Path(importlib.import_module("spinorlab.bilinears").__file__).parent.glob("*.py")):
+        text = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+        for n, line in enumerate(text.splitlines(), 1):
+            if _RULE_TEXTS.search(line):
+                inside = [f for f in functions if f.lineno <= n <= f.end_lineno]
+                innermost = min(inside, key=lambda f: f.end_lineno - f.lineno) if inside else None
+                found.add((path.name, getattr(innermost, "name", None)))
+    # either body may change how it computes its rule
+    assert found <= {("bilinears.py", "_square"), ("bilinears.py", "_norms")}
 
 
 def test_rest_frame_dirac_covariants():

@@ -1,10 +1,13 @@
 """Dual-helicity eigenspinors: construction, conjugation, boosts, and duals."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_spinor
 from spinorlab import (
+    ElkoSpinor,
     SpinorC4,
     WeylC2,
     bilinears,
@@ -290,3 +293,35 @@ def test_weyl_spinors_carry_a_pole_but_no_flag():
     wl = weyl_spinor(WeylC2(np.array([0.6, 0.8])), "left")
     assert penrose_flag(wl).norm() < 1e-13
     assert penrose_pole(wl).norm() > 0.1
+
+
+_UP = WeylC2(np.array([1.0, 0.0]))
+# each check of the constructors, with the call that fails it first; the last three inputs fail
+# two checks and pin which one is made first
+REFUSALS = {
+    "weyl-shape": (lambda: WeylC2([1, 0, 0]), "a Weyl spinor needs exactly 2 complex components"),
+    "helicity": (lambda: WeylC2([1, 0], helicity=2), "helicity must be +1, -1 or None"),
+    "p_hat": (lambda: helicity_eigenspinor([0.0, 1.0], 1), "p_hat needs 3 components"),
+    "conjugacy": (lambda: elko_rest(_UP, "both"), "conjugacy must be one of ('self', 'anti')"),
+    "pair": (lambda: ElkoSpinor(SpinorC4([0, 1, 1, 0]), "self", "++", [0, 0, 1.0], _UP),
+             "helicity pair must be one of ('-+', '+-')"),
+    "boost-momentum": (lambda: elko_boost(elko_quartet()[0], [0, 1.0], 1.0), "momentum needs 3 components"),
+    "boost-without-pair": (lambda: elko_boost(elko_rest(_UP), [0, 0, 1.0], 1.0),
+                           "boost needs an ELKO built on a helicity eigenspinor"),
+    "chirality": (lambda: weyl_spinor(_UP, "up"), "chirality must be 'left' or 'right'"),
+    "epsilon": (lambda: dirac_from_left(_UP, [0, 0, 1.0], 1.0, epsilon=2), "epsilon must be +1 or -1"),
+    "dirac-momentum": (lambda: dirac_from_left(_UP, [0, 1.0], 1.0), "momentum needs 3 components"),
+    "zero-before-conjugacy": (lambda: elko_rest(WeylC2([0, 0]), "both"),
+                              "cannot build an ELKO on the zero 2-spinor"),
+    "momentum-before-rest": (lambda: elko_boost(elko_boost(elko_quartet()[0], [0, 0, 1.0], 1.0),
+                                                [0, 1.0], 1.0), "momentum needs 3 components"),
+    "momentum-before-epsilon": (lambda: dirac_from_left(_UP, [0, 1.0], 1.0, epsilon=2),
+                                "momentum needs 3 components"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_each_constructor_check_refuses_its_input_with_its_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

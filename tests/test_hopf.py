@@ -481,3 +481,14 @@ def test_the_half_projector_refuses_chiral_columns_with_the_dictionary_text(sign
     with pytest.raises(ValueError) as got:
         sigma_projector(psi, Multivector.scalar(0.0), 1.0, sign)
     assert str(got.value) == "the projector dictionary is tied to the standard representation"
+
+
+def test_the_component_route_refuses_chiral_columns_and_agrees_with_the_report():
+    # the report changes a chiral spinor to the standard representation first; the one-row
+    # route refuses one, as the column dictionaries do, rather than read its components as a column
+    psi = SpinorC4([1, 0.5j, -0.3, 0.2 + 0.1j], "chiral")
+    with pytest.raises(ValueError) as got:
+        hopf_from_components(psi)
+    assert str(got.value) == "the component dictionary is tied to the standard representation"
+    sigma, point = hopf_from_components(psi.in_rep("standard"))
+    assert hopf_routes_report(psi)["component_route"] == {"sigma": sigma, "point": list(point)}
