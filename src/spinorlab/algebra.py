@@ -20,6 +20,7 @@ import numpy as np
 # the blade tables, re-exported
 from .blades import (
     _PRODUCT_SOURCE,
+    _norms,
     _product,
     BLADE_GRADES,
     BLADE_INDEX,
@@ -114,7 +115,7 @@ class Multivector:
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
-        return float(np.linalg.norm(self.coeffs))
+        return float(_norms(self.coeffs))
 
     def conjugate(self) -> "Multivector":
         return Multivector(self.coeffs.conj())

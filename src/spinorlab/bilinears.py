@@ -27,10 +27,10 @@ and ``reconstruct`` are their one-row calls, bit for bit.  This module loads
 ``spinorlab.algebra`` only in the functions that make a ``Multivector``
 (``aggregate`` and three ``BilinearSet`` methods), so the kernels run without
 it.  Every kernel of the package matches the scalar arithmetic it replaced bit
-for bit by three rounding rules, each with one body here: a square rounds as
-Python's ``x ** 2`` (``_square``), a row norm sums as ``np.linalg.norm``
-(``_norms``; on a real row its imaginary pass adds exactly +0.0), and the
-modulus of a complex128 rounds as the scalar ``abs`` (``_moduli``).
+for bit through five bodies, each imported from here: ``_square`` squares as
+Python's ``x ** 2`` and ``_moduli`` takes a modulus as the scalar ``abs``; the
+reductions ``_dots`` (``np.vecdot``), ``_matmul`` (``np.matmul``) and ``_norms``
+(row norms as ``np.linalg.norm``) live in ``blades``, where ``gamma`` reaches them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blades import DIM, GRADE_2_PAIRS, METRIC_SIGNS, PRODUCT_INDEX, PRODUCT_SIGN, _product
+from .blades import DIM, GRADE_2_PAIRS, METRIC_SIGNS, PRODUCT_INDEX, PRODUCT_SIGN, _dots, _matmul, _norms, _product
 from .gamma import REP_TAGS, SIMILARITY, gamma_rep
 
 if TYPE_CHECKING:
@@ -66,14 +66,14 @@ class SpinorC4:
         object.__setattr__(self, "components", arr)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        return float(_norms(self.components))
 
     def in_rep(self, rep: str) -> "SpinorC4":
         """Convert between the chiral and standard representations."""
         if rep == self.rep:
             return self
         # the similarity matrix is involutive, so one formula serves both ways
-        return SpinorC4(SIMILARITY @ self.components, rep)
+        return SpinorC4(_matmul(SIMILARITY, self.components), rep)
 
     def scaled(self, factor: complex) -> "SpinorC4":
         return SpinorC4(self.components * factor, self.rep)
@@ -181,9 +181,7 @@ def covariant_array(components, rep: str = "chiral") -> np.ndarray:
     """
     v = _components(components)
     forms = _MATRICES[gamma_rep(rep).tag][0]  # an unknown tag raises gamma_rep's ValueError
-    # stacked matmul and vecdot run the BLAS kernels of op @ v and np.vdot(v, .),
-    # so each value is bit for bit the one-form-at-a-time result (einsum is not)
-    z = np.vecdot(v[:, None, :], (forms @ v[:, None, :, None])[..., 0])
+    z = _dots(v[:, None, :], _matmul(forms, v[:, None, :, None])[..., 0])
     # unit-stride rows, so row norms run the same BLAS dot as np.linalg.norm on a copy
     return np.ascontiguousarray(z.real)
 
@@ -244,7 +242,7 @@ def fierz_residuals(b: BilinearSet) -> np.ndarray:
 
 def aggregate_array(covariants) -> np.ndarray:
     """The (N, 16) complex blade coefficients of Z for each row of an (N, 16) covariant array."""
-    return (np.asarray(covariants, dtype=float)[:, None, :] @ _INVERSES)[:, 0]
+    return _matmul(np.asarray(covariants, dtype=float)[:, None, :], _INVERSES)[:, 0]
 
 
 def aggregate(b: BilinearSet) -> Multivector:
@@ -270,11 +268,6 @@ def _square(x):
     return np.float_power(x, 2)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis of a real or complex array, summed as ``np.linalg.norm``."""
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
-
-
 def _moduli(x: np.ndarray) -> np.ndarray:
     """|x| entrywise as the scalar ``abs`` of a complex128 rounds it (libm hypot, not ``np.abs``)."""
     return np.hypot(x.real, x.imag)
@@ -287,7 +280,7 @@ def aggregate_residual_array(components, covariants, rep: str = "chiral") -> np.
     matching (N, 16) array; Z is built by stacked vector-matrix products.
     """
     v = np.asarray(components, dtype=np.complex128)
-    psibar = v.conj()[:, None, :] @ gamma_rep(rep).lower[0]
+    psibar = _matmul(v.conj()[:, None, :], gamma_rep(rep).lower[0])
     diff = gamma_rep(rep).matrix_array(aggregate_array(covariants)) - 4.0 * (v[:, :, None] * psibar)
     return _norms(diff.reshape(-1, 16))
 
@@ -313,8 +306,8 @@ def generalized_fierz_array(z, covariants, rep: str = "chiral") -> np.ndarray:
     """
     zm = gamma_rep(rep).matrix_array(z)
     n = len(zm)
-    left = (zm @ _FIERZ_ROW[rep]).reshape(n, 4, 16, 4).transpose(0, 2, 1, 3).reshape(n, 64, 4)
-    residuals = (left @ zm).reshape(n, 16, 4, 4)
+    left = _matmul(zm, _FIERZ_ROW[rep]).reshape(n, 4, 16, 4).transpose(0, 2, 1, 3).reshape(n, 64, 4)
+    residuals = _matmul(left, zm).reshape(n, 16, 4, 4)
     del left  # one block fewer alive while the c(M) Z terms are subtracted
     residuals -= (4.0 * (_FACTORS * np.asarray(covariants, dtype=float)))[:, :, None, None] * zm[:, None]
     return np.maximum.reduceat(_norms(residuals.reshape(-1, 16, 16)), _FAMILY_STARTS, axis=1)
@@ -336,9 +329,9 @@ def reconstruct_array(z, probes, rep: str = "chiral", tol: float = 1e-10) -> tup
     g = gamma_rep(rep)
     zm = g.matrix_array(z)
     xi = np.asarray(probes, dtype=np.complex128)
-    w = (zm @ xi[:, :, None])[..., 0]
-    n2 = np.vecdot(xi, (g.lower[0] @ w[:, :, None])[..., 0])
-    bound = tol * np.maximum(1.0, _norms(zm.reshape(-1, 16)) * np.vecdot(xi, xi).real)
+    w = _matmul(zm, xi[:, :, None])[..., 0]
+    n2 = _dots(xi, _matmul(g.lower[0], w[:, :, None])[..., 0])
+    bound = tol * np.maximum(1.0, _norms(zm.reshape(-1, 16)) * _dots(xi, xi).real)
     ok = ~((n2.real <= bound) | (np.abs(n2.imag) > bound))
     with np.errstate(invalid="ignore", divide="ignore"):  # the masked rows
         psi = w / (2.0 * np.sqrt(np.where(ok, n2.real, 1.0)))[:, None]

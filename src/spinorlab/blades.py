@@ -71,3 +71,12 @@ def product_array(x, y, table: np.ndarray) -> np.ndarray:
 def _product(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
     """One row of ``product_array``: the product of two coefficient vectors."""
     return product_array(x[None], y[None], table)[0]
+
+
+# the package's reductions (``spinorlab.bilinears``): last-axis dots, first factor conjugated, and @
+_dots, _matmul = np.vecdot, np.matmul
+
+
+def _norms(x) -> np.ndarray:
+    """Euclidean norms over the last axis of a real or complex array, summed as ``np.linalg.norm``."""
+    return np.sqrt(_dots(x.real, x.real) + _dots(x.imag, x.imag) if np.iscomplexobj(x) else _dots(x, x))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinears import BilinearSet, _norms, minkowski_square, pq_operators
+from .bilinears import BilinearSet, _dots, _norms, minkowski_square, pq_operators
 
 
 class NullSpinorError(ValueError):
@@ -56,13 +56,13 @@ _REFUSALS = {
 def magnitude_array(covariants) -> np.ndarray:
     """The decision rule's inputs for each (N, 16) covariant row, as (N, 6).
 
-    Columns: |J^0|, |J|, |sigma|, |omega|, |K|, |S|, with ``bilinears._norms``
-    over the stored components.  Each row is first scaled by the power of two
+    Columns: |J^0|, |J|, |sigma|, |omega|, |K|, |S|, with ``_norms`` over the
+    stored components.  Each row is first scaled by the power of two
     that brings J^0 into [0.5, 1).  That scaling is exact, so every comparison
     against ``tol * J^0`` comes out as for the unscaled row, but the squares
     inside the norms stay normal doubles however small psi is.  A one-row
-    block skips the block's reshaping: the same ``ldexp`` of the row, and
-    ``np.dot``, the BLAS dot of ``_norms``, so its bits are the block's.
+    block skips the block's reshaping: the same ``ldexp`` of the row and
+    ``_dots``, so its bits are the block's.
     """
     c = np.asarray(covariants, dtype=float)
     # chosen by input size, about 5 us less per map-check record: ``mappability`` and
@@ -71,8 +71,8 @@ def magnitude_array(covariants) -> np.ndarray:
     if len(c) == 1:
         row = np.ldexp(c[0], -math.frexp(c[0, 1])[1])
         j, k, s = row[1:5], row[11:15], row[5:11]
-        return np.array([[abs(row[1]), math.sqrt(np.dot(j, j)), abs(row[0]), abs(row[15]),
-                          math.sqrt(np.dot(k, k)), math.sqrt(np.dot(s, s))]])
+        return np.array([[abs(row[1]), math.sqrt(_dots(j, j)), abs(row[0]), abs(row[15]),
+                          math.sqrt(_dots(k, k)), math.sqrt(_dots(s, s))]])
     c = np.ldexp(c, -np.frexp(c[:, 1:2])[1])
     out = np.empty((len(c), 6))
     for col, k in ((0, 1), (2, 0), (3, 15)):

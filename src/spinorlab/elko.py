@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bilinears import SpinorC4, bilinears
+from .bilinears import SpinorC4, _matmul, _norms, bilinears
 from .classify import classify
 from .gamma import PAULI, gamma_rep
 
@@ -48,7 +48,9 @@ def helicity_eigenspinor(p_hat, sign: int) -> WeylC2:
     direction = np.asarray(p_hat, dtype=np.float64)
     if direction.shape != (3,):
         raise ValueError("p_hat needs 3 components")
-    norm = float(np.linalg.norm(direction))
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("p_hat must be finite")
+    norm = float(_norms(direction))
     if norm == 0.0:
         raise ValueError("cannot build a helicity eigenspinor for the zero direction")
     if sign not in (1, -1):
@@ -97,7 +99,7 @@ def elko_rest(phi: WeylC2, conjugacy: str = "self") -> ElkoSpinor:
     v = phi.components
     if not np.any(v):
         raise ValueError("cannot build an ELKO on the zero 2-spinor")
-    upper = _SIGMA2 @ v.conj()
+    upper = _matmul(_SIGMA2, v.conj())
     lower = v if conjugacy == "self" else -v
     base = SpinorC4(np.concatenate([upper, lower]), "chiral")
     if phi.helicity is None:
@@ -122,12 +124,16 @@ def elko_quartet(p_hat=(0.0, 0.0, 1.0)) -> tuple[ElkoSpinor, ...]:
 
 
 def _momentum(p, m: float) -> np.ndarray:
-    """``p`` as the 3-momentum of a particle of mass ``m``; ValueError unless m > 0 and p has 3 components."""
+    """``p`` as the 3-momentum of a mass ``m``; ValueError unless m > 0 and p has 3 components, all finite."""
     if m <= 0.0:
         raise ValueError("mass must be positive")
+    if not np.isfinite(m):
+        raise ValueError("mass must be finite")
     momentum = np.asarray(p, dtype=np.float64)
     if momentum.shape != (3,):
         raise ValueError("momentum needs 3 components")
+    if not np.all(np.isfinite(momentum)):
+        raise ValueError("momentum must be finite")
     return momentum
 
 
@@ -141,12 +147,12 @@ def elko_boost(lam: ElkoSpinor, p, m: float) -> ElkoSpinor:
     momentum = _momentum(p, m)
     if lam.momentum is not None:
         raise ValueError("input must be a rest-frame ELKO")
-    pnorm = float(np.linalg.norm(momentum))
+    pnorm = float(_norms(momentum))
     if pnorm == 0.0:
         return replace(lam, momentum=momentum, mass=float(m))
     if lam.pair is None:
         raise ValueError("boost needs an ELKO built on a helicity eigenspinor")
-    if np.linalg.norm(momentum / pnorm - lam.axis) > 1e-9:
+    if _norms(momentum / pnorm - lam.axis) > 1e-9:
         raise ValueError("ELKO helicity axis does not match the boost direction")
     energy = float(np.hypot(m, pnorm))
     sign = 1.0 if lam.pair == "-+" else -1.0
@@ -161,7 +167,7 @@ def charge_conjugation(psi: SpinorC4) -> SpinorC4:
     if psi.rep != "chiral":
         raise ValueError("charge conjugation is implemented in the chiral representation")
     g2 = gamma_rep("chiral").upper[2]
-    return SpinorC4(-g2 @ psi.components.conj(), "chiral")
+    return SpinorC4(_matmul(-g2, psi.components.conj()), "chiral")
 
 
 def elko_dual(lam: ElkoSpinor) -> np.ndarray:
@@ -179,7 +185,7 @@ def elko_dual(lam: ElkoSpinor) -> np.ndarray:
         partner = elko_boost(partner, lam.momentum, lam.mass)
     sign = 1.0 if lam.pair == "-+" else -1.0
     g0 = gamma_rep("chiral").upper[0]
-    return sign * 1j * (partner.components.conj() @ g0)
+    return sign * 1j * _matmul(partner.components.conj(), g0)
 
 
 def weyl_spinor(phi: WeylC2, chirality: str = "left") -> SpinorC4:
@@ -208,11 +214,11 @@ def dirac_from_left(phi_l: WeylC2, p, m: float, epsilon: int = 1) -> SpinorC4:
         raise ValueError("epsilon must be +1 or -1")
     if not np.any(phi_l.components):
         raise ValueError("cannot build a Dirac spinor on the zero 2-spinor")
-    energy = float(np.hypot(m, np.linalg.norm(momentum)))
+    energy = float(np.hypot(m, _norms(momentum)))
     kernel = energy * np.eye(2, dtype=np.complex128)
     for k in range(3):
         kernel += momentum[k] * PAULI[k]
-    upper = epsilon * (kernel / m) @ phi_l.components
+    upper = _matmul(epsilon * (kernel / m), phi_l.components)
     return SpinorC4(np.concatenate([upper, phi_l.components]), "chiral")
 
 

@@ -22,9 +22,9 @@ arithmetic body, its kernel: ``direction_element``, ``projection_spinor``,
 ``annihilator_residuals``, ``sigma_projector_matrix`` and ``class_limit`` are
 one-row calls of the kernels, with the same checks and errors, and so are the
 frame invariants of ``synthetic_frame`` and ``FlagDipoleFrame.hs_residual``.
-Products run through ``algebra.product_array`` and matrices through
-``GammaRep.matrix_array``, so every row equals the ``Multivector``
-computation bit for bit, by the rules of ``spinorlab.bilinears``.
+Products run through ``algebra.product_array``, so every row equals the
+``Multivector`` computation bit for bit, by the bodies that
+``spinorlab.bilinears`` names.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .algebra import (
     lcontract,
     product_array,
 )
-from .bilinears import BilinearSet, SpinorC4, _norms, _square
+from .bilinears import BilinearSet, SpinorC4, _dots, _matmul, _norms, _square
 from .gamma import gamma_rep
 from .hopf import _standard_row, even_to_column_array
 
@@ -226,7 +226,7 @@ def frame_array(covariants, tol: float = 1e-9) -> tuple:
     s_bold = np.zeros((len(c), DIM))
     s_bold[:, 5:11] = 2.0 * c[:, 5:11]
     s = product_array(_TIME_AXIS, s_bold, LCONTRACT_SIGN) / c[:, 1:2]
-    s -= (np.vecdot(s, J) / np.vecdot(J, J))[:, None] * J
+    s -= (_dots(s, J) / _dots(J, J))[:, None] * J
 
     hs, h2 = _hs_residuals(s, h)
     return J, s, h, hs <= tol * np.maximum(1.0, h2)
@@ -330,13 +330,13 @@ def sigma_projector(psi: SpinorC4, s: Multivector, h: float, sign: int) -> Spino
     idempotent precisely when h^2 = 1 + s^2 (Minkowski square).
     """
     row = _standard_row(psi, "projector")
-    return SpinorC4(sigma_projector_matrix(s, h, sign) @ row[0], "standard")
+    return SpinorC4(_matmul(sigma_projector_matrix(s, h, sign), row[0]), "standard")
 
 
 def projector_idempotency_residual(s: Multivector, h: float) -> float:
     """Frobenius residual of the projector squaring to itself."""
     half = sigma_projector_matrix(s, h, +1)
-    return float(np.linalg.norm(half @ half - half))
+    return float(_norms((_matmul(half, half) - half).reshape(16)))
 
 
 def class_limit_array(u, which: str, ts=(1.0, 0.1, 0.01, 0.0), psi_even=None) -> tuple:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blades import BLADES, DIM, METRIC_SIGNS
+from .blades import BLADES, DIM, METRIC_SIGNS, _matmul
 
 if TYPE_CHECKING:
     from .algebra import Multivector
@@ -54,7 +54,7 @@ class GammaRep:
     def matrix_array(self, coeffs) -> np.ndarray:
         """The (N, 4, 4) matrices of an (N, 16) coefficient block, each row's bits independent of N."""
         z = np.asarray(coeffs, dtype=np.complex128)
-        return (z[:, None, :] @ self.blades.reshape(DIM, 16)).reshape(-1, 4, 4)
+        return _matmul(z[:, None, :], self.blades.reshape(DIM, 16)).reshape(-1, 4, 4)
 
     def mv_to_matrix(self, mv: Multivector) -> np.ndarray:
         """The 4x4 matrix of ``mv``: one row of ``matrix_array``."""

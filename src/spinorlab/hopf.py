@@ -39,11 +39,10 @@ directly: through ``even_to_column`` the product ``1j * c`` would change the
 sign of some zero coefficients.
 
 Every kernel row equals the per-column ``Multivector``, ``Quaternion`` and
-complex-scalar arithmetic it replaced bit for bit, by the rounding rules of
-``spinorlab.bilinears`` and with a stacked matmul for a matrix applied to each
-row, as in ``GammaRep.matrix_array``.  The complex product of two arrays runs
-a SIMD loop that rounds differently from the scalar product, so the component
-route multiplies real and imaginary parts out, as the scalar product does.
+complex-scalar arithmetic it replaced bit for bit, by the bodies that
+``spinorlab.bilinears`` names.  The complex product of two arrays runs a SIMD
+loop that rounds differently from the scalar product, so the component route
+multiplies real and imaginary parts out, as the scalar product does.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .algebra import (
     hamilton_product,
     product_array,
 )
-from .bilinears import SpinorC4, _components, _moduli, _norms, _square, covariant_array
+from .bilinears import SpinorC4, _components, _dots, _matmul, _moduli, _norms, _square, covariant_array
 from .gamma import SIMILARITY, gamma_rep
 
 _EVEN_MASK = (BLADE_GRADES % 2) == 0
@@ -102,7 +101,7 @@ class HopfPoint(NamedTuple):
         return np.array(self)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
+        return float(_norms(self.as_array()))
 
 
 _ONE = Multivector.scalar(1.0 + 0.0j)
@@ -306,7 +305,7 @@ def hopf_from_components_array(components) -> tuple[np.ndarray, np.ndarray]:
     a, b = v.real.T, v.imag.T
     re = lambda j, k: a[j] * a[k] + b[j] * b[k]
     im = lambda j, k: b[j] * a[k] - a[j] * b[k]
-    sigma = np.vecdot(v, v).real
+    sigma = _dots(v, v).real
     m = _square(_moduli(v)).T
     point = np.stack(
         [
@@ -394,7 +393,7 @@ def hopf_report_array(components, rep: str = "chiral") -> list[dict]:
     """
     v = _components(components)
     if gamma_rep(rep).tag != "standard":  # SpinorC4.in_rep, row by row; an unknown tag raises
-        v = (SIMILARITY @ v[:, :, None])[..., 0]
+        v = _matmul(SIMILARITY, v[:, :, None])[..., 0]
     sigma_q, point_q = hopf_map_array(*column_to_quaternions_array(v))
     sigma_c, point_c = hopf_from_components_array(v)
     cov = covariant_array(v, "standard")

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .bilinears import SpinorC4
+from .bilinears import SpinorC4, _norms
 from .elko import (
     WeylC2,
     dirac_from_left,
@@ -85,8 +85,7 @@ def make_records(args) -> list[dict]:
 
     if args.family == "elko":
         momentum = _parse_floats(args.p, 3, "--p") if args.p else np.zeros(3)
-        moving = float(np.linalg.norm(momentum)) > 0.0
-        if moving:
+        if _norms(momentum) > 0.0:
             if args.alpha is not None or args.beta is not None:
                 raise ValueError(
                     "boosted ELKOs are built from helicity eigenspinors; "

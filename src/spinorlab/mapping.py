@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``bilinears`` is not called here; perfbench's tracer checks that it wraps this binding
-from .bilinears import SpinorC4, bilinears, covariant_array
+from .bilinears import SpinorC4, _dots, bilinears, covariant_array
 from .classify import _REFUSALS, lounesto_rule, magnitude_array
 
 
@@ -168,7 +168,7 @@ def elko_map_conditions(psi: SpinorC4) -> ConditionReport:
         extra_class2_components=abs(extra2_comp),
         extra_class3_components=abs(extra3_comp),
         line3_vs_class3_gap=abs(gap),
-        scale=float(np.vdot(c, c).real),
+        scale=float(_dots(c, c).real),
     )
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from .bilinears import (
     SpinorC4,
+    _dots,
+    _matmul,
     _moduli,
     _norms,
     _square,
@@ -77,7 +79,7 @@ class _SampleStream:
 
 def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise |a e^(i phi) - b| with the phase phi that aligns a with b."""
-    inner = np.vecdot(a, b)
+    inner = _dots(a, b)
     modulus = _moduli(inner)
     with np.errstate(invalid="ignore", divide="ignore"):
         phase = np.where(modulus > 0, inner / modulus, 1.0)
@@ -179,7 +181,7 @@ def _random_admissible_direction(rng: _SampleStream) -> np.ndarray:
     """A random unit 3-vector clear of the class-5 plane and the class-6 axis."""
     while True:
         raw = rng.standard_normal(3)
-        norm = np.linalg.norm(raw)
+        norm = _norms(raw)
         if norm < 1e-6:
             continue
         raw /= norm
@@ -217,7 +219,7 @@ def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, fl
         # kept as the check that the halving stays exact: the operator's diagonal is real,
         # so the halves sum to the identity bit for bit unless one half is off by rounding
         matrix_sum_exact &= bool(np.all(plus + minus == eye))
-        applied = (plus @ psi[:, :, None] + minus @ psi[:, :, None])[..., 0]
+        applied = (_matmul(plus, psi[:, :, None]) + _matmul(minus, psi[:, :, None]))[..., 0]
         # the suite classifies each path's t = 0 end; every t is built on its own, so the end alone
         # is the same bytes as the whole path's last slab
         limits_missed = [_any_class_but(class_limit_array(u, which, ts=(0.0,))[1][0], terminal)
@@ -227,7 +229,7 @@ def _suite_projectors(seed: int, samples: int, tol: float) -> list[tuple[str, fl
             np.max(np.abs(h[:, None] * cov[:, 1:5] - K), axis=1)
             / np.maximum(1.0, np.max(np.abs(K), axis=1)),
             annihilator_residual_array(J, s, h)[:, :3].ravel(),
-            _norms((plus @ plus - plus).reshape(-1, 16)),
+            _norms((_matmul(plus, plus) - plus).reshape(-1, 16)),
             _norms(applied - psi) / np.maximum(1.0, _norms(psi)),
             np.array([1.0 if any(limits_missed) else 0.0]),
         )
@@ -280,7 +282,7 @@ def _suite_mapping(seed: int, samples: int, tol: float) -> list[tuple[str, float
         routes = np.abs([complex_route[:6], component_route])
         worst = _worse(worst, [np.abs(routes[0] - routes[1])])
         psi = draw[:, 0] + 1j * draw[:, 1]
-        passes += int(np.sum(np.all(routes[0, :4] <= tol * np.vecdot(psi, psi).real, axis=0)))
+        passes += int(np.sum(np.all(routes[0, :4] <= tol * _dots(psi, psi).real, axis=0)))
     rate = passes / max(1, samples)
     (worst_route,) = worst
     return [

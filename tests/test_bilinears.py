@@ -44,6 +44,7 @@ from spinorlab import (
 )
 from spinorlab.algebra import GRADE_2_PAIRS
 from spinorlab.bilinears import (
+    _norms,
     aggregate_array,
     aggregate_residual_array,
     covariant_array,
@@ -108,7 +109,76 @@ def test_the_square_and_row_norm_rules_are_written_only_in_their_bilinears_bodie
                 innermost = min(inside, key=lambda f: f.end_lineno - f.lineno) if inside else None
                 found.add((path.name, getattr(innermost, "name", None)))
     # either body may change how it computes its rule
-    assert found <= {("bilinears.py", "_square"), ("bilinears.py", "_norms")}
+    assert found <= {("bilinears.py", "_square"), ("blades.py", "_norms")}
+
+
+_REDUCTIONS = {"np.vecdot", "np.vdot", "np.dot", "np.matmul", "np.einsum", "np.linalg.norm"}
+# the one body of each reduction: the module-level ``_dots, _matmul = ...`` and ``_norms``
+_REDUCTION_BODIES = {("blades.py", "_dots, _matmul"), ("blades.py", "_norms")}
+# import-time tables whose entries are exact (0, +-1, +-i, +-1/2), so no summation order rounds them
+_EXACT_TABLES = {("gamma.py", "GammaRep.__init__"), ("bilinears.py", "_rep_matrices")}
+
+
+def _reduction_sites(source: str) -> set:
+    """The scopes in ``source`` that write a ``@`` or name a numpy reduction: the dotted name of
+    the innermost function or class, or the names bound by a module-level assignment."""
+    sites = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and not scope:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            scope = ", ".join(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        if isinstance(getattr(node, "op", None), ast.MatMult) or (
+                isinstance(node, ast.Attribute) and ast.unparse(node) in _REDUCTIONS):
+            sites.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_every_reduction_is_written_only_in_its_blades_body():
+    """Every dot product, matrix product and norm goes through ``_dots``, ``_matmul`` or ``_norms``.
+
+    The exact import-time tables are the only other sites, and the test names them.
+    """
+    samples = {
+        "def f(a, b):\n    return [x @ b for x in a]\n": {"f"},
+        "g = lambda a, b: a @ b\n": {"g"},
+        "class C:\n    def m(self, x):\n        x @= x\n        return np.linalg.norm(x)\n": {"C.m"},
+        "t = reduce(np.matmul, xs)\nu: float = np.vdot(a, a).real\n": {"t", "u"},
+        'def h(a):\n    """Pair ``elko_dual(a) @ b.components``."""\n    # np.dot(a, a)\n    return a\n': set(),
+    }
+    for source, scopes in samples.items():
+        assert _reduction_sites(source) == scopes
+    found = set()
+    for path in sorted(Path(importlib.import_module("spinorlab.bilinears").__file__).parent.glob("*.py")):
+        found |= {(path.name, scope) for scope in _reduction_sites(path.read_text())}
+    assert found - _REDUCTION_BODIES == _EXACT_TABLES
+
+
+def test_norms_of_a_real_block_take_one_pass_with_the_two_pass_bits(monkeypatch):
+    """On real input the imaginary pass of the complex form adds exactly +0.0, so it is dropped."""
+    tiny = np.finfo(float).smallest_subnormal
+    edge = np.array([[0.0, 0.0, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0], [tiny, -tiny, 3 * tiny, 0.0],
+                     [np.inf, 1.0, 2.0, 3.0], [-np.inf, 0.0, -0.0, 1.0], [np.nan, 1.0, 0.0, 0.0],
+                     [np.inf, np.nan, 0.0, 0.0], [1e200, -1e200, 1e-200, 0.0]])
+    rng = np.random.default_rng(61)
+    blocks = [edge, edge[:, ::2], edge.T, np.vstack([edge, rng.standard_normal((64, 4))]),
+              rng.standard_normal((3, 5, 7)) * 10.0 ** rng.integers(-300, 300, (3, 5, 1))]
+    with np.errstate(over="ignore"):  # the rows whose squares overflow
+        for block in blocks:
+            two_pass = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
+            assert _norms(block).tobytes() == two_pass.tobytes()
+    passes = []
+    monkeypatch.setattr(importlib.import_module("spinorlab.blades"), "_dots",
+                        lambda a, b: passes.append(a.dtype) or np.vecdot(a, b))
+    _norms(edge[:3])
+    _norms(edge[:3] * 1j)
+    assert passes == [np.float64] * 3
 
 
 def test_rest_frame_dirac_covariants():

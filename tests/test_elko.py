@@ -296,8 +296,8 @@ def test_weyl_spinors_carry_a_pole_but_no_flag():
 
 
 _UP = WeylC2(np.array([1.0, 0.0]))
-# each check of the constructors, with the call that fails it first; the last three inputs fail
-# two checks and pin which one is made first
+# each check of the constructors, with the call that fails it first; the three "-before-" inputs
+# fail two checks and pin which one is made first
 REFUSALS = {
     "weyl-shape": (lambda: WeylC2([1, 0, 0]), "a Weyl spinor needs exactly 2 complex components"),
     "helicity": (lambda: WeylC2([1, 0], helicity=2), "helicity must be +1, -1 or None"),
@@ -317,6 +317,12 @@ REFUSALS = {
                                                 [0, 1.0], 1.0), "momentum needs 3 components"),
     "momentum-before-epsilon": (lambda: dirac_from_left(_UP, [0, 1.0], 1.0, epsilon=2),
                                 "momentum needs 3 components"),
+    "p_hat-finite": (lambda: helicity_eigenspinor([np.nan, 0, 1], 1), "p_hat must be finite"),
+    "boost-mass-finite": (lambda: elko_boost(elko_quartet()[0], [0, 0, 1.0], np.nan), "mass must be finite"),
+    "boost-momentum-finite": (lambda: elko_boost(elko_quartet()[0], [0, 0, np.nan], 1.0),
+                              "momentum must be finite"),
+    "dirac-mass-finite": (lambda: dirac_from_left(_UP, [0, 0, 1.0], np.inf), "mass must be finite"),
+    "dirac-momentum-finite": (lambda: dirac_from_left(_UP, [0, 0, np.inf], 1.0), "momentum must be finite"),
 }
 
 
